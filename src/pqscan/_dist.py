@@ -1,13 +1,72 @@
-"""Batched squared-Euclidean distance helpers."""
+"""Batched squared-Euclidean distance helpers.
+
+Exactness contract of ``nearest``
+---------------------------------
+``nearest(x, c)`` returns, bit for bit, what
+``D = cdist(x, c, "sqeuclidean"); i = argmin(D, axis=1); (i, D[rows, i])``
+returns: the lowest index among the centroids at the smallest distance, and
+that distance as cdist rounds it. Codebooks, codes and coarse assignments
+therefore do not depend on how the distances are found.
+
+It gets there in two steps, following the GEMM form faiss uses (Johnson et
+al., 2017). Coordinates are first shifted by the centroid mean mu, so a
+large common offset cancels: xs = x - mu, cs = c - mu. Then, per row,
+
+    a(c) = <[xs, 1], [-2 cs, ||cs||^2]> = ||cs||^2 - 2 <xs, cs>
+
+(one BLAS GEMM per chunk of rows, the norms riding in as an extra column)
+
+ranks the centroids as ||xs - cs||^2 does, up to the row constant ||xs||^2.
+The argmin of ``a`` is a shortlist of one unless another centroid scores
+within the rounding bound below of the row minimum; only such rows are
+reranked, over their shortlist, with the pair form cdist itself uses. The
+winner's distance is always recomputed with that pair form.
+
+The bound. Let u = eps/2, S = ||xs||^2 + max_c ||cs||^2 and D(c) the cdist
+value. With gamma_n = n u / (1 - n u), for every centroid (Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 3):
+
+- the shift rounds each coordinate by at most u relative, which moves
+  ||xs - cs||^2 away from ||x - c||^2 by at most about 4 u S;
+- ||cs||^2 is off by at most gamma_d S, and the GEMM dot product of length
+  d + 1 by at most gamma_(d+1) (2 ||xs|| ||cs|| + ||cs||^2) <=
+  2 gamma_(d+1) S, in any summation order and with or without FMA;
+- cdist sums d rounded squares of rounded differences, all non-negative,
+  so D is within gamma_(d+2) ||x - c||^2 <= 2 gamma_(d+2) S of the exact
+  value.
+
+So a(c) + ||xs||^2 is within delta = (5d + 10) u S (to first order) of D(c)
+for every c. If c* minimizes D, a(c*) <= a(argmin a) + 2 delta, and the same
+holds for every centroid tied with c*. Every centroid that can win therefore
+scores within 2 delta = (5d + 10) eps S of the row minimum. ``shortlist_slack``
+allows 16 (d + 4) eps S, over three times that, which also absorbs the
+rounding of S and of the threshold itself; the term in tiny covers gradual
+underflow. A row whose S is not below max/4 (overflow, inf or NaN) is
+reranked against every centroid, so non-finite input gives cdist's answer
+too. k-means++ seeding (``quantizer._kmeanspp_init``) uses the same bound
+one-sidedly: a point's cdist distance to a new seed can fall below its
+current nearest-seed distance only if its score minus the slack does.
+
+The pair form ``sqdist_rows`` sums (x_j - c_j)^2 column by column from 0,
+which is the order scipy's cdist uses. The tests compare against cdist
+directly, so a scipy that changes its summation order fails them.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-# Rows per chunk, sized so a chunk of distances to ~64K centroids stays well
-# under a GiB of float64.
+# Rows per chunk for nearest_k, sized so a chunk of distances to ~64K
+# centroids stays well under a GiB of float64.
 _CHUNK = 2048
+# Score-matrix entries per chunk in nearest (512 KiB of float64), so the
+# passes over it stay in cache.
+_CHUNK_ENTRIES = 1 << 16
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+# Below this scale S nothing in the bound's arithmetic can overflow.
+SAFE_SCALE = float(np.finfo(np.float64).max) / 4
 
 
 def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -21,21 +80,72 @@ def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cdist(a, b, "sqeuclidean")
 
 
+def sqdist_rows(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row-wise squared distances ||x[i] - c[i]||^2 (c may be one (d,) row).
+
+    Summed column by column from 0, bit-identical to cdist "sqeuclidean".
+    """
+    sq = np.asarray(x, dtype=np.float64) - np.asarray(c, dtype=np.float64)
+    np.square(sq, out=sq)
+    out = np.zeros(sq.shape[0])
+    for j in range(sq.shape[1]):
+        out += sq[:, j]
+    return out
+
+
+def shortlist_slack(d: int, scale):
+    """Rounding allowance for scores of dimension d at scale S (see above)."""
+    return 16.0 * (d + 4) * (_EPS * scale + _TINY)
+
+
+# Non-finite or huge input takes the full rerank; like cdist, stay quiet.
+@np.errstate(invalid="ignore", over="ignore")
 def nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per point: (index of nearest centroid, squared distance to it).
 
-    Ties resolve to the lowest centroid index. Chunked over points.
+    Bit-identical to cdist "sqeuclidean" followed by argmin, ties to the
+    lowest centroid index (see the module docstring). Chunked over points.
     """
-    points = np.asarray(points)
-    n = points.shape[0]
+    x = np.asarray(points, dtype=np.float64)
+    c = np.asarray(centroids, dtype=np.float64)
+    n, d = x.shape
+    k = c.shape[0]
+    mu = c.mean(axis=0)
+    cs = c - mu
+    cn = np.einsum("ij,ij->i", cs, cs)
+    cmax = cn.max()
+    w = np.empty((d + 1, k))
+    w[:d] = -2.0 * cs.T
+    w[d] = cn
     idx = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        dm = sqdist_matrix(points[lo:hi], centroids)
-        part = np.argmin(dm, axis=1)
+    step = max(1, _CHUNK_ENTRIES // k)
+    # Column d stays 1, so the GEMM adds ||cs||^2 from row d of w.
+    xs1 = np.ones((min(step, n), d + 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        xc = x[lo:hi]
+        xs = xs1[: hi - lo, :d]
+        np.subtract(xc, mu, out=xs)
+        a = xs1[: hi - lo] @ w
+        part = np.argmin(a, axis=1)
+        rows = np.arange(hi - lo)
+        scale = np.einsum("ij,ij->i", xs, xs) + cmax
+        thr = a[rows, part] + shortlist_slack(d, scale)
+        a[rows, part] = np.inf
+        second = a.min(axis=1)
+        unsafe = ~(scale < SAFE_SCALE)
+        amb = np.flatnonzero(~(second > thr) | unsafe)
+        if amb.size:
+            short = a[amb] <= thr[amb, None]
+            short[np.arange(amb.size), part[amb]] = True
+            short[unsafe[amb]] = True
+            ri, ci = np.nonzero(short)
+            exact = np.full(short.shape, np.inf)
+            exact[ri, ci] = sqdist_rows(xc[amb[ri]], c[ci])
+            part[amb] = np.argmin(exact, axis=1)
         idx[lo:hi] = part
-        dist[lo:hi] = dm[np.arange(hi - lo), part]
+        dist[lo:hi] = sqdist_rows(xc, c[part])
     return idx, dist
 
 

@@ -21,6 +21,7 @@ from .quantizer import (
     ProductQuantizer,
     TrainConfig,
     _kmeans_seeded,
+    _require_finite,
     _seed_for,
     read_quantizer_body,
     same_size_kmeans,
@@ -84,7 +85,7 @@ def build_derived_quantizers(
     training_sub = np.asarray(training_sub, dtype=np.float64)
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(cfg.seed)
-    temp, _ = _kmeans_seeded(training_sub, k, cfg, seed_seq)
+    temp = _kmeans_seeded(training_sub, k, cfg, seed_seq)
     derived, partition = same_size_kmeans(temp.astype(np.float64), kbar, cfg)
     bbar = kbar.bit_length() - 1
     per_cluster = k // kbar
@@ -112,13 +113,14 @@ def train_derived(
         raise ValueError(f"need 1 <= bbar < b <= 16, got bbar={bbar}, b={b}")
     if training.shape[0] < (1 << b):
         raise ValueError(f"{training.shape[0]} training points for {1 << b} centroids")
+    _require_finite(training, "training vectors")
     d = training.shape[1]
     dsub = d // m
     k, kbar = 1 << b, 1 << bbar
     full = np.empty((m, k, dsub), dtype=np.float32)
     derived = np.empty((m, kbar, dsub), dtype=np.float32)
     for j in range(m):
-        sub = training[:, j * dsub : (j + 1) * dsub]
+        sub = np.ascontiguousarray(training[:, j * dsub : (j + 1) * dsub])
         full[j], derived[j] = build_derived_quantizers(
             sub, kbar, k, cfg, _seed_for(cfg.seed, j)
         )

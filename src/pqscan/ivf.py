@@ -25,6 +25,7 @@ from .derived import (
 from .quantizer import (
     ProductQuantizer,
     TrainConfig,
+    _require_finite,
     encode,
     kmeans,
     read_quantizer_body,
@@ -109,6 +110,7 @@ def build_ivf(
     base = np.asarray(base, dtype=np.float64)
     if base.ndim != 2:
         raise ValueError("base must be 2-D")
+    _require_finite(base, "base vectors")
     n = base.shape[0]
     if n < K or n < (1 << b):
         raise ValueError(f"{n} vectors cannot train K={K}, b={b}")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from . import _binio
-from ._dist import nearest, sqdist_matrix
+from ._dist import SAFE_SCALE, nearest, shortlist_slack, sqdist_matrix, sqdist_rows
 
 
 class TrainError(RuntimeError):
@@ -93,12 +93,30 @@ def _seed_for(seed: int, lane: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(lane,))
 
 
+def _require_finite(x: np.ndarray, what: str) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} contain non-finite values")
+
+
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    """k-means++ seeding (Arthur & Vassilvitskii, 2007).
+
+    closest[i] is, bit for bit, the cdist distance from point i to its
+    nearest seed so far, so the draws match per-seed cdist seeding. Each new
+    seed is scored against every point with one GEMV in the shifted form of
+    ``_dist.nearest``; only points whose lower bound (score minus the
+    rounding slack) falls below closest get the exact distance.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n, d = points.shape
+    centroids = np.empty((k, d), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest = sqdist_matrix(points, centroids[:1]).ravel()
+    closest = sqdist_rows(points, points[first])
+    xs = points - points.mean(axis=0)
+    xn = np.einsum("ij,ij->i", xs, xs)
+    xn_max = xn.max()
+    xlow = xn - shortlist_slack(d, xn)
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -106,7 +124,16 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             pick = int(rng.choice(n, p=closest / total))
         centroids[c] = points[pick]
-        closest = np.minimum(closest, sqdist_matrix(points, centroids[c : c + 1]).ravel())
+        cs = xs[pick]
+        cn = float(cs @ cs)
+        if xn_max + cn < SAFE_SCALE:
+            low = xs @ (-2.0 * cs)
+            low += xlow
+            low += cn - shortlist_slack(d, cn)
+            drop = np.flatnonzero(low < closest)
+        else:
+            drop = np.arange(n)
+        closest[drop] = np.minimum(closest[drop], sqdist_rows(points[drop], points[pick]))
     return centroids
 
 
@@ -153,7 +180,10 @@ def kmeans(
     """
     cfg = cfg or TrainConfig()
     points = np.asarray(points, dtype=np.float64)
-    return _kmeans_seeded(points, k, cfg, np.random.SeedSequence(cfg.seed))
+    _require_finite(points, "points")
+    centroids = _kmeans_seeded(points, k, cfg, np.random.SeedSequence(cfg.seed))
+    assign, _ = nearest(points, centroids.astype(np.float64))
+    return centroids, assign
 
 
 def same_size_kmeans(
@@ -203,6 +233,7 @@ def _check_train_args(training: np.ndarray, m: int, b: int) -> None:
         raise ValueError("training set must be 2-D")
     if training.shape[1] % m != 0:
         raise ValueError(f"d={training.shape[1]} not divisible by m={m}")
+    _require_finite(training, "training vectors")
     if training.shape[0] < (1 << b):
         raise TrainError(
             f"{training.shape[0]} training points for {1 << b} centroids"
@@ -221,15 +252,16 @@ def train_pq(
     k = 1 << b
     books = np.empty((m, k, dsub), dtype=np.float32)
     for j in range(m):
-        sub = training[:, j * dsub : (j + 1) * dsub]
-        books[j], _ = _kmeans_seeded(sub, k, cfg, _seed_for(cfg.seed, j))
+        sub = np.ascontiguousarray(training[:, j * dsub : (j + 1) * dsub])
+        books[j] = _kmeans_seeded(sub, k, cfg, _seed_for(cfg.seed, j))
     return ProductQuantizer(m=m, b=b, d=d, codebooks=books)
 
 
 def _kmeans_seeded(
     points: np.ndarray, k: int, cfg: TrainConfig, seed_seq: np.random.SeedSequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """kmeans() with an explicit SeedSequence instead of cfg.seed."""
+) -> np.ndarray:
+    """kmeans() with an explicit SeedSequence instead of cfg.seed; returns
+    only the centroids (k, d) float32."""
     n = points.shape[0]
     if n < k:
         raise TrainError(f"{n} training points for {k} clusters")
@@ -244,9 +276,7 @@ def _kmeans_seeded(
             break
         centroids = _mean_update(points, assign, k, centroids)
         prev_assign = assign
-    out = centroids.astype(np.float32)
-    final_assign, _ = nearest(points, out.astype(np.float64))
-    return out, final_assign
+    return centroids.astype(np.float32)
 
 
 def train_opq(
@@ -316,6 +346,7 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
     rows = x[None, :] if single else x
     if rows.shape[1] != pq.d:
         raise ValueError(f"vector dimensionality {rows.shape[1]}, expected {pq.d}")
+    _require_finite(rows, "vectors")
     z = pq.rotate(rows)
     dsub = pq.dsub
     out = np.empty((rows.shape[0], pq.m), dtype=pq.code_dtype)

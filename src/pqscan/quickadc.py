@@ -26,7 +26,6 @@ from .scan import (
 )
 
 DEFAULT_INIT_COUNT = 200
-DEFAULT_INIT_COUNT_BILLION = 1000
 
 
 @dataclass

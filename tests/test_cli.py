@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pqscan import load_quantizer, read_vecs
+from pqscan._dist import nearest_k
 from pqscan.cli import BENCH_HEADER, main
 
 
@@ -198,6 +199,30 @@ def test_bench_ivf_row(workspace, capsys):
     row = dict(zip(rows[0], rows[1]))
     assert row["K"] == "8"
     assert 0.0 <= float(row["recall"]) <= 1.0
+
+
+
+def test_bench_ivf_counts_visited_codes_outside_timed_queries(workspace, capsys, monkeypatch):
+    # The coarse lookup that counts visited codes runs once, for all queries
+    # together, not inside each timed query.
+    import pqscan.cli as cli
+
+    calls = []
+
+    def counting_nearest_k(points, centroids, k):
+        calls.append(np.asarray(points).shape[0])
+        return nearest_k(points, centroids, k)
+
+    monkeypatch.setattr(cli, "nearest_k", counting_nearest_k)
+    code, out, _ = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
+                       "--queries", str(workspace / "q.fvecs"),
+                       "--truth", str(workspace / "t.ivecs"),
+                       "--m", "4", "--b", "4", "--K", "8", "--ma", "4",
+                       "--r", "10", "--iters", "5", "--kernel", "adc")
+    assert code == 0
+    assert calls == [8]
+    row = dict(zip(*csv.reader(io.StringIO(out))))
+    assert float(row["mcodes_per_s"]) > 0.0
 
 
 def test_build_ivf_and_query(workspace, tmp_path, capsys):

@@ -1,0 +1,148 @@
+"""nearest and k-means++ seeding against their cdist oracles, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
+
+from pqscan._dist import nearest
+from pqscan.quantizer import _kmeanspp_init
+
+
+def nearest_oracle(points, centroids):
+    """cdist sqeuclidean + argmin: the assignment nearest must reproduce."""
+    dm = cdist(np.asarray(points, np.float64), np.asarray(centroids, np.float64), "sqeuclidean")
+    idx = np.argmin(dm, axis=1)
+    return idx, dm[np.arange(dm.shape[0]), idx]
+
+
+def kmeanspp_oracle(points, k, rng):
+    """k-means++ seeding with one full cdist pass per new centroid."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    centroids[0] = points[int(rng.integers(n))]
+    closest = cdist(points, centroids[:1], "sqeuclidean").ravel()
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=closest / total))
+        centroids[c] = points[pick]
+        closest = np.minimum(closest, cdist(points, centroids[c : c + 1], "sqeuclidean").ravel())
+    return centroids
+
+
+def assert_same_as_oracle(points, centroids):
+    idx, dist = nearest(points, centroids)
+    want_idx, want_dist = nearest_oracle(points, centroids)
+    np.testing.assert_array_equal(idx, want_idx)
+    # Bit equality, not closeness (array_equal treats -0.0 == 0.0; the
+    # distances are sums of squares, so neither side produces -0.0).
+    assert dist.dtype == np.float64
+    np.testing.assert_array_equal(dist.view(np.int64), want_dist.view(np.int64))
+
+
+def make_case(kind, n, d, k, rng):
+    """Points and centroids of one structured kind."""
+    x = rng.normal(size=(n, d))
+    c = rng.normal(size=(k, d))
+    if kind == "duplicates":
+        # Whole centroids repeated: rows nearest to them tie exactly.
+        c[rng.integers(0, k, k // 2)] = c[rng.integers(0, k, k // 2)]
+        x[: n // 2] = c[rng.integers(0, k, n // 2)] + rng.normal(0, 0.3, (n // 2, d))
+    elif kind == "grid":
+        # Small integers: distances are integers, so exact ties abound.
+        x = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        c = rng.integers(-2, 3, size=(k, d)).astype(np.float64)
+    elif kind == "ulp":
+        # Centroid pairs one ulp apart per coordinate: distances tie or
+        # differ in the last bits, well inside the shortlist slack.
+        half = k // 2
+        signs = rng.choice([-np.inf, np.inf], size=(half, d))
+        c[half : 2 * half] = np.nextafter(c[:half], signs)
+        x[: n // 2] = (c[rng.integers(0, max(half, 1), n // 2)] + c[:1]) / 2
+    elif kind == "offset":
+        # |x| near 1e6 with unit spread: the shift by the centroid mean must
+        # cancel the offset, or every row would need a rerank to stay exact.
+        x += 1e6
+        c += 1e6
+    return x, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 8, 16, 128]),
+    k=st.sampled_from([1, 2, 256, 1024]),
+    n=st.integers(1, 80),
+    kind=st.sampled_from(["normal", "duplicates", "grid", "ulp", "offset"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_matches_cdist_argmin(d, k, n, kind, seed):
+    x, c = make_case(kind, n, d, k, np.random.default_rng(seed))
+    assert_same_as_oracle(x, c)
+
+
+_coords = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)), elements=_coords),
+            hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)), elements=_coords),
+        )
+    )
+)
+def test_nearest_matches_cdist_argmin_on_arbitrary_floats(pair):
+    x, c = pair
+    assert_same_as_oracle(x, c)
+
+
+def test_nearest_non_finite_matches_cdist():
+    rng = np.random.default_rng(4)
+    x, c = rng.normal(size=(40, 4)), rng.normal(size=(9, 4))
+    x[3, 1], x[5] = np.nan, np.inf
+    bad_c = c.copy()
+    bad_c[4, 2] = np.inf
+    for pts, cents in ((x, c), (rng.normal(size=(40, 4)), bad_c), (x * 1e200, c * 1e200)):
+        idx, dist = nearest(pts, cents)
+        want_idx, want_dist = nearest_oracle(pts, cents)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_dist)
+
+
+def test_nearest_is_independent_of_chunking():
+    # More rows than one chunk holds: every chunk must agree with the oracle.
+    rng = np.random.default_rng(9)
+    x, c = make_case("duplicates", 3000, 8, 1024, rng)
+    assert_same_as_oracle(x, c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize(
+    "n,d,k,offset",
+    [(500, 1, 16, 0.0), (800, 8, 64, 0.0), (400, 16, 256, 0.0), (300, 128, 32, 0.0),
+     (600, 4, 32, 1e6)],
+)
+def test_kmeanspp_matches_cdist_seeding(seed, n, d, k, offset):
+    data = np.random.default_rng(seed + 1000)
+    centers = data.normal(0, 5, (8, d))
+    points = centers[data.integers(0, 8, n)] + data.normal(size=(n, d)) + offset
+    points[: n // 10] = points[n // 10 : 2 * (n // 10)]  # duplicated points
+    got = _kmeanspp_init(points, k, np.random.default_rng(seed))
+    want = kmeanspp_oracle(points, k, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_kmeanspp_all_points_equal_uses_uniform_draws():
+    points = np.full((50, 3), 2.5)
+    got = _kmeanspp_init(points, 4, np.random.default_rng(5))
+    want = kmeanspp_oracle(points, 4, np.random.default_rng(5))
+    np.testing.assert_array_equal(got, want)

@@ -7,6 +7,7 @@ from pqscan import (
     ProductQuantizer,
     TrainConfig,
     adc_distance,
+    build_ivf,
     compute_tables,
     decode,
     encode,
@@ -14,6 +15,7 @@ from pqscan import (
     load_quantizer,
     same_size_kmeans,
     save_quantizer,
+    train_derived,
     train_opq,
     train_pq,
 )
@@ -261,3 +263,27 @@ def test_quantizer_round_trip_with_rotation(tmp_path, blob_data):
     back = load_quantizer(path)
     np.testing.assert_array_equal(back.rotation, opq.rotation)
     np.testing.assert_array_equal(back.codebooks, opq.codebooks)
+
+
+# Every build entry point, called on 64 x 8 vectors; each must reject a
+# non-finite coordinate with ValueError before any training or encoding.
+BUILD_ENTRY_POINTS = {
+    "kmeans": lambda x: kmeans(x, 4, CFG),
+    "train_pq": lambda x: train_pq(x, 2, 2, CFG),
+    "train_opq": lambda x: train_opq(x, 2, 2, TrainConfig(kmeans_iters=2, opq_iters=1)),
+    "train_derived": lambda x: train_derived(x, 2, 3, 1, CFG),
+    "encode": lambda x: encode(
+        ProductQuantizer(m=2, b=2, d=8, codebooks=np.zeros((2, 4, 4))), x
+    ),
+    "build_ivf": lambda x: build_ivf(x, 2, 2, 2, CFG),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(BUILD_ENTRY_POINTS))
+def test_build_entry_points_reject_non_finite(entry, bad):
+    x = np.random.default_rng(8).normal(size=(64, 8))
+    BUILD_ENTRY_POINTS[entry](x)  # finite input is accepted
+    x[17, 5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BUILD_ENTRY_POINTS[entry](x)
