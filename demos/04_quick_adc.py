@@ -1,24 +1,24 @@
 """
-4-bit codes scanned in transposed blocks
-========================================
+4-bit codes scanned in their packed layout
+==========================================
 
-With b=4 every lookup table has 16 entries, small enough to process 16
-codes at once from a transposed layout. Distances are quantized to 8-bit
-integers with saturating adds; ranking quality is nearly unchanged.
+With b=4 every lookup table has 16 entries, and two components share one
+byte of the stored code, so 16x4 codes take 8 bytes like 8x8 codes. The
+kernel reads those bytes in place: one lookup per byte in a table of summed
+entry pairs. Distances are quantized to 8-bit integers with saturating adds;
+ranking quality is nearly unchanged.
 """
 
 from pqscan import (
     CodeList,
     TrainConfig,
     compute_tables,
-    encode,
     exact_knn,
     generate_synthetic,
     qadc_scan,
     recall_at_r,
     scan,
     train_pq,
-    transpose_blocks,
 )
 
 import numpy as np
@@ -29,15 +29,15 @@ truth = exact_knn(base, queries, 100)
 
 # 16 sub-quantizers x 4 bits = 8-byte codes, same budget as 8x8
 pq = train_pq(base[:20_000], m=16, b=4, cfg=TrainConfig(kmeans_iters=15, seed=0))
-codelist = CodeList(encode(pq, base))
-tlist = transpose_blocks(codelist, b=4)
-print(f"{codelist.n} codes -> {len(tlist.blocks)} transposed blocks of 16")
+codelist = CodeList.from_vectors(pq, base)
+print(f"{codelist.n} codes of {codelist.m} components in "
+      f"{codelist.codes.shape[1]} bytes each")
 
 float_ids, quant_ids = [], []
 for q in queries:
     tables = compute_tables(pq, q)
     float_ids.append([i for _, i in scan(codelist, tables, r=100).items()])
-    nset, qt = qadc_scan(tlist, tables, init_count=200, r=100)
+    nset, qt = qadc_scan(codelist, tables, init_count=200, r=100)
     quant_ids.append([i for _, i in nset.items()])
 
 r_float = recall_at_r(np.array(float_ids), truth, 100)

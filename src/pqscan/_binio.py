@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO
 
@@ -71,11 +72,25 @@ def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:
     f.write(np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes())
 
 
+def require_bytes(f: BinaryIO, nbytes: int, what: str) -> None:
+    """Raise FormatError unless nbytes >= 0 and the rest of a seekable file
+    holds them, so a bad header fails before any buffer is allocated."""
+    off = f.tell()
+    left = None
+    if f.seekable():
+        left = f.seek(0, io.SEEK_END) - off
+        f.seek(off)
+    if nbytes < 0 or (left is not None and nbytes > left):
+        raise FormatError(f"truncated {what}, wanted {nbytes} bytes", offset=off)
+
+
 def read_array(f: BinaryIO, dtype: str, count: int) -> np.ndarray:
     dt = np.dtype(dtype)
     off = f.tell()
-    raw = f.read(dt.itemsize * count)
-    if len(raw) != dt.itemsize * count:
+    want = dt.itemsize * count
+    require_bytes(f, want, f"array of {count} items of {dt}")
+    raw = f.read(want)
+    if len(raw) != want:
         raise FormatError(
             f"truncated array, wanted {count} items of {dt}", offset=off
         )

@@ -42,7 +42,7 @@ from .quantizer import (
     train_pq,
 )
 from .quickadc import DEFAULT_INIT_COUNT, qadc_scan
-from .scan import CodeList, compute_tables, load_codes, save_codes, scan, transpose_blocks
+from .scan import CodeList, compute_tables, load_codes, save_codes, scan
 
 BENCH_HEADER = (
     "method",
@@ -84,12 +84,12 @@ def _sample(rng: np.random.Generator, arr: np.ndarray, size: int) -> np.ndarray:
     return arr[rows]
 
 
-def _encode_all(pq: ProductQuantizer, base: np.ndarray) -> np.ndarray:
-    codes = np.empty((base.shape[0], pq.m), dtype=pq.code_dtype)
+def _encode_all(pq: ProductQuantizer, base: np.ndarray) -> CodeList:
+    codes = np.empty((base.shape[0], pq.code_width), dtype=pq.code_dtype)
     for start in range(0, base.shape[0], _ENCODE_CHUNK):
         stop = min(start + _ENCODE_CHUNK, base.shape[0])
         codes[start:stop] = encode(pq, base[start:stop])
-    return codes
+    return CodeList(codes, m=pq.m)
 
 
 def cmd_generate(args) -> int:
@@ -127,8 +127,7 @@ def cmd_encode(args) -> int:
     base = _read_auto(args.base).astype(np.float64)
     quant = load_quantizer_any(args.quantizer)
     pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-    codes = _encode_all(pq, base)
-    save_codes(args.out, CodeList(codes), pq.b)
+    save_codes(args.out, _encode_all(pq, base), pq.b)
     print(f"encoded {base.shape[0]} codes -> {args.out}")
     return 0
 
@@ -193,13 +192,11 @@ def _exhaustive_search_fn(args, quant, codelist: CodeList):
 
     elif kernel == "quick-adc":
         pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-        if pq.b != 4 or pq.m % 2:
-            raise ValueError("quick-adc requires b=4 and even m")
-        tlist = transpose_blocks(codelist, 4)
-        init_count = min(args.init_count, codelist.n)
+        if pq.b != 4:
+            raise ValueError("quick-adc requires b=4")
 
         def run(q):
-            nset, qt = qadc_scan(tlist, compute_tables(pq, q), init_count, r)
+            nset, qt = qadc_scan(codelist, compute_tables(pq, q), args.init_count, r)
             rescaled = NeighborSetRescaler(nset, qt)
             return rescaled, codelist.n, 0
 
@@ -252,7 +249,12 @@ def cmd_query(args) -> int:
         if not (args.codes and args.quantizer):
             raise ValueError("need either --index or both --codes and --quantizer")
         quant = load_quantizer_any(args.quantizer)
-        codelist, _ = load_codes(args.codes)
+        pq = quant.pq if isinstance(quant, DerivedPQ) else quant
+        codelist, b = load_codes(args.codes)
+        if (codelist.m, b) != (pq.m, pq.b):
+            raise ValueError(
+                f"codes are {codelist.m}x{b} but the quantizer is {pq.m}x{pq.b}"
+            )
         run = _exhaustive_search_fn(args, quant, codelist)
         results = [run(q)[0] for q in queries]
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -332,7 +334,7 @@ def cmd_bench(args) -> int:
         else:
             quant = train_pq(training, args.m, args.b, cfg)
         pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-        codelist = CodeList(_encode_all(pq, base))
+        codelist = _encode_all(pq, base)
         run = _exhaustive_search_fn(args, quant, codelist)
         method = args.kernel
         k_col, ma_col = "", ""

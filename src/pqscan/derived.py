@@ -20,9 +20,12 @@ from ._dist import sqdist_matrix
 from .quantizer import (
     ProductQuantizer,
     TrainConfig,
+    _check_query,
     _kmeans_seeded,
     _require_finite,
     _seed_for,
+    code_columns,
+    code_components,
     read_quantizer_body,
     same_size_kmeans,
     write_quantizer_body,
@@ -130,9 +133,7 @@ def train_derived(
 
 def compute_compact_tables(dpq: DerivedPQ, query: np.ndarray) -> LookupTables:
     """Per-sub-space squared distances to the derived centroids only."""
-    query = np.asarray(query)
-    if query.ndim != 1 or query.shape[0] != dpq.pq.d:
-        raise ValueError(f"query must have shape ({dpq.pq.d},)")
+    query = _check_query(query, dpq.pq.d)
     z = dpq.pq.rotate(query[None, :])[0]
     dsub = dpq.pq.dsub
     out = np.empty((dpq.pq.m, dpq.kbar), dtype=np.float32)
@@ -190,7 +191,7 @@ def quantize_compact_tables(
         raise ValueError("r2 must be >= 1")
     kbar = compact.k
     qmin = float(compact.tables.min())
-    head = db.codes[: min(r2, db.n)]
+    head = code_components(db.codes[: min(r2, db.n)], compact.m)
     low = (head.astype(np.int64) & (kbar - 1)).astype(np.uint16)
     dists = scan_distances(compact, low)
     qmax = float(dists.max())
@@ -202,14 +203,15 @@ def quantize_compact_tables(
 
 def adc_low_bits(qt: QuantizedCompactTables, codes: np.ndarray) -> np.ndarray:
     """Approximate distances: saturating (at 255) sums of quantized derived
-    table entries addressed by the low bbar bits of each full sub-index."""
+    table entries addressed by the low bbar bits of each full sub-index.
+    Codes are one component per column or nibble-packed."""
     codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] != qt.m:
-        raise ValueError(f"codes must have shape (n, {qt.m})")
+    if codes.ndim != 2 or codes.shape[1] not in (qt.m, (qt.m + 1) // 2):
+        raise ValueError(f"codes must have shape (n, {qt.m}) or packed")
     mask = qt.kbar - 1
     acc = np.zeros(codes.shape[0], dtype=np.int32)
-    for j in range(qt.m):
-        acc = np.minimum(acc + qt.tables[j][codes[:, j].astype(np.int64) & mask], CBINS)
+    for j, col in enumerate(code_columns(codes, qt.m)):
+        acc = np.minimum(acc + qt.tables[j].take(col & mask), CBINS)
     return acc.astype(np.uint8)
 
 
@@ -340,9 +342,7 @@ class LazyTables:
     __slots__ = ("_z", "_books", "_dsub", "_values", "computed")
 
     def __init__(self, pq: ProductQuantizer, query: np.ndarray):
-        query = np.asarray(query)
-        if query.ndim != 1 or query.shape[0] != pq.d:
-            raise ValueError(f"query must have shape ({pq.d},)")
+        query = _check_query(query, pq.d)
         self._z = pq.rotate(query[None, :])[0]
         self._books = pq.codebooks
         self._dsub = pq.dsub
@@ -390,12 +390,12 @@ def rerank(
         bucket = cand.bucket(v)
         if not bucket:
             continue
-        for ident in bucket:
-            pos = ident if position is None else position[ident]
-            code = db.codes[pos]
+        pos = bucket if position is None else [position[i] for i in bucket]
+        rows = code_components(db.codes[pos], pq.m).tolist()
+        for ident, code in zip(bucket, rows):
             dist = 0.0
-            for j in range(pq.m):
-                dist += lazy.lookup(j, int(code[j]))
+            for j, c in enumerate(code):
+                dist += lazy.lookup(j, c)
             nset.push(dist, ident)
         processed += len(bucket)
     return nset

@@ -69,13 +69,19 @@ def compute_quant_params(
         raise ValueError("r must be >= 1")
     if codelist.n == 0:
         raise ValueError("empty code list")
-    qmin = float(tables.tables.min())
     n_init = math.ceil(init * codelist.n)
-    dists = scan_distances(tables, codelist.codes[:n_init])
-    if dists.shape[0] >= r:
-        qmax = float(np.partition(dists, r - 1)[r - 1])
+    prefix_d = scan_distances(tables, codelist.codes[:n_init])
+    return prefix_quant_params(tables, prefix_d, r)
+
+
+def prefix_quant_params(tables: LookupTables, prefix_d: np.ndarray, r: int) -> QuantParams:
+    """The quantization range compute_quant_params picks, given the exact
+    distances of the scanned prefix."""
+    if prefix_d.shape[0] >= r:
+        qmax = float(np.partition(prefix_d, r - 1)[r - 1])
     else:
-        qmax = float(dists.max())
+        qmax = float(prefix_d.max())
+    qmin = float(tables.tables.min())
     return QuantParams(qmin=qmin, qmax=max(qmax, qmin))
 
 
@@ -360,9 +366,7 @@ def fast_scan(
     order = np.lexsort((ids[:n_init], prefix_d))
     for pos in order[: min(r, n_init)]:
         nset.push(float(prefix_d[pos]), int(ids[pos]))
-    qmax = float(np.partition(prefix_d, r - 1)[r - 1]) if n_init >= r else float(prefix_d.max())
-    qmin = float(tables.tables.min())
-    params = QuantParams(qmin=qmin, qmax=max(qmax, qmin))
+    params = prefix_quant_params(tables, prefix_d, r)
 
     qt = _quantized_tables(tables, params)
     mins = _min_tables(qt)

@@ -25,6 +25,7 @@ from .derived import (
 from .quantizer import (
     ProductQuantizer,
     TrainConfig,
+    _check_query,
     _require_finite,
     encode,
     kmeans,
@@ -40,7 +41,8 @@ from .scan import (
     compute_tables,
     read_codes_body,
     scan,
-    transpose_blocks,
+    # Not called here; the benchmark's tracer patches this name.
+    transpose_blocks,  # noqa: F401
     write_codes_body,
 )
 
@@ -134,7 +136,7 @@ def build_ivf(
     else:
         pq = train_pq(train_res, m, b, cfg)
 
-    codes = np.empty((n, m), dtype=pq.code_dtype)
+    codes = np.empty((n, pq.code_width), dtype=pq.code_dtype)
     for start in range(0, n, _ENCODE_CHUNK):
         stop = min(start + _ENCODE_CHUNK, n)
         res = base[start:stop] - coarse[assign[start:stop]].astype(np.float64)
@@ -143,7 +145,7 @@ def build_ivf(
     lists = []
     for c in range(K):
         rows = np.flatnonzero(assign == c)
-        lists.append(CodeList(codes[rows], ids[rows]))
+        lists.append(CodeList(codes[rows], ids[rows], m))
     return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
 
 
@@ -165,13 +167,11 @@ def query_ivf(
         raise ValueError(f"ma must be in [1, {index.K}]")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if kernel == "quick-adc" and (index.pq.b != 4 or index.pq.m % 2):
-        raise ValueError("quick-adc kernel requires b=4 and even m")
+    if kernel == "quick-adc" and index.pq.b != 4:
+        raise ValueError("quick-adc kernel requires b=4")
     if kernel == "derived" and index.dpq is None:
         raise ValueError("index has no derived quantizer")
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (index.d,):
-        raise ValueError(f"query must have shape ({index.d},)")
+    query = _check_query(np.asarray(query, dtype=np.float64), index.d)
     cells, _ = nearest_k(query[None, :], index.coarse.astype(np.float64), ma)
     merged = NeighborSet(r)
     for cell in cells[0]:
@@ -184,9 +184,8 @@ def query_ivf(
             for dist, ident in part.items():
                 merged.push(dist, ident)
         elif kernel == "quick-adc":
-            tlist = transpose_blocks(lst, 4)
             tables = compute_tables(index.pq, residual)
-            part, qt = qadc_scan(tlist, tables, min(init_count, lst.n), r)
+            part, qt = qadc_scan(lst, tables, init_count, r)
             for dist, ident in part.items():
                 merged.push(float(qt.rescale(dist)), ident)
         else:
@@ -227,5 +226,10 @@ def load_ivf(path) -> IvfIndex:
         else:
             pq = read_quantizer_body(f)
         coarse = _binio.read_array(f, "<f4", K * pq.d).reshape(K, pq.d)
-        lists = [read_codes_body(f)[0] for _ in range(K)]
+        lists = []
+        for _ in range(K):
+            lst, b = read_codes_body(f)
+            if (lst.m, b) != (pq.m, pq.b):
+                raise _binio.FormatError("inverted list shape differs from the quantizer")
+            lists.append(lst)
     return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)

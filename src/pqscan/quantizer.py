@@ -4,12 +4,18 @@ A product quantizer splits a d-dimensional vector into m consecutive
 sub-vectors and quantizes each against its own codebook of 2^b centroids.
 The code of a vector is the tuple of m centroid indexes. An optional
 orthonormal rotation is applied before splitting (and undone on decode).
+
+Codes are stored one component per column (uint8 for b <= 8, uint16 above),
+except for b <= 4, where two components share a byte: component 2j sits in
+the low nibble of byte j and component 2j+1 in the high nibble, and for odd
+m the last high nibble is 0. Code readers go through ``code_columns``,
+which tells the two layouts apart by the width of the array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -82,11 +88,65 @@ class ProductQuantizer:
     def code_dtype(self) -> np.dtype:
         return np.dtype(np.uint8 if self.b <= 8 else np.uint16)
 
+    @property
+    def code_width(self) -> int:
+        """Columns of one stored code: ceil(m/2) packed bytes for b <= 4."""
+        return code_width(self.m, self.b)
+
     def rotate(self, x: np.ndarray) -> np.ndarray:
         """Apply the rotation (identity if absent) to rows of x."""
         if self.rotation is None:
             return np.asarray(x, dtype=np.float64)
         return np.asarray(x, dtype=np.float64) @ self.rotation.T.astype(np.float64)
+
+
+def code_width(m: int, b: int) -> int:
+    """Columns of one stored code of m components of b bits."""
+    return (m + 1) // 2 if b <= 4 else m
+
+
+def code_columns(codes: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """Components 0..m-1, in order, of every row of (n, width) codes.
+
+    Rows m wide hold one component per column; rows ceil(m/2) wide are
+    nibble-packed. For m = 1 the two layouts are the same bytes.
+    """
+    if codes.shape[1] == m:
+        yield from codes.T
+        return
+    low, high = codes & 0x0F, codes >> 4
+    for j in range(m):
+        yield (high if j & 1 else low)[:, j >> 1]
+
+
+def code_components(codes: np.ndarray, m: int) -> np.ndarray:
+    """(n, m) components of codes in either layout (see code_columns)."""
+    if codes.shape[1] == m:
+        return codes
+    return np.stack(list(code_columns(codes, m)), axis=1)
+
+
+def code_layout_error(codes: np.ndarray, m: int, b: int) -> str | None:
+    """Why codes are not stored (n, code_width) codes of m b-bit
+    components, or None if they are."""
+    if codes.ndim != 2 or codes.shape[1] != code_width(m, b):
+        return f"codes must have shape (n, {code_width(m, b)}) for m={m}, b={b}"
+    comps = code_components(codes, m)
+    if np.any(comps.astype(np.int64) >= (1 << b)):
+        return f"component out of range for b={b}"
+    if b <= 4 and m % 2 and np.any(codes[:, -1] >> 4):
+        return "non-zero padding nibble for odd m"
+    return None
+
+
+def _check_query(query: np.ndarray, d: int) -> np.ndarray:
+    """The query as an array, after checking its shape and values."""
+    query = np.asarray(query)
+    if query.ndim != 1 or query.shape[0] != d:
+        raise ValueError(f"query must have shape ({d},)")
+    if not np.isfinite(query).all():
+        raise ValueError("query contains non-finite values")
+    return query
 
 
 def _seed_for(seed: int, lane: int) -> np.random.SeedSequence:
@@ -339,7 +399,8 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
     """Map vectors to codes: per sub-space index of the nearest centroid.
 
     Ties resolve to the lowest centroid index. Accepts a single row (d,) or a
-    batch (n, d); returns (m,) or (n, m) with dtype uint8 (b <= 8) or uint16.
+    batch (n, d); returns (code_width,) or (n, code_width) codes in the stored
+    layout: uint8 for b <= 8 (nibble-packed for b <= 4), uint16 above.
     """
     x = np.asarray(x)
     single = x.ndim == 1
@@ -349,10 +410,13 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
     _require_finite(rows, "vectors")
     z = pq.rotate(rows)
     dsub = pq.dsub
-    out = np.empty((rows.shape[0], pq.m), dtype=pq.code_dtype)
+    out = np.zeros((rows.shape[0], pq.code_width), dtype=pq.code_dtype)
     for j in range(pq.m):
         idx, _ = nearest(z[:, j * dsub : (j + 1) * dsub], pq.codebooks[j].astype(np.float64))
-        out[:, j] = idx.astype(pq.code_dtype)
+        if pq.b <= 4:
+            out[:, j >> 1] |= idx.astype(np.uint8) << (4 * (j & 1))
+        else:
+            out[:, j] = idx
     return out[0] if single else out
 
 
@@ -361,11 +425,12 @@ def decode(pq: ProductQuantizer, codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes)
     single = codes.ndim == 1
     rows = codes[None, :] if single else codes
-    if rows.shape[1] != pq.m:
-        raise ValueError(f"code width {rows.shape[1]}, expected m={pq.m}")
-    if np.any(rows >= pq.k):
+    if rows.shape[1] != pq.code_width:
+        raise ValueError(f"code width {rows.shape[1]}, expected {pq.code_width}")
+    comps = code_components(rows, pq.m)
+    if np.any(comps >= pq.k):
         raise ValueError(f"sub-index out of range for k={pq.k}")
-    parts = [pq.codebooks[j][rows[:, j].astype(np.int64)] for j in range(pq.m)]
+    parts = [pq.codebooks[j][comps[:, j]] for j in range(pq.m)]
     z = np.concatenate(parts, axis=1).astype(np.float64)
     if pq.rotation is not None:
         z = z @ pq.rotation.astype(np.float64)
@@ -393,6 +458,10 @@ def read_quantizer_body(f: BinaryIO) -> ProductQuantizer:
     b = _binio.read_i32(f)
     d = _binio.read_i32(f)
     has_rot = _binio.read_i32(f)
+    if m < 1 or not 1 <= b <= 16 or d < 1 or d % m or has_rot not in (0, 1):
+        raise _binio.FormatError(
+            f"bad quantizer header m={m} b={b} d={d} rotation={has_rot}"
+        )
     rotation = None
     if has_rot:
         rotation = _binio.read_array(f, "<f4", d * d).reshape(d, d)

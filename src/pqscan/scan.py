@@ -15,7 +15,13 @@ import numpy as np
 
 from . import _binio
 from ._dist import sqdist_matrix
-from .quantizer import ProductQuantizer
+from .quantizer import (
+    ProductQuantizer,
+    _check_query,
+    code_columns,
+    code_layout_error,
+    code_width,
+)
 
 
 @dataclass
@@ -44,9 +50,7 @@ class LookupTables:
 
 def compute_tables(pq: ProductQuantizer, query: np.ndarray) -> LookupTables:
     """Squared distances from each query sub-vector to every centroid."""
-    query = np.asarray(query)
-    if query.ndim != 1 or query.shape[0] != pq.d:
-        raise ValueError(f"query must have shape ({pq.d},)")
+    query = _check_query(query, pq.d)
     z = pq.rotate(query[None, :])[0]
     dsub = pq.dsub
     out = np.empty((pq.m, pq.k), dtype=np.float32)
@@ -57,27 +61,32 @@ def compute_tables(pq: ProductQuantizer, query: np.ndarray) -> LookupTables:
 
 
 def adc_distance(tables: LookupTables, code: np.ndarray) -> float:
-    """Sum of m table entries, accumulated in float64, sub-space order."""
+    """Sum of m table entries, accumulated in float64, sub-space order.
+
+    code is one row of m components or of their nibble-packed bytes."""
     t = tables.tables
     acc = 0.0
-    for j in range(tables.m):
-        acc += float(t[j, int(code[j])])
+    for j, col in enumerate(code_columns(np.asarray(code)[None, :], tables.m)):
+        acc += float(t[j, int(col[0])])
     return acc
 
 
 def scan_distances(tables: LookupTables, codes: np.ndarray) -> np.ndarray:
-    """adc_distance for every row of codes, bit-identical to the scalar form.
+    """adc_distance of the components of every row of codes, bit-identical
+    to the scalar form. Rows are one component per column or nibble-packed.
 
     Accumulates in float64 with a fixed left-to-right sub-space order so that
     the vectorized result matches per-element scalar summation exactly.
     """
     codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] != tables.m:
-        raise ValueError(f"codes must have shape (n, {tables.m})")
+    m = tables.m
+    widths = (m, (m + 1) // 2) if tables.k <= 16 else (m,)
+    if codes.ndim != 2 or codes.shape[1] not in widths:
+        raise ValueError(f"codes must have shape (n, w), w in {widths}")
     t64 = tables.tables.astype(np.float64)
     acc = np.zeros(codes.shape[0], dtype=np.float64)
-    for j in range(tables.m):
-        acc += t64[j][codes[:, j].astype(np.int64)]
+    for j, col in enumerate(code_columns(codes, m)):
+        acc += t64[j].take(col)
     return acc
 
 
@@ -156,17 +165,31 @@ def _select_best(
 
 @dataclass
 class CodeList:
-    """Encoded database: codes (n, m) with parallel int64 ids."""
+    """Encoded database: codes of m components with parallel int64 ids.
+
+    codes is (n, m), or (n, ceil(m/2)) uint8 for nibble-packed b <= 4 codes.
+    m defaults to the width, so packed lists must pass it: an odd m and the
+    next even one pack to the same width.
+    """
 
     codes: np.ndarray
     ids: np.ndarray | None = None
+    m: int | None = None
 
     def __post_init__(self):
         self.codes = np.ascontiguousarray(self.codes)
         if self.codes.ndim != 2:
-            raise ValueError("codes must be 2-D (n, m)")
+            raise ValueError("codes must be 2-D (n, width)")
         if self.codes.dtype not in (np.dtype(np.uint8), np.dtype(np.uint16)):
             raise ValueError("codes must be uint8 or uint16")
+        width = self.codes.shape[1]
+        if self.m is None:
+            self.m = width
+        if width != self.m and (
+            width != (self.m + 1) // 2 or self.codes.dtype != np.dtype(np.uint8)
+        ):
+            raise ValueError(f"width {width} holds neither {self.m} components "
+                             "nor their nibble-packed uint8 form")
         if self.ids is None:
             self.ids = np.arange(self.codes.shape[0], dtype=np.int64)
         else:
@@ -178,10 +201,6 @@ class CodeList:
     def n(self) -> int:
         return self.codes.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.codes.shape[1]
-
     @classmethod
     def from_vectors(
         cls,
@@ -191,13 +210,15 @@ class CodeList:
     ) -> "CodeList":
         from .quantizer import encode
 
-        return cls(encode(pq, np.atleast_2d(vectors)), ids)
+        return cls(encode(pq, np.atleast_2d(vectors)), ids, pq.m)
 
 
 def scan(codelist: CodeList, tables: LookupTables, r: int) -> NeighborSet:
     """Exhaustive table-lookup scan: the r best codes by (distance, id)."""
     if r < 1:
         raise ValueError("r must be >= 1")
+    if codelist.m != tables.m:
+        raise ValueError(f"tables have m={tables.m}, code list m={codelist.m}")
     dists = scan_distances(tables, codelist.codes)
     best_d, best_i = _select_best(dists, codelist.ids, r)
     return NeighborSet.from_pairs(r, best_d, best_i)
@@ -210,10 +231,10 @@ BLOCK = 16
 class TransposedCodeList:
     """Codes regrouped into blocks of 16 for in-register lookups.
 
-    b=4: each block has m/2 rows of 16 bytes; byte i of row j packs code i's
-    component 2j in the low nibble and 2j+1 in the high nibble. b=8: m rows,
-    byte i of row j is code i's component j. The tail block is zero-padded;
-    n is the validity count.
+    Row j of a block holds byte j of the stored code of each of its 16
+    codes: for b=4 (m/2 rows) component 2j in the low nibble and 2j+1 in the
+    high nibble, for b=8 (m rows) component j. The tail block is
+    zero-padded; n is the validity count.
     """
 
     blocks: np.ndarray
@@ -225,7 +246,7 @@ class TransposedCodeList:
     def __post_init__(self):
         self.blocks = np.ascontiguousarray(self.blocks, dtype=np.uint8)
         self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
-        rows = self.m // 2 if self.b == 4 else self.m
+        rows = code_width(self.m, self.b)
         nblocks = (self.n + BLOCK - 1) // BLOCK
         if self.blocks.shape != (nblocks, rows, BLOCK):
             raise ValueError(
@@ -246,107 +267,77 @@ class TransposedCodeList:
 
 
 def transpose_blocks(codelist: CodeList, b: int) -> TransposedCodeList:
-    """Reorder a code list into component-major blocks of 16 codes."""
-    codes = codelist.codes
-    n, m = codes.shape
-    if b == 4:
-        if m % 2 != 0:
-            raise ValueError("b=4 transposition needs even m")
-        if np.any(codes >= 16):
-            raise ValueError("component out of range for b=4")
-        rows = m // 2
-    elif b == 8:
-        if np.any(codes.astype(np.int64) >= 256):
-            raise ValueError("component out of range for b=8")
-        rows = m
-    else:
+    """Reorder a code list's stored bytes into blocks of 16 codes."""
+    if b not in (4, 8):
         raise ValueError(f"block transposition supports b in (4, 8), got b={b}")
+    m = codelist.m
+    if b == 4 and m % 2 != 0:
+        raise ValueError("b=4 transposition needs even m")
+    error = code_layout_error(codelist.codes, m, b)
+    if error:
+        raise ValueError(error)
+    n, width = codelist.codes.shape
     nblocks = (n + BLOCK - 1) // BLOCK
-    padded = np.zeros((nblocks * BLOCK, m), dtype=np.uint8)
-    padded[:n] = codes.astype(np.uint8)
-    per_block = padded.reshape(nblocks, BLOCK, m)
-    if b == 4:
-        low = per_block[:, :, 0::2]
-        high = per_block[:, :, 1::2]
-        blocks = np.ascontiguousarray((low | (high << 4)).transpose(0, 2, 1))
-    else:
-        blocks = np.ascontiguousarray(per_block.transpose(0, 2, 1))
+    padded = np.zeros((nblocks * BLOCK, width), dtype=np.uint8)
+    padded[:n] = codelist.codes
+    blocks = padded.reshape(nblocks, BLOCK, width).transpose(0, 2, 1)
     return TransposedCodeList(blocks=blocks, n=n, m=m, b=b, ids=codelist.ids)
 
 
 def detranspose_blocks(tlist: TransposedCodeList) -> CodeList:
     """Inverse of transpose_blocks; reproduces the original list exactly."""
-    n, m, b = tlist.n, tlist.m, tlist.b
-    if b == 4:
-        flat = tlist.blocks.transpose(0, 2, 1).reshape(-1, m // 2)
-        codes = np.empty((tlist.n_blocks * BLOCK, m), dtype=np.uint8)
-        codes[:, 0::2] = flat & 0x0F
-        codes[:, 1::2] = flat >> 4
-    else:
-        codes = tlist.blocks.transpose(0, 2, 1).reshape(-1, m)
-    return CodeList(np.ascontiguousarray(codes[:n]), tlist.ids)
+    width = tlist.blocks.shape[1]
+    codes = tlist.blocks.transpose(0, 2, 1).reshape(-1, width)[: tlist.n]
+    return CodeList(codes, tlist.ids, tlist.m)
 
 
 MAGIC_CODES = b"PQL1"
 
 
-def _pack_codes(codes: np.ndarray, b: int) -> np.ndarray:
-    n, m = codes.shape
-    if b <= 4:
-        half = (m + 1) // 2
-        out = np.zeros((n, half), dtype=np.uint8)
-        out |= codes[:, 0::2].astype(np.uint8)
-        odd = codes[:, 1::2].astype(np.uint8)
-        out[:, : odd.shape[1]] |= odd << 4
-        return out
-    if b <= 8:
-        return codes.astype(np.uint8)
-    return codes.astype(np.uint16)
-
-
-def _unpack_codes(raw: np.ndarray, n: int, m: int, b: int) -> np.ndarray:
-    if b <= 4:
-        packed = raw.reshape(n, (m + 1) // 2)
-        codes = np.empty((n, m), dtype=np.uint8)
-        codes[:, 0::2] = packed[:, : (m + 1) // 2] & 0x0F
-        codes[:, 1::2] = (packed >> 4)[:, : m // 2]
-        return codes
-    if b <= 8:
-        return raw.reshape(n, m).astype(np.uint8)
-    return raw.reshape(n, m).astype(np.uint16)
+def _code_dtype(b: int) -> str:
+    return "<u2" if b > 8 else "u1"
 
 
 def write_codes_body(f: BinaryIO, codelist: CodeList, b: int) -> None:
-    n, m = codelist.n, codelist.m
-    if np.any(codelist.codes.astype(np.int64) >= (1 << b)):
-        raise ValueError(f"codes exceed b={b}")
+    """One PQL1 code list: the header, the stored code bytes, the ids."""
+    if not 1 <= b <= 16:
+        raise ValueError(f"b={b} out of range [1, 16]")
+    error = code_layout_error(codelist.codes, codelist.m, b)
+    if error:
+        raise ValueError(error)
     _binio.write_magic(f, MAGIC_CODES)
-    _binio.write_i32(f, n)
-    _binio.write_i32(f, m)
+    _binio.write_i32(f, codelist.n)
+    _binio.write_i32(f, codelist.m)
     _binio.write_i32(f, b)
     _binio.write_i32(f, 1)
-    packed = _pack_codes(codelist.codes, b)
-    _binio.write_array(f, packed, "<u2" if b > 8 else "u1")
+    _binio.write_array(f, codelist.codes, _code_dtype(b))
     _binio.write_array(f, codelist.ids, "<i8")
 
 
 def read_codes_body(f: BinaryIO) -> tuple[CodeList, int]:
-    """Reads one code list; returns (codelist, b)."""
+    """Reads one code list, keeping its bytes as the in-memory layout;
+    returns (codelist, b)."""
     _binio.expect_magic(f, MAGIC_CODES)
+    off = f.tell()
     n = _binio.read_i32(f)
     m = _binio.read_i32(f)
     b = _binio.read_i32(f)
     has_ids = _binio.read_i32(f)
-    if b <= 4:
-        count, dtype = n * ((m + 1) // 2), "u1"
-    elif b <= 8:
-        count, dtype = n * m, "u1"
-    else:
-        count, dtype = n * m, "<u2"
-    raw = _binio.read_array(f, dtype, count)
-    codes = _unpack_codes(raw, n, m, b)
+    if n < 0 or m < 1 or not 1 <= b <= 16 or has_ids not in (0, 1):
+        raise _binio.FormatError(
+            f"bad code list header n={n} m={m} b={b} ids={has_ids}", offset=off
+        )
+    width = code_width(m, b)
+    dtype = _code_dtype(b)
+    _binio.require_bytes(
+        f, n * width * np.dtype(dtype).itemsize + 8 * n * has_ids, "code list"
+    )
+    codes = _binio.read_array(f, dtype, n * width).reshape(n, width)
+    error = code_layout_error(codes, m, b)
+    if error:
+        raise _binio.FormatError(error, offset=off)
     ids = _binio.read_array(f, "<i8", n) if has_ids else None
-    return CodeList(codes, ids), b
+    return CodeList(codes, ids, m), b
 
 
 def save_codes(path, codelist: CodeList, b: int) -> None:

@@ -34,18 +34,19 @@ from pqscan import (
     lower_bound,
     optimize_centroid_assignment,
     pack_code,
-    qadc_block,
     qadc_scan,
     quantize,
+    quantized_distances,
     recall_at_r,
     scan,
     scan_distances,
     search_two_pass,
     train_derived,
     train_pq,
-    transpose_blocks,
 )
 from pqscan.fastscan import _lower_bounds_all, _min_tables, _quantized_tables
+
+from conftest import pack
 
 
 def _sift_dir():
@@ -202,13 +203,12 @@ def test_criterion_5_quick_adc_recall_parity(capsys):
         m = 16
     cfg = TrainConfig(kmeans_iters=15, seed=0)
     pq = train_pq(learn, m, 4, cfg)
-    codelist = CodeList(encode(pq, base))
-    tlist = transpose_blocks(codelist, 4)
+    codelist = CodeList(encode(pq, base), m=m)
     float_res, quant_res = [], []
     for q in queries:
         tables = compute_tables(pq, q)
         float_res.append([i for _, i in scan(codelist, tables, 100).items()])
-        nset, _ = qadc_scan(tlist, tables, 200, 100)
+        nset, _ = qadc_scan(codelist, tables, 200, 100)
         quant_res.append([i for _, i in nset.items()])
     r_f = recall_at_r(np.array(float_res), truth, 100)
     r_q = recall_at_r(np.array(quant_res), truth, 100)
@@ -216,25 +216,22 @@ def test_criterion_5_quick_adc_recall_parity(capsys):
 
 
 def test_criterion_6_qadc_kernel_equivalence(capsys):
-    rep = Report(capsys, "criterion 6 (qadc_block == scalar clamp, 1e5 blocks)")
+    rep = Report(capsys, "criterion 6 (packed qadc == scalar clamp, 1.6e6 codes)")
     rng = np.random.default_rng(0)
-    n_blocks, m = 100_000, 8
+    n_codes, m = 1_600_000, 8
     tables = rng.integers(0, 128, (m, 16)).astype(np.uint8)
     qt = QuantizedTables4(tables=tables, params=QuantParams(0.0, 127.0))
-    blocks = rng.integers(0, 256, (n_blocks, m // 2, 16)).astype(np.uint8)
-    # reference: the clamped per-component scalar recurrence, run lane-wise
-    acc = np.zeros((n_blocks, 16), dtype=np.int64)
+    codes = rng.integers(0, 256, (n_codes, m // 2)).astype(np.uint8)
+    # reference: the clamped per-component scalar recurrence, run code-wise
+    acc = np.zeros(n_codes, dtype=np.int64)
     t = tables.astype(np.int64)
     for j in range(m // 2):
-        row = blocks[:, j, :].astype(np.int64)
-        acc = np.minimum(acc + t[2 * j][row & 0x0F], 127)
-        acc = np.minimum(acc + t[2 * j + 1][row >> 4], 127)
-    bad = 0
-    for i in range(n_blocks):
-        got = qadc_block(blocks[i], qt)
-        if not np.array_equal(got.astype(np.int64), acc[i]):
-            bad += 1
-    rep.done(bad == 0, f"{bad} mismatching blocks of {n_blocks}")
+        byte = codes[:, j].astype(np.int64)
+        acc = np.minimum(acc + t[2 * j][byte & 0x0F], 127)
+        acc = np.minimum(acc + t[2 * j + 1][byte >> 4], 127)
+    got = quantized_distances(codes, qt).astype(np.int64)
+    bad = int(np.count_nonzero(got != acc))
+    rep.done(bad == 0, f"{bad} mismatching codes of {n_codes}")
 
 
 def test_criterion_7_derived_p1(capsys):
@@ -317,10 +314,9 @@ def test_criterion_10_throughput_reported(capsys):
     base4, q4 = in_distribution_split(100_000, 64, 16, 9, 10)
     cfg = TrainConfig(kmeans_iters=8, seed=0)
     pq4 = train_pq(base4[:20_000], 16, 4, cfg)
-    cl4 = CodeList(encode(pq4, base4))
-    tl4 = transpose_blocks(cl4, 4)
+    cl4 = CodeList(encode(pq4, base4), m=16)
     base4_rate = rate(lambda q: scan(cl4, compute_tables(pq4, q), 100), q4, cl4.n)
-    qadc_rate = rate(lambda q: qadc_scan(tl4, compute_tables(pq4, q), 200, 100), q4, cl4.n)
+    qadc_rate = rate(lambda q: qadc_scan(cl4, compute_tables(pq4, q), 200, 100), q4, cl4.n)
     ratio_fs = fs_rate / base_rate
     ratio_qa = qadc_rate / base4_rate
     detail = (f"fast-scan {fs_rate:.0f} vs scan {base_rate:.0f} Mcodes/s "
@@ -353,8 +349,8 @@ def test_criterion_11_format_round_trips(tmp_path, capsys):
     ok &= np.array_equal(dback.derived, dpq.derived)
     ok &= np.array_equal(dback.pq.codebooks, dpq.pq.codebooks)
 
-    codes = CodeList(rng.integers(0, 16, (57, 4)).astype(np.uint8),
-                     rng.permutation(57).astype(np.int64))
+    codes = CodeList(pack(rng.integers(0, 16, (57, 4))),
+                     rng.permutation(57).astype(np.int64), m=4)
     pqscan.save_codes(tmp_path / "c.pql", codes, 4)
     cback, b_back = pqscan.load_codes(tmp_path / "c.pql")
     ok &= b_back == 4

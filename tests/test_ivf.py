@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from pqscan import (
+    LazyTables,
     NeighborSet,
     TrainConfig,
     build_ivf,
+    compute_compact_tables,
     compute_tables,
     decode,
     default_r2,
@@ -15,6 +17,7 @@ from pqscan import (
     recall_at_r,
     save_ivf,
     scan,
+    train_derived,
 )
 from pqscan._dist import nearest_k
 
@@ -199,3 +202,27 @@ def test_ivf_round_trip_with_derived(tmp_path, base, queries):
     a = query_ivf(back, queries[1], ma=3, r=10, kernel="derived", r2=500)
     b = query_ivf(idx, queries[1], ma=3, r=10, kernel="derived", r2=500)
     assert a.items() == b.items()
+
+# Every per-query entry point; each must reject a non-finite query
+# coordinate with the same ValueError before any table or scan work.
+QUERY_ENTRY_POINTS = {
+    "compute_tables": lambda index, dpq, q: compute_tables(index.pq, q),
+    "compute_compact_tables": lambda index, dpq, q: compute_compact_tables(dpq, q),
+    "LazyTables": lambda index, dpq, q: LazyTables(dpq.pq, q),
+    "query_ivf": lambda index, dpq, q: query_ivf(index, q, ma=2, r=5),
+}
+
+
+@pytest.fixture(scope="module")
+def small_dpq(base):
+    return train_derived(base[:600], 4, 4, 2, TrainConfig(kmeans_iters=3, seed=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(QUERY_ENTRY_POINTS))
+def test_query_entry_points_reject_non_finite(index, small_dpq, base, entry, bad):
+    q = base[3].astype(np.float64)
+    QUERY_ENTRY_POINTS[entry](index, small_dpq, q)  # a finite query is accepted
+    q[5] = bad
+    with pytest.raises(ValueError, match="query contains non-finite values"):
+        QUERY_ENTRY_POINTS[entry](index, small_dpq, q)

@@ -20,6 +20,8 @@ from pqscan import (
     train_pq,
 )
 
+from conftest import unpack
+
 CFG = TrainConfig(kmeans_iters=15, seed=2)
 
 
@@ -107,7 +109,7 @@ def test_train_pq_shapes_16x4():
     pq = train_pq(x, 16, 4, TrainConfig(kmeans_iters=2, seed=0))
     assert pq.codebooks.shape == (16, 16, 8)
     codes = encode(pq, x[:5])
-    assert codes.shape == (5, 16)  # nibble per sub-space, 64 bits packed
+    assert codes.shape == (5, 8)  # nibble per sub-space, 64 bits packed
 
 
 def test_train_pq_m1_is_plain_vq(blob_data):
@@ -134,7 +136,7 @@ def test_encode_tie_breaks_to_lower_index():
 
 def test_encode_is_per_subspace_argmin(pq44, blob_data):
     x = blob_data[:50]
-    codes = encode(pq44, x)
+    codes = unpack(encode(pq44, x), pq44.m)
     dsub = pq44.dsub
     for j in range(pq44.m):
         sub = x[:, j * dsub : (j + 1) * dsub].astype(np.float64)

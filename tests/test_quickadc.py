@@ -18,6 +18,8 @@ from pqscan import (
     transpose_blocks,
 )
 
+from conftest import pack
+
 
 def scalar_qadc(code, qt):
     """Clamped scalar accumulator, independent of the block kernel."""
@@ -74,7 +76,7 @@ def test_qadc_block_equals_scalar(seed, m):
     rng = np.random.default_rng(seed)
     qt = random_qt(rng, m)
     codes = rng.integers(0, 16, (16, m)).astype(np.uint8)
-    tlist = transpose_blocks(CodeList(codes), 4)
+    tlist = transpose_blocks(CodeList(pack(codes), m=m), 4)
     out = qadc_block(tlist.blocks[0], qt)
     expect = np.array([scalar_qadc(c, qt) for c in codes], dtype=np.uint8)
     np.testing.assert_array_equal(out, expect)
@@ -85,7 +87,7 @@ def test_qadc_block_saturates():
         tables=np.full((2, 16), 127, dtype=np.uint8), params=QuantParams(0.0, 1.0)
     )
     codes = np.zeros((16, 2), dtype=np.uint8)
-    tlist = transpose_blocks(CodeList(codes), 4)
+    tlist = transpose_blocks(CodeList(pack(codes), m=2), 4)
     np.testing.assert_array_equal(
         qadc_block(tlist.blocks[0], qt), np.full(16, 127, dtype=np.uint8)
     )
@@ -94,8 +96,8 @@ def test_qadc_block_saturates():
 def test_quantized_distances_match_blocks():
     rng = np.random.default_rng(4)
     qt = random_qt(rng, 6)
-    codes = rng.integers(0, 16, (53, 6)).astype(np.uint8)
-    tlist = transpose_blocks(CodeList(codes), 4)
+    codes = pack(rng.integers(0, 16, (53, 6)))
+    tlist = transpose_blocks(CodeList(codes, m=6), 4)
     flat = quantized_distances(codes, qt)
     for blk in range(tlist.n_blocks):
         v = tlist.block_validity(blk)
@@ -109,28 +111,27 @@ def test_quantized_distances_match_blocks():
 
 def test_qadc_scan_zero_distance_first(pq44):
     y = np.concatenate([pq44.codebooks[j][0] for j in range(pq44.m)])
-    codes = encode(pq44, y[None, :])
-    tlist = transpose_blocks(CodeList(codes), 4)
+    codelist = CodeList.from_vectors(pq44, y)
     tables = compute_tables(pq44, y)
-    nset, qt = qadc_scan(tlist, tables, 1, 1)
+    nset, qt = qadc_scan(codelist, tables, 1, 1)
     assert nset.items() == [(0.0, 0)]
 
 
 def test_qadc_scan_equals_quantized_sort(pq44, codes44, queries):
-    tlist = transpose_blocks(codes44, 4)
     for q in queries[:4]:
         tables = compute_tables(pq44, q)
-        nset, qt = qadc_scan(tlist, tables, 100, 10)
+        nset, qt = qadc_scan(codes44, tables, 100, 10)
         bins = quantized_distances(codes44.codes, qt).astype(np.float64)
         oracle = sorted(zip(bins.tolist(), codes44.ids.tolist()))[:10]
         assert nset.items() == oracle
 
 
 def test_qadc_scan_padding_neutral(pq44, blob_data):
-    # 49 codes leave 15 padding lanes in the last block
+    # one more code changes nothing about the first 48 (49 codes would leave
+    # 15 padding lanes in a last block of 16)
     codes = encode(pq44, blob_data[:49])
-    a = transpose_blocks(CodeList(codes), 4)
-    b = transpose_blocks(CodeList(codes[:48]), 4)
+    a = CodeList(codes, m=pq44.m)
+    b = CodeList(codes[:48], m=pq44.m)
     q = blob_data[7]
     tables = compute_tables(pq44, q)
     full, _ = qadc_scan(a, tables, 20, 49)
@@ -143,7 +144,7 @@ def test_qadc_scan_padding_neutral(pq44, blob_data):
 def test_qadc_init_count_full_matches_rth_exact(pq44, codes44, queries):
     tables = compute_tables(pq44, queries[2])
     exact = np.sort(scan_distances(tables, codes44.codes))
-    _, qt = qadc_scan(transpose_blocks(codes44, 4), tables, codes44.n, 10)
+    _, qt = qadc_scan(codes44, tables, codes44.n, 10)
     assert qt.params.qmax == float(exact[9])
 
 
@@ -152,12 +153,11 @@ def test_qadc_recall_close_to_float_adc(pq44, codes44, blob_data, queries):
     from pqscan import exact_knn, recall_at_r
 
     truth = exact_knn(blob_data, queries, 10)
-    tlist = transpose_blocks(codes44, 4)
     r_float, r_quant = [], []
     for qi, q in enumerate(queries):
         tables = compute_tables(pq44, q)
         ids_f = np.array([i for _, i in scan(codes44, tables, 10).items()])
-        nset, _ = qadc_scan(tlist, tables, 200, 10)
+        nset, _ = qadc_scan(codes44, tables, 200, 10)
         ids_q = np.array([i for _, i in nset.items()])
         r_float.append(ids_f)
         r_quant.append(ids_q)

@@ -19,6 +19,8 @@ from pqscan import (
     transpose_blocks,
 )
 
+from conftest import pack, unpack
+
 
 def sorted_oracle(tables, codes, ids, r):
     """Full sort by (adc distance, id), truncated. Independent of scan()."""
@@ -84,7 +86,7 @@ def test_scan_exact_match_first(pq44, blob_data):
     others = encode(pq44, blob_data[:64])
     planted = encode(pq44, y)
     keep = ~(others == planted).all(axis=1)  # keep the planted code unique
-    codelist = CodeList(np.vstack([others[keep], planted[None, :]]))
+    codelist = CodeList(np.vstack([others[keep], planted[None, :]]), m=pq44.m)
     tables = compute_tables(pq44, y)
     top = scan(codelist, tables, 3).items()
     assert top[0] == (0.0, codelist.n - 1)
@@ -94,7 +96,9 @@ def test_scan_equals_full_sort_oracle(pq44, codes44, queries):
     for q in queries:
         tables = compute_tables(pq44, q)
         got = scan(codes44, tables, codes44.n).items()
-        assert got == sorted_oracle(tables, codes44.codes, codes44.ids, codes44.n)
+        assert got == sorted_oracle(
+            tables, unpack(codes44.codes, pq44.m), codes44.ids, codes44.n
+        )
 
 
 def test_scan_random_instances_vs_oracle():
@@ -155,7 +159,7 @@ def test_transpose_17_codes_two_blocks(pq88, blob_data):
 def test_transpose_nibble_layout_b4():
     # two codes, m=4: byte i of row j holds comps 2j (low) and 2j+1 (high)
     codes = np.array([[1, 2, 3, 4], [5, 6, 7, 8]], dtype=np.uint8)
-    tlist = transpose_blocks(CodeList(codes), 4)
+    tlist = transpose_blocks(CodeList(pack(codes), m=4), 4)
     assert tlist.blocks.shape == (1, 2, 16)
     assert tlist.blocks[0, 0, 0] == (2 << 4) | 1
     assert tlist.blocks[0, 1, 0] == (4 << 4) | 3
@@ -170,8 +174,10 @@ def test_transpose_round_trip(n, half_m, b, seed):
     m = 2 * half_m  # b=4 layout needs even m
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, 1 << b, (n, m)).astype(np.uint8)
+    if b == 4:
+        codes = pack(codes)
     ids = rng.permutation(n).astype(np.int64)
-    codelist = CodeList(codes, ids)
+    codelist = CodeList(codes, ids, m)
     back = detranspose_blocks(transpose_blocks(codelist, b))
     np.testing.assert_array_equal(back.codes, codes)
     np.testing.assert_array_equal(back.ids, ids)
@@ -183,9 +189,11 @@ def test_codes_file_round_trip(tmp_path, b):
     n, m = 37, 6
     dtype = np.uint8 if b <= 8 else np.uint16
     codes = rng.integers(0, 1 << b, (n, m)).astype(dtype)
+    if b <= 4:
+        codes = pack(codes)
     ids = rng.permutation(1000)[:n].astype(np.int64)
     path = tmp_path / "c.pql"
-    save_codes(path, CodeList(codes, ids), b)
+    save_codes(path, CodeList(codes, ids, m), b)
     back, b_back = load_codes(path)
     assert b_back == b
     np.testing.assert_array_equal(back.codes, codes)
