@@ -84,7 +84,7 @@ def require_bytes(f: BinaryIO, nbytes: int, what: str) -> None:
         raise FormatError(f"truncated {what}, wanted {nbytes} bytes", offset=off)
 
 
-def read_array(f: BinaryIO, dtype: str, count: int) -> np.ndarray:
+def read_array(f: BinaryIO, dtype: str | np.dtype, count: int) -> np.ndarray:
     dt = np.dtype(dtype)
     off = f.tell()
     want = dt.itemsize * count

@@ -1,4 +1,4 @@
-"""Batched squared-Euclidean distance helpers.
+"""Batched squared-Euclidean distance helpers and the one top-r selection.
 
 Exactness contract of ``nearest``
 ---------------------------------
@@ -158,20 +158,25 @@ def nearest_k(points: np.ndarray, centroids: np.ndarray, k: int) -> tuple[np.nda
     n = points.shape[0]
     idx = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k), dtype=np.float64)
-    ncent = centroids.shape[0]
-    cent_ids = np.arange(ncent)
+    cent_ids = np.arange(centroids.shape[0], dtype=np.int64)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         dm = sqdist_matrix(points[lo:hi], centroids)
         for row in range(hi - lo):
-            d = dm[row]
-            if k < ncent:
-                kth = np.partition(d, k - 1)[k - 1]
-                cand = np.flatnonzero(d <= kth)
-            else:
-                cand = cent_ids
-            order = np.lexsort((cand, d[cand]))[:k]
-            sel = cand[order]
-            idx[lo + row] = sel
-            dist[lo + row] = d[sel]
+            dist[lo + row], idx[lo + row] = _select_best(dm[row], cent_ids, k)
     return idx, dist
+
+
+def _select_best(
+    dists: np.ndarray, ids: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The r smallest (distance, id) pairs, ascending, as parallel arrays."""
+    n = dists.shape[0]
+    r_eff = min(r, n)
+    if r_eff == 0:
+        return np.empty(0, np.float64), np.empty(0, np.int64)
+    kth = np.partition(dists, r_eff - 1)[r_eff - 1]
+    cand = np.flatnonzero(dists <= kth)
+    order = np.lexsort((ids[cand], dists[cand]))[:r_eff]
+    pick = cand[order]
+    return dists[pick], ids[pick]

@@ -23,15 +23,17 @@ from .data import (
     write_recall_csv,
     write_vecs,
 )
-from .derived import (
-    DerivedPQ,
-    load_quantizer_any,
-    save_derived,
-    search_two_pass,
-    train_derived,
-)
+from .derived import DerivedPQ, load_quantizer_any, save_derived, train_derived
 from .fastscan import fast_scan, group_codes
-from .ivf import build_ivf, default_r2, load_ivf, query_ivf, save_ivf
+from .ivf import (
+    build_ivf,
+    check_kernel,
+    default_r2,
+    load_ivf,
+    query_ivf,
+    save_ivf,
+    scan_list,
+)
 from .quantizer import (
     ProductQuantizer,
     TrainConfig,
@@ -41,8 +43,8 @@ from .quantizer import (
     train_opq,
     train_pq,
 )
-from .quickadc import DEFAULT_INIT_COUNT, qadc_scan
-from .scan import CodeList, compute_tables, load_codes, save_codes, scan
+from .quickadc import DEFAULT_INIT_COUNT
+from .scan import CodeList, compute_tables, load_codes, save_codes
 
 BENCH_HEADER = (
     "method",
@@ -170,16 +172,8 @@ def _load_truth(path: str, n_queries: int) -> GroundTruth:
 
 
 def _exhaustive_search_fn(args, quant, codelist: CodeList):
-    """Returns (per-query search fn -> (NeighborSet, checked, pruned), codes/query)."""
-    kernel, r = args.kernel, args.r
-    if kernel == "adc":
-        pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-
-        def run(q):
-            nset = scan(codelist, compute_tables(pq, q), r)
-            return nset, codelist.n, 0
-
-    elif kernel == "fast-scan":
+    """Returns a per-query search fn -> ((D, I), checked, pruned)."""
+    if args.kernel == "fast-scan":
         pq = quant.pq if isinstance(quant, DerivedPQ) else quant
         if pq.m != 8 or pq.b != 8:
             raise ValueError("fast-scan requires m=8, b=8")
@@ -187,42 +181,29 @@ def _exhaustive_search_fn(args, quant, codelist: CodeList):
         init = args.init / 100.0
 
         def run(q):
-            nset, stats = fast_scan(grouped, compute_tables(pq, q), init, r)
-            return nset, stats.checked, stats.pruned
+            nset, stats = fast_scan(grouped, compute_tables(pq, q), init, args.r)
+            return nset.to_arrays(), stats.checked, stats.pruned
 
-    elif kernel == "quick-adc":
-        pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-        if pq.b != 4:
-            raise ValueError("quick-adc requires b=4")
+        return run
+    kernel = check_kernel(args.kernel, quant)
 
-        def run(q):
-            nset, qt = qadc_scan(codelist, compute_tables(pq, q), args.init_count, r)
-            rescaled = NeighborSetRescaler(nset, qt)
-            return rescaled, codelist.n, 0
+    def run(q):
+        found = scan_list(quant, codelist, q, args.r, kernel, args.init_count, args.r2)
+        return found, codelist.n, 0
 
-    elif kernel == "derived":
-        if not isinstance(quant, DerivedPQ):
-            raise ValueError("derived kernel needs a derived quantizer file")
-        r2 = args.r2 if args.r2 is not None else default_r2(r)
-
-        def run(q):
-            nset = search_two_pass(quant, codelist, q, r, r2)
-            return nset, codelist.n, 0
-
-    else:
-        raise ValueError(f"unknown kernel {kernel}")
     return run
 
 
-class NeighborSetRescaler:
-    """Wraps a quantized-distance neighbor set, reporting float distances."""
+def _index_search_fn(args, index):
+    """Returns a per-query search fn over an inverted index, as above."""
 
-    def __init__(self, nset, qt):
-        self._nset = nset
-        self._qt = qt
+    def run(q):
+        found = query_ivf(
+            index, q, args.ma, args.r, args.kernel, args.init_count, args.r2
+        )
+        return found.to_arrays(), 0, 0
 
-    def items(self):
-        return [(float(self._qt.rescale(d)), i) for d, i in self._nset.items()]
+    return run
 
 
 def cmd_query(args) -> int:
@@ -232,19 +213,7 @@ def cmd_query(args) -> int:
         index = load_ivf(args.index)
         if args.kernel == "fast-scan":
             raise ValueError("fast-scan is not available under an inverted index")
-        r2 = args.r2 if args.r2 is not None else default_r2(args.r)
-        results = [
-            query_ivf(
-                index,
-                q,
-                args.ma,
-                args.r,
-                kernel=args.kernel,
-                init_count=args.init_count,
-                r2=r2,
-            )
-            for q in queries
-        ]
+        run = _index_search_fn(args, index)
     else:
         if not (args.codes and args.quantizer):
             raise ValueError("need either --index or both --codes and --quantizer")
@@ -256,11 +225,11 @@ def cmd_query(args) -> int:
                 f"codes are {codelist.m}x{b} but the quantizer is {pq.m}x{pq.b}"
             )
         run = _exhaustive_search_fn(args, quant, codelist)
-        results = [run(q)[0] for q in queries]
+    results = [run(q)[0] for q in queries]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("query", "rank", "id", "distance"))
-    for qi, nset in enumerate(results):
-        for rank, (dist, ident) in enumerate(nset.items()):
+    for qi, (dists, ids) in enumerate(results):
+        for rank, (dist, ident) in enumerate(zip(dists.tolist(), ids.tolist())):
             writer.writerow((qi, rank, ident, f"{dist:.9g}"))
     return 0
 
@@ -292,6 +261,8 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     r = args.r
     r2_used = ""
+    if args.kernel == "derived":
+        r2_used = default_r2(r) if args.r2 is None else args.r2
     if args.K:
         if args.kernel == "fast-scan":
             raise ValueError("fast-scan is not available under an inverted index")
@@ -304,22 +275,7 @@ def cmd_bench(args) -> int:
             use_opq=args.opq,
             bderived=args.bderived,
         )
-        r2 = args.r2 if args.r2 is not None else default_r2(r)
-        if args.kernel == "derived":
-            r2_used = r2
-
-        def run(q):
-            nset = query_ivf(
-                index,
-                q,
-                args.ma,
-                r,
-                kernel=args.kernel,
-                init_count=args.init_count,
-                r2=r2,
-            )
-            return nset, 0, 0
-
+        run = _index_search_fn(args, index)
         method = f"ivf-{args.kernel}"
         k_col, ma_col = args.K, args.ma
     else:
@@ -328,7 +284,6 @@ def cmd_bench(args) -> int:
             if args.bderived is None:
                 raise ValueError("derived kernel requires --bderived")
             quant = train_derived(training, args.m, args.b, args.bderived, cfg)
-            r2_used = args.r2 if args.r2 is not None else default_r2(r)
         elif args.opq:
             quant = train_opq(training, args.m, args.b, cfg)
         else:
@@ -344,10 +299,8 @@ def cmd_bench(args) -> int:
     result_ids = np.full((queries.shape[0], r), -1, dtype=np.int64)
     pruned_total = 0
     scanned_total = 0
-    for qi, (_, (nset, scanned, pruned)) in enumerate(outcomes):
-        pairs = nset.items()
-        for rank, (_, ident) in enumerate(pairs[:r]):
-            result_ids[qi, rank] = ident
+    for qi, (_, ((_, ids), scanned, pruned)) in enumerate(outcomes):
+        result_ids[qi, : ids.shape[0]] = ids
         scanned_total += scanned
         pruned_total += pruned
     if args.K:

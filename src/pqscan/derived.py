@@ -9,14 +9,13 @@ second pass reranks them with lazily computed full-resolution tables.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
 from . import _binio
-from ._dist import sqdist_matrix
+from ._dist import _select_best, sqdist_matrix
 from .quantizer import (
     ProductQuantizer,
     TrainConfig,
@@ -382,23 +381,23 @@ def rerank(
         position = None
     else:
         position = {int(ident): pos for pos, ident in enumerate(ids)}
-    nset = NeighborSet(r)
-    processed = 0
+    dists: list[float] = []
+    idents: list[int] = []
     for v in range(CBINS + 1):
-        if processed >= r2:
+        if len(idents) >= r2:
             break
         bucket = cand.bucket(v)
         if not bucket:
             continue
         pos = bucket if position is None else [position[i] for i in bucket]
-        rows = code_components(db.codes[pos], pq.m).tolist()
-        for ident, code in zip(bucket, rows):
+        for code in code_components(db.codes[pos], pq.m).tolist():
             dist = 0.0
             for j, c in enumerate(code):
                 dist += lazy.lookup(j, c)
-            nset.push(dist, ident)
-        processed += len(bucket)
-    return nset
+            dists.append(dist)
+        idents.extend(bucket)
+    best = _select_best(np.array(dists, np.float64), np.array(idents, np.int64), r)
+    return NeighborSet.from_pairs(r, *best)
 
 
 def search_two_pass(
@@ -419,7 +418,10 @@ def write_derived_body(f: BinaryIO, dpq: DerivedPQ) -> None:
 
 def read_derived_body(f: BinaryIO) -> DerivedPQ:
     pq = read_quantizer_body(f)
+    off = f.tell()
     bbar = _binio.read_i32(f)
+    if not 1 <= bbar <= pq.b:
+        raise _binio.FormatError(f"bbar={bbar} out of range [1, {pq.b}]", offset=off)
     derived = _binio.read_array(f, "<f4", pq.m * (1 << bbar) * pq.dsub)
     return DerivedPQ(
         pq=pq, bbar=bbar, derived=derived.reshape(pq.m, 1 << bbar, pq.dsub)
@@ -437,15 +439,16 @@ def load_derived(path) -> DerivedPQ:
 
 
 def load_quantizer_any(path) -> ProductQuantizer | DerivedPQ:
-    """Load a quantizer file, returning a DerivedPQ when the derived-codebook
-    extension is present (detected by remaining bytes)."""
+    """Load a quantizer file, returning a DerivedPQ when derived codebooks
+    follow the PQZ1 body."""
     with open(path, "rb") as f:
         pq = read_quantizer_body(f)
-        peek = f.read(4)
-        if len(peek) < 4:
+        if not f.read(1):
             return pq
-        (bbar,) = struct.unpack("<i", peek)
-        derived = _binio.read_array(f, "<f4", pq.m * (1 << bbar) * pq.dsub)
-        return DerivedPQ(
-            pq=pq, bbar=bbar, derived=derived.reshape(pq.m, 1 << bbar, pq.dsub)
-        )
+        f.seek(0)
+        dpq = read_derived_body(f)
+        if f.read(1):
+            raise _binio.FormatError(
+                "bytes after the derived codebooks", offset=f.tell() - 1
+            )
+        return dpq

@@ -17,6 +17,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import _binio
+from ._dist import _select_best
 from .quantizer import ProductQuantizer, TrainConfig, same_size_kmeans
 from .scan import CodeList, LookupTables, NeighborSet, scan_distances
 
@@ -352,10 +353,9 @@ def fast_scan(
         raise ValueError("init must be in (0, 1]")
     if r < 1:
         raise ValueError("r must be >= 1")
-    nset = NeighborSet(r)
     stats = ScanStats(total=grouped.n)
     if grouped.n == 0:
-        return nset, stats
+        return NeighborSet(r), stats
     codes = grouped.reconstruct_codes()
     ids = grouped.ids
     n = grouped.n
@@ -363,9 +363,7 @@ def fast_scan(
 
     prefix_d = scan_distances(tables, codes[:n_init])
     stats.checked += n_init
-    order = np.lexsort((ids[:n_init], prefix_d))
-    for pos in order[: min(r, n_init)]:
-        nset.push(float(prefix_d[pos]), int(ids[pos]))
+    best_d, best_i = _select_best(prefix_d, ids[:n_init], r)
     params = prefix_quant_params(tables, prefix_d, r)
 
     qt = _quantized_tables(tables, params)
@@ -374,7 +372,7 @@ def fast_scan(
     while start < n:
         stop = min(start + _CHUNK, n)
         chunk = codes[start:stop]
-        threshold = quantize(params, nset.worst)
+        threshold = quantize(params, best_d[-1] if best_d.size == r else np.inf)
         lb = _lower_bounds_all(chunk, qt, mins)
         keep = lb <= threshold
         stats.pruned += int(np.count_nonzero(~keep))
@@ -383,11 +381,11 @@ def fast_scan(
             d = scan_distances(tables, chunk[kept])
             stats.checked += kept.size
             kid = ids[start:stop][kept]
-            for pos in np.lexsort((kid, d)):
-                if not nset.push(float(d[pos]), int(kid[pos])):
-                    break
+            best_d, best_i = _select_best(
+                np.concatenate([best_d, d]), np.concatenate([best_i, kid]), r
+            )
         start = stop
-    return nset, stats
+    return NeighborSet.from_pairs(r, best_d, best_i), stats
 
 
 MAGIC_GROUPED = b"PQG1"
@@ -409,24 +407,27 @@ def write_grouped_body(f: BinaryIO, grouped: GroupedDatabase) -> None:
 
 def read_grouped_body(f: BinaryIO) -> GroupedDatabase:
     _binio.expect_magic(f, MAGIC_GROUPED)
+    off = f.tell()
     n = _binio.read_i32(f)
     g = _binio.read_i32(f)
-    want = g * _DIR_DTYPE.itemsize
-    raw = f.read(want)
-    if len(raw) != want:
-        raise _binio.FormatError(
-            f"truncated group directory at byte {f.tell() - len(raw)}"
-        )
-    directory = np.frombuffer(raw, dtype=_DIR_DTYPE)
+    if n < 0 or g < 0:
+        raise _binio.FormatError(f"bad grouped header n={n} g={g}", offset=off)
+    _binio.require_bytes(
+        f, g * _DIR_DTYPE.itemsize + n * (PACKED_BYTES + 8), "grouped codes"
+    )
+    directory = _binio.read_array(f, _DIR_DTYPE, g)
     packed = _binio.read_array(f, "u1", n * PACKED_BYTES).reshape(n, PACKED_BYTES)
     ids = _binio.read_array(f, "<i8", n)
-    return GroupedDatabase(
-        keys=directory["key"].copy(),
-        offsets=directory["offset"].copy(),
-        counts=directory["count"].copy(),
-        packed=packed,
-        ids=ids,
-    )
+    try:
+        return GroupedDatabase(
+            keys=directory["key"],
+            offsets=directory["offset"],
+            counts=directory["count"],
+            packed=packed,
+            ids=ids,
+        )
+    except ValueError as exc:
+        raise _binio.FormatError(str(exc), offset=off) from None
 
 
 def save_grouped(path, grouped: GroupedDatabase) -> None:

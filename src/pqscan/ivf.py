@@ -9,12 +9,11 @@ list against the residual of the query with the chosen kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
 from . import _binio
-from ._dist import nearest, nearest_k
+from ._dist import _select_best, nearest, nearest_k
 from .derived import (
     DerivedPQ,
     read_derived_body,
@@ -149,6 +148,42 @@ def build_ivf(
     return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
 
 
+def check_kernel(kernel: str, quant: ProductQuantizer | DerivedPQ) -> str:
+    """The kernel's canonical name, once quant is known to support it."""
+    kernel = kernel.replace("_", "-")
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}")
+    pq = quant.pq if isinstance(quant, DerivedPQ) else quant
+    if kernel == "quick-adc" and pq.b != 4:
+        raise ValueError("quick-adc kernel requires b=4")
+    if kernel == "derived" and not isinstance(quant, DerivedPQ):
+        raise ValueError("derived kernel needs a derived quantizer")
+    return kernel
+
+
+def scan_list(
+    quant: ProductQuantizer | DerivedPQ,
+    codelist: CodeList,
+    query: np.ndarray,
+    r: int,
+    kernel: str,
+    init_count: int,
+    r2: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One list's r best (distances float64, ids int64) under a kernel that
+    check_kernel accepted; quick-adc bins come back as float distances."""
+    if kernel == "derived":
+        r2 = default_r2(r) if r2 is None else r2
+        return search_two_pass(quant, codelist, query, r, r2).to_arrays()
+    pq = quant.pq if isinstance(quant, DerivedPQ) else quant
+    tables = compute_tables(pq, query)
+    if kernel == "adc":
+        return scan(codelist, tables, r).to_arrays()
+    part, qt = qadc_scan(codelist, tables, init_count, r)
+    dists, ids = part.to_arrays()
+    return qt.rescale(dists), ids
+
+
 def query_ivf(
     index: IvfIndex,
     query: np.ndarray,
@@ -159,42 +194,23 @@ def query_ivf(
     r2: int | None = None,
 ) -> NeighborSet:
     """Scan the ma nearest cells' lists against the query residuals and
-    merge into one neighbor set of size r."""
-    kernel = kernel.replace("_", "-")
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}")
+    select the r best of their union."""
+    quant = index.pq if index.dpq is None else index.dpq
+    kernel = check_kernel(kernel, quant)
     if not 1 <= ma <= index.K:
         raise ValueError(f"ma must be in [1, {index.K}]")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if kernel == "quick-adc" and index.pq.b != 4:
-        raise ValueError("quick-adc kernel requires b=4")
-    if kernel == "derived" and index.dpq is None:
-        raise ValueError("index has no derived quantizer")
     query = _check_query(np.asarray(query, dtype=np.float64), index.d)
     cells, _ = nearest_k(query[None, :], index.coarse.astype(np.float64), ma)
-    merged = NeighborSet(r)
+    parts = [(np.empty(0, np.float64), np.empty(0, np.int64))]
     for cell in cells[0]:
         lst = index.lists[int(cell)]
-        if lst.n == 0:
-            continue
-        residual = query - index.coarse[int(cell)].astype(np.float64)
-        if kernel == "adc":
-            part = scan(lst, compute_tables(index.pq, residual), r)
-            for dist, ident in part.items():
-                merged.push(dist, ident)
-        elif kernel == "quick-adc":
-            tables = compute_tables(index.pq, residual)
-            part, qt = qadc_scan(lst, tables, init_count, r)
-            for dist, ident in part.items():
-                merged.push(float(qt.rescale(dist)), ident)
-        else:
-            part = search_two_pass(
-                index.dpq, lst, residual, r, r2 if r2 is not None else default_r2(r)
-            )
-            for dist, ident in part.items():
-                merged.push(dist, ident)
-    return merged
+        if lst.n:
+            residual = query - index.coarse[int(cell)].astype(np.float64)
+            parts.append(scan_list(quant, lst, residual, r, kernel, init_count, r2))
+    dists, ids = (np.concatenate(column) for column in zip(*parts))
+    return NeighborSet.from_pairs(r, *_select_best(dists, ids, r))
 
 
 MAGIC_IVF = b"IVF1"
@@ -219,6 +235,10 @@ def load_ivf(path) -> IvfIndex:
         _binio.expect_magic(f, MAGIC_IVF)
         K = _binio.read_i32(f)
         has_derived = _binio.read_i32(f)
+        if K < 1 or has_derived not in (0, 1):
+            raise _binio.FormatError(
+                f"bad index header K={K} derived={has_derived}", offset=4
+            )
         dpq = None
         if has_derived:
             dpq = read_derived_body(f)
@@ -232,4 +252,8 @@ def load_ivf(path) -> IvfIndex:
             if (lst.m, b) != (pq.m, pq.b):
                 raise _binio.FormatError("inverted list shape differs from the quantizer")
             lists.append(lst)
+        if f.read(1):
+            raise _binio.FormatError(
+                "bytes after the last inverted list", offset=f.tell() - 1
+            )
     return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._dist import _select_best
 from .fastscan import BINS, QuantParams, prefix_quant_params, quantize
 from .scan import (
     BLOCK,
     CodeList,
     LookupTables,
     NeighborSet,
-    _select_best,
     # Not called here; the benchmark's tracer patches this name.
     detranspose_blocks,  # noqa: F401
     scan_distances,

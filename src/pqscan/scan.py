@@ -14,7 +14,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import _binio
-from ._dist import sqdist_matrix
+from ._dist import _select_best, sqdist_matrix
 from .quantizer import (
     ProductQuantizer,
     _check_query,
@@ -146,21 +146,6 @@ class NeighborSet:
         ]
         heapq.heapify(out._heap)
         return out
-
-
-def _select_best(
-    dists: np.ndarray, ids: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The r smallest (distance, id) pairs, ascending, as parallel arrays."""
-    n = dists.shape[0]
-    r_eff = min(r, n)
-    if r_eff == 0:
-        return np.empty(0, np.float64), np.empty(0, np.int64)
-    kth = np.partition(dists, r_eff - 1)[r_eff - 1]
-    cand = np.flatnonzero(dists <= kth)
-    order = np.lexsort((ids[cand], dists[cand]))[:r_eff]
-    pick = cand[order]
-    return dists[pick], ids[pick]
 
 
 @dataclass

@@ -287,13 +287,25 @@ def test_fast_scan_equals_scan(pq88, codes88, queries):
             assert stats.checked + stats.pruned == stats.total == relab.n
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from([1, 3, 10]))
-@settings(max_examples=25, deadline=None)
-def test_fast_scan_property(seed, n, r):
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(1, 60), st.integers(1000, 3000)),
+    st.sampled_from([1, 3, 10, 100]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_fast_scan_property(seed, n, r, integer_tables, permuted_ids):
+    # n past 1024 spans several pruning chunks; integer tables make many
+    # distances equal, so ties must resolve to the lower id across chunks
     rng = np.random.default_rng(seed)
-    tables = LookupTables(rng.random((8, 256)).astype(np.float32))
+    if integer_tables:
+        tables = LookupTables(rng.integers(0, 4, (8, 256)).astype(np.float32))
+    else:
+        tables = LookupTables(rng.random((8, 256)).astype(np.float32))
     codes = rng.integers(0, 256, (n, 8)).astype(np.uint8)
-    codelist = CodeList(codes)
+    ids = rng.permutation(n) if permuted_ids else None
+    codelist = CodeList(codes, ids)
     init = float(rng.uniform(0.01, 1.0))
     base = scan(codelist, tables, r)
     got, _ = fast_scan(group_codes(codelist), tables, init, r)

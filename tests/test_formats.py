@@ -1,5 +1,5 @@
-"""PQL1 code lists and PQZ1 quantizer headers: byte layout and rejection of
-malformed headers before any array is read."""
+"""PQL1 code lists, PQZ1 quantizers, PQG1 grouped codes and IVF1 indexes:
+byte layout and rejection of malformed headers before any array is read."""
 
 import io
 import struct
@@ -11,14 +11,23 @@ from hypothesis import strategies as st
 
 from pqscan import (
     CodeList,
+    DerivedPQ,
     FormatError,
+    IvfIndex,
     ProductQuantizer,
+    group_codes,
     load_codes,
+    load_derived,
+    load_grouped,
+    load_ivf,
     load_quantizer,
+    load_quantizer_any,
     save_codes,
+    save_ivf,
     save_quantizer,
 )
 from pqscan.cli import main
+from pqscan.fastscan import read_grouped_body, write_grouped_body
 from pqscan.scan import read_codes_body, write_codes_body
 
 from conftest import pack
@@ -165,3 +174,121 @@ def test_query_rejects_codes_of_another_shape(tmp_path, capsys):
     rc = main(["query", "--queries", str(tmp_path / "q.fvecs"), "--codes", str(codes),
                "--quantizer", str(quant)])
     assert rc == 1 and "codes are 3x4" in capsys.readouterr().err
+
+
+# A 2x2 quantizer (d=2, codebooks 0..7) and its derived form (bbar=1,
+# derived codebooks 0.5, 2.5, 4.5, 6.5), written before the derived extension
+# was validated; such files must keep loading.
+OLD_PLAIN = bytes.fromhex(
+    "50515a3102000000020000000200000000000000000000000000803f0000004000004040"
+    "000080400000a0400000c0400000e040"
+)
+OLD_DERIVED = OLD_PLAIN + bytes.fromhex("010000000000003f00002040000090400000d040")
+
+
+def test_old_quantizer_files_load(tmp_path):
+    (tmp_path / "p.pqz").write_bytes(OLD_PLAIN)
+    (tmp_path / "d.pqz").write_bytes(OLD_DERIVED)
+    plain = load_quantizer_any(tmp_path / "p.pqz")
+    derived = load_quantizer_any(tmp_path / "d.pqz")
+    assert isinstance(plain, ProductQuantizer) and isinstance(derived, DerivedPQ)
+    np.testing.assert_array_equal(plain.codebooks.ravel(), np.arange(8))
+    np.testing.assert_array_equal(derived.pq.codebooks, plain.codebooks)
+    np.testing.assert_array_equal(derived.derived.ravel(), [0.5, 2.5, 4.5, 6.5])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        OLD_PLAIN + b"\x01",  # 1-3 stray bytes used to load as a plain PQ
+        OLD_PLAIN + b"\x01\x02",
+        OLD_PLAIN + b"\x01\x02\x03",
+        OLD_PLAIN + b"\xff\xff\xff\x7f",  # bbar 2^31-1 used to size an array
+        OLD_PLAIN + struct.pack("<i", 0) + b"\x00" * 8,  # bbar below range
+        OLD_PLAIN + struct.pack("<i", 3) + b"\x00" * 64,  # bbar above b=2
+        OLD_PLAIN + struct.pack("<i", 1) + b"\x00" * 8,  # derived codebooks truncated
+        OLD_DERIVED + b"\x00",  # bytes after the derived codebooks
+    ],
+    ids=["1-stray", "2-stray", "3-stray", "huge-bbar", "bbar-0", "bbar-3",
+         "truncated", "trailing"],
+)
+def test_derived_quantizer_reader_rejects_bad_extensions(tmp_path, raw):
+    path = tmp_path / "q.pqz"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError):
+        load_quantizer_any(path)
+    if raw[: len(OLD_DERIVED)] != OLD_DERIVED:  # load_derived allows a tail
+        with pytest.raises(FormatError):
+            load_derived(path)
+
+
+def grouped_bytes():
+    """PQG1 bytes of three codes that share one group, key (0, 0, 0, 0)."""
+    comps = np.array([[1, 2, 3, 4, 50, 60, 70, 80]] * 3, dtype=np.uint8)
+    out = io.BytesIO()
+    write_grouped_body(out, group_codes(CodeList(comps)))
+    return out.getvalue()
+
+
+def patched(raw, offset, value):
+    return raw[:offset] + value + raw[offset + len(value) :]
+
+
+# PQG1: magic, n at byte 4, g at byte 8, then g directory entries of
+# key (4 bytes), offset (int64) and count (int64) from byte 12.
+@pytest.mark.parametrize(
+    "change",
+    [
+        (4, struct.pack("<i", -1)),  # negative code count
+        (8, struct.pack("<i", -3)),  # negative group count
+        (8, struct.pack("<i", 10**9)),  # directory larger than the file
+        (4, struct.pack("<i", 10**6)),  # body larger than the file
+        (12, b"\x10"),  # key nibble 16
+        (16, struct.pack("<q", 1)),  # offset not the prefix sum of counts
+        (24, struct.pack("<q", 2)),  # counts do not cover n
+    ],
+    ids=["n<0", "g<0", "huge-g", "huge-n", "key-16", "offset", "count"],
+)
+def test_grouped_reader_rejects_bad_headers(tmp_path, change):
+    raw = grouped_bytes()
+    assert read_grouped_body(io.BytesIO(raw)).n == 3
+    path = tmp_path / "g.pqg"
+    path.write_bytes(patched(raw, *change))
+    with pytest.raises(FormatError):
+        load_grouped(path)
+
+
+def test_grouped_reader_checks_size_before_reading(tmp_path):
+    path = tmp_path / "g.pqg"
+    path.write_bytes(patched(grouped_bytes(), 8, struct.pack("<i", 10**9)))
+    with pytest.raises(FormatError, match="truncated grouped codes"):
+        load_grouped(path)
+
+
+def ivf_bytes(tmp_path):
+    """IVF1 bytes of a one-cell index over the 2x2 quantizer above."""
+    (tmp_path / "p.pqz").write_bytes(OLD_PLAIN)
+    pq = load_quantizer(tmp_path / "p.pqz")
+    lists = [CodeList(np.array([[0x21], [0x03]], np.uint8), m=2)]
+    save_ivf(tmp_path / "i.ivf", IvfIndex(np.zeros((1, 2)), pq, lists))
+    return (tmp_path / "i.ivf").read_bytes()
+
+
+# IVF1: magic, K at byte 4, derived flag at byte 8, then the quantizer body.
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda raw: patched(raw, 8, struct.pack("<i", 2)),  # derived flag not 0/1
+        lambda raw: patched(raw, 4, struct.pack("<i", 0)),  # no cells
+        lambda raw: patched(raw, 4, struct.pack("<i", -1)),
+        lambda raw: raw + b"\x00",  # bytes after the last list
+    ],
+    ids=["derived-2", "K=0", "K<0", "trailing"],
+)
+def test_index_reader_rejects_bad_headers(tmp_path, mutate):
+    raw = ivf_bytes(tmp_path)
+    assert load_ivf(tmp_path / "i.ivf").n == 2
+    path = tmp_path / "bad.ivf"
+    path.write_bytes(mutate(raw))
+    with pytest.raises(FormatError):
+        load_ivf(path)

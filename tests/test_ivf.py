@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pqscan import (
+    DEFAULT_INIT_COUNT,
     LazyTables,
     NeighborSet,
     TrainConfig,
@@ -13,6 +14,7 @@ from pqscan import (
     encode,
     exact_knn,
     load_ivf,
+    qadc_scan,
     query_ivf,
     recall_at_r,
     save_ivf,
@@ -34,8 +36,9 @@ def index(base):
     return build_ivf(base, K=16, m=4, b=4, cfg=CFG)
 
 
-def merged_oracle(index, query, ma, r):
-    """Union of per-list residual scans, sorted by (distance, id)."""
+def merged_oracle(index, query, ma, r, kernel="adc"):
+    """Union of per-list residual scans, sorted by (distance, id). Quick ADC
+    lists contribute their r best bins, rescaled to distances."""
     q64 = np.asarray(query, dtype=np.float64)
     cells, _ = nearest_k(q64[None, :], index.coarse.astype(np.float64), ma)
     pairs = []
@@ -44,8 +47,12 @@ def merged_oracle(index, query, ma, r):
         sub = index.lists[cell]
         if sub.n == 0:
             continue
-        got = scan(sub, compute_tables(index.pq, res), sub.n)
-        pairs.extend(got.items())
+        tables = compute_tables(index.pq, res)
+        if kernel == "adc":
+            pairs.extend(scan(sub, tables, sub.n).items())
+        else:
+            got, qt = qadc_scan(sub, tables, DEFAULT_INIT_COUNT, r)
+            pairs.extend((float(qt.rescale(d)), i) for d, i in got.items())
     pairs.sort()
     return pairs[:r]
 
@@ -95,10 +102,11 @@ def test_assignment_is_nearest_coarse(index, base):
 
 
 def test_query_matches_merged_oracle(index, queries):
-    for q in queries:
-        for ma in (1, 4, 16):
-            got = query_ivf(index, q, ma=ma, r=20)
-            assert got.items() == merged_oracle(index, q, ma, 20)
+    for kernel in ("adc", "quick-adc"):
+        for q in queries:
+            for ma in (1, 4, 16):
+                got = query_ivf(index, q, ma=ma, r=20, kernel=kernel)
+                assert got.items() == merged_oracle(index, q, ma, 20, kernel)
 
 
 def test_query_of_stored_vector_finds_it(index, base):
