@@ -67,6 +67,23 @@ def read_f64(f: BinaryIO) -> float:
     return struct.unpack("<d", raw)[0]
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def index_array(values) -> np.ndarray:
+    """values as a contiguous int32 array when every value fits, else int64.
+
+    Every in-memory id and row-index array is stored this way; the file
+    formats keep <i8 for them, as write_array casts on the way out.
+    """
+    arr = np.asarray(values)
+    if arr.dtype != np.int32:
+        arr = arr.astype(np.int64, copy=False)
+        if arr.size == 0 or (arr.min() >= _INT32.min and arr.max() <= _INT32.max):
+            arr = arr.astype(np.int32)
+    return np.ascontiguousarray(arr)
+
+
 def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:
     """Write arr row-major as little-endian dtype, no header."""
     f.write(np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes())
@@ -82,6 +99,12 @@ def require_bytes(f: BinaryIO, nbytes: int, what: str) -> None:
         f.seek(off)
     if nbytes < 0 or (left is not None and nbytes > left):
         raise FormatError(f"truncated {what}, wanted {nbytes} bytes", offset=off)
+
+
+def expect_eof(f: BinaryIO, what: str) -> None:
+    """Raise FormatError if any byte follows the content just read."""
+    if f.read(1):
+        raise FormatError(f"bytes after the {what}", offset=f.tell() - 1)
 
 
 def read_array(f: BinaryIO, dtype: str | np.dtype, count: int) -> np.ndarray:

@@ -170,7 +170,8 @@ def nearest_k(points: np.ndarray, centroids: np.ndarray, k: int) -> tuple[np.nda
 def _select_best(
     dists: np.ndarray, ids: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The r smallest (distance, id) pairs, ascending, as parallel arrays."""
+    """The r smallest (distance, id) pairs, ascending, as parallel arrays;
+    ids come back int64 whatever the stored id dtype."""
     n = dists.shape[0]
     r_eff = min(r, n)
     if r_eff == 0:
@@ -179,4 +180,4 @@ def _select_best(
     cand = np.flatnonzero(dists <= kth)
     order = np.lexsort((ids[cand], dists[cand]))[:r_eff]
     pick = cand[order]
-    return dists[pick], ids[pick]
+    return dists[pick], ids[pick].astype(np.int64, copy=False)

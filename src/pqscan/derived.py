@@ -435,7 +435,9 @@ def save_derived(path, dpq: DerivedPQ) -> None:
 
 def load_derived(path) -> DerivedPQ:
     with open(path, "rb") as f:
-        return read_derived_body(f)
+        dpq = read_derived_body(f)
+        _binio.expect_eof(f, "derived codebooks")
+    return dpq
 
 
 def load_quantizer_any(path) -> ProductQuantizer | DerivedPQ:
@@ -447,8 +449,5 @@ def load_quantizer_any(path) -> ProductQuantizer | DerivedPQ:
             return pq
         f.seek(0)
         dpq = read_derived_body(f)
-        if f.read(1):
-            raise _binio.FormatError(
-                "bytes after the derived codebooks", offset=f.tell() - 1
-            )
+        _binio.expect_eof(f, "derived codebooks")
         return dpq

@@ -139,9 +139,10 @@ def relabel_codes(codes: np.ndarray, perm: np.ndarray) -> np.ndarray:
 class GroupedDatabase:
     """Codes bucketed by the high nibbles of components 0-3.
 
-    keys (G, 4) uint8 ascending; offsets/counts (G,) int64 index into the
-    packed rows; packed (n, 6) uint8 holds the low nibbles of components 0-3
-    in two bytes plus components 4-7 verbatim; ids (n,) int64.
+    keys (G, 4) uint8 ascending; offsets/counts (G,) index into the packed
+    rows; packed (n, 6) uint8 holds the low nibbles of components 0-3 in two
+    bytes plus components 4-7 verbatim; ids (n,). offsets, counts and ids
+    are int32 when their values fit, else int64 (``_binio.index_array``).
     """
 
     keys: np.ndarray
@@ -152,10 +153,10 @@ class GroupedDatabase:
 
     def __post_init__(self):
         self.keys = np.ascontiguousarray(self.keys, dtype=np.uint8)
-        self.offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+        self.offsets = _binio.index_array(self.offsets)
+        self.counts = _binio.index_array(self.counts)
         self.packed = np.ascontiguousarray(self.packed, dtype=np.uint8)
-        self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
+        self.ids = _binio.index_array(self.ids)
         g = self.keys.shape[0]
         if self.keys.ndim != 2 or self.keys.shape[1] != GROUP_NIBBLES:
             raise ValueError("keys must have shape (G, 4)")
@@ -227,7 +228,7 @@ def group_codes(codelist: CodeList) -> GroupedDatabase:
         [(uniq >> 12) & 0xF, (uniq >> 8) & 0xF, (uniq >> 4) & 0xF, uniq & 0xF],
         axis=1,
     ).astype(np.uint8)
-    offsets = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
     sorted_codes = codes[order]
     packed = np.empty((codes.shape[0], PACKED_BYTES), dtype=np.uint8)
     packed[:, 0] = ((sorted_codes[:, 0] & 0x0F) << 4) | (sorted_codes[:, 1] & 0x0F)
@@ -236,7 +237,7 @@ def group_codes(codelist: CodeList) -> GroupedDatabase:
     return GroupedDatabase(
         keys=keys,
         offsets=offsets,
-        counts=counts.astype(np.int64),
+        counts=counts,
         packed=packed,
         ids=codelist.ids[order],
     )
@@ -437,4 +438,6 @@ def save_grouped(path, grouped: GroupedDatabase) -> None:
 
 def load_grouped(path) -> GroupedDatabase:
     with open(path, "rb") as f:
-        return read_grouped_body(f)
+        grouped = read_grouped_body(f)
+        _binio.expect_eof(f, "grouped codes")
+    return grouped

@@ -117,7 +117,7 @@ def build_ivf(
         raise ValueError(f"{n} vectors cannot train K={K}, b={b}")
     if use_opq and bderived is not None:
         raise ValueError("derived quantizers do not support a rotation")
-    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
+    ids = _binio.index_array(np.arange(n) if ids is None else ids)
     rng = np.random.default_rng(cfg.seed)
 
     coarse_rows = _sample_rows(rng, n, max(K, 100 * K))
@@ -252,8 +252,5 @@ def load_ivf(path) -> IvfIndex:
             if (lst.m, b) != (pq.m, pq.b):
                 raise _binio.FormatError("inverted list shape differs from the quantizer")
             lists.append(lst)
-        if f.read(1):
-            raise _binio.FormatError(
-                "bytes after the last inverted list", offset=f.tell() - 1
-            )
+        _binio.expect_eof(f, "last inverted list")
     return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)

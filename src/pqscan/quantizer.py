@@ -162,7 +162,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     """k-means++ seeding (Arthur & Vassilvitskii, 2007).
 
     closest[i] is, bit for bit, the cdist distance from point i to its
-    nearest seed so far, so the draws match per-seed cdist seeding. Each new
+    nearest seed so far, so the draws match per-seed cdist seeding with
+    ``rng.choice(n, p=closest / closest.sum())``. Each new
     seed is scored against every point with one GEMV in the shifted form of
     ``_dist.nearest``; only points whose lower bound (score minus the
     rounding slack) falls below closest get the exact distance.
@@ -182,7 +183,11 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         if total <= 0.0:
             pick = int(rng.integers(n))
         else:
-            pick = int(rng.choice(n, p=closest / total))
+            # The steps rng.choice(n, p=closest / total) runs, without its
+            # per-call validation of p: the same draw, bit for bit.
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[c] = points[pick]
         cs = xs[pick]
         cn = float(cs @ cs)
@@ -454,13 +459,14 @@ def write_quantizer_body(f: BinaryIO, pq: ProductQuantizer) -> None:
 
 def read_quantizer_body(f: BinaryIO) -> ProductQuantizer:
     _binio.expect_magic(f, MAGIC_QUANTIZER)
+    off = f.tell()
     m = _binio.read_i32(f)
     b = _binio.read_i32(f)
     d = _binio.read_i32(f)
     has_rot = _binio.read_i32(f)
     if m < 1 or not 1 <= b <= 16 or d < 1 or d % m or has_rot not in (0, 1):
         raise _binio.FormatError(
-            f"bad quantizer header m={m} b={b} d={d} rotation={has_rot}"
+            f"bad quantizer header m={m} b={b} d={d} rotation={has_rot}", offset=off
         )
     rotation = None
     if has_rot:
@@ -468,7 +474,10 @@ def read_quantizer_body(f: BinaryIO) -> ProductQuantizer:
     k = 1 << b
     dsub = d // m
     books = _binio.read_array(f, "<f4", m * k * dsub).reshape(m, k, dsub)
-    return ProductQuantizer(m=m, b=b, d=d, codebooks=books, rotation=rotation)
+    try:
+        return ProductQuantizer(m=m, b=b, d=d, codebooks=books, rotation=rotation)
+    except ValueError as exc:  # non-finite codebooks, a rotation not orthonormal
+        raise _binio.FormatError(str(exc), offset=off) from None
 
 
 def save_quantizer(path, pq: ProductQuantizer) -> None:
@@ -478,4 +487,6 @@ def save_quantizer(path, pq: ProductQuantizer) -> None:
 
 def load_quantizer(path) -> ProductQuantizer:
     with open(path, "rb") as f:
-        return read_quantizer_body(f)
+        pq = read_quantizer_body(f)
+        _binio.expect_eof(f, "codebooks")
+    return pq

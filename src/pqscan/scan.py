@@ -150,7 +150,10 @@ class NeighborSet:
 
 @dataclass
 class CodeList:
-    """Encoded database: codes of m components with parallel int64 ids.
+    """Encoded database: codes of m components with parallel ids.
+
+    ids are int32 when every id fits, else int64 (``_binio.index_array``);
+    results still report int64 ids.
 
     codes is (n, m), or (n, ceil(m/2)) uint8 for nibble-packed b <= 4 codes.
     m defaults to the width, so packed lists must pass it: an odd m and the
@@ -176,9 +179,8 @@ class CodeList:
             raise ValueError(f"width {width} holds neither {self.m} components "
                              "nor their nibble-packed uint8 form")
         if self.ids is None:
-            self.ids = np.arange(self.codes.shape[0], dtype=np.int64)
-        else:
-            self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
+            self.ids = np.arange(self.codes.shape[0])
+        self.ids = _binio.index_array(self.ids)
         if self.ids.shape != (self.codes.shape[0],):
             raise ValueError("ids length must match codes")
 
@@ -230,7 +232,7 @@ class TransposedCodeList:
 
     def __post_init__(self):
         self.blocks = np.ascontiguousarray(self.blocks, dtype=np.uint8)
-        self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
+        self.ids = _binio.index_array(self.ids)
         rows = code_width(self.m, self.b)
         nblocks = (self.n + BLOCK - 1) // BLOCK
         if self.blocks.shape != (nblocks, rows, BLOCK):
@@ -332,4 +334,6 @@ def save_codes(path, codelist: CodeList, b: int) -> None:
 
 def load_codes(path) -> tuple[CodeList, int]:
     with open(path, "rb") as f:
-        return read_codes_body(f)
+        out = read_codes_body(f)
+        _binio.expect_eof(f, "code list")
+    return out

@@ -129,9 +129,12 @@ def test_nearest_is_independent_of_chunking():
 @pytest.mark.parametrize(
     "n,d,k,offset",
     [(500, 1, 16, 0.0), (800, 8, 64, 0.0), (400, 16, 256, 0.0), (300, 128, 32, 0.0),
-     (600, 4, 32, 1e6)],
+     (600, 4, 32, 1e6), (12, 2, 12, 0.0), (20_000, 2, 16, 0.0)],
 )
 def test_kmeanspp_matches_cdist_seeding(seed, n, d, k, offset):
+    # The oracle draws with rng.choice(n, p=...); the seeding reproduces that
+    # draw from the cumulative weights, so a numpy that changes choice()
+    # fails here. k == n runs out of weight and falls back to uniform draws.
     data = np.random.default_rng(seed + 1000)
     centers = data.normal(0, 5, (8, d))
     points = centers[data.integers(0, 8, n)] + data.normal(size=(n, d)) + offset

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pqscan import (
@@ -23,6 +23,8 @@ from pqscan import (
     load_quantizer,
     load_quantizer_any,
     save_codes,
+    save_derived,
+    save_grouped,
     save_ivf,
     save_quantizer,
 )
@@ -78,12 +80,14 @@ def test_old_code_files_load_and_rewrite_identically(tmp_path, b, m, comps, ids,
     assert out.getvalue() == raw
 
 
-@given(st.integers(1, 16), st.integers(1, 9), st.integers(0, 20), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 16), st.integers(1, 9), st.integers(0, 20), st.integers(0, 2**32 - 1),
+       st.sampled_from([2**31, 2**40]))
 @settings(max_examples=100, deadline=None)
-def test_code_list_bytes_match_reference_and_round_trip(b, m, n, seed):
+def test_code_list_bytes_match_reference_and_round_trip(b, m, n, seed, id_bound):
+    # ids below 2^31 are held as int32, larger ones as int64; both write <i8
     rng = np.random.default_rng(seed)
     comps = rng.integers(0, 1 << b, (n, m))
-    ids = rng.integers(-(2**40), 2**40, n)
+    ids = rng.integers(-id_bound, id_bound, n)
     out = io.BytesIO()
     write_codes_body(out, CodeList(stored(comps, b), ids, m), b)
     assert out.getvalue() == reference_pql1(comps, ids, b)
@@ -217,9 +221,8 @@ def test_derived_quantizer_reader_rejects_bad_extensions(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(FormatError):
         load_quantizer_any(path)
-    if raw[: len(OLD_DERIVED)] != OLD_DERIVED:  # load_derived allows a tail
-        with pytest.raises(FormatError):
-            load_derived(path)
+    with pytest.raises(FormatError):
+        load_derived(path)
 
 
 def grouped_bytes():
@@ -292,3 +295,183 @@ def test_index_reader_rejects_bad_headers(tmp_path, mutate):
     path.write_bytes(mutate(raw))
     with pytest.raises(FormatError):
         load_ivf(path)
+
+
+# Written by the commit before ids were held as int32 in memory: PQG1 of
+# three codes in two groups with ids 5, 7 and 2^31 + 1, and IVF1 of two cells
+# over the 2x2 quantizer above with ids 4, 9 and 3.
+OLD_GROUPED = bytes.fromhex(
+    "505147310300000002000000000000000000000000000000020000000000000001000000"
+    "020000000000000001000000000000001234323c4650123509090909123405060708050000"
+    "000000000007000000000000000100008000000000"
+)
+OLD_IVF = bytes.fromhex(
+    "49564631020000000000000050515a3102000000020000000200000000000000000000000000"
+    "803f0000004000004040000080400000a0400000c0400000e0400000003f0000c03f00002040"
+    "0000604050514c310200000002000000020000000100000021030400000000000000090000000"
+    "000000050514c3101000000020000000200000001000000120300000000000000"
+)
+
+
+def test_old_grouped_and_index_files_load_and_rewrite_identically(tmp_path):
+    (tmp_path / "old.pqg").write_bytes(OLD_GROUPED)
+    grouped = load_grouped(tmp_path / "old.pqg")
+    np.testing.assert_array_equal(grouped.ids, [5, 7, 2**31 + 1])
+    assert grouped.ids.dtype == np.int64 and grouped.counts.dtype == np.int32
+    save_grouped(tmp_path / "new.pqg", grouped)
+    assert (tmp_path / "new.pqg").read_bytes() == OLD_GROUPED
+    (tmp_path / "old.ivf").write_bytes(OLD_IVF)
+    index = load_ivf(tmp_path / "old.ivf")
+    assert [lst.ids.tolist() for lst in index.lists] == [[4, 9], [3]]
+    assert {lst.ids.dtype for lst in index.lists} == {np.dtype(np.int32)}
+    save_ivf(tmp_path / "new.ivf", index)
+    assert (tmp_path / "new.ivf").read_bytes() == OLD_IVF
+
+
+@pytest.mark.parametrize(
+    "raw, load",
+    [
+        (OLD_PLAIN, load_quantizer),
+        (OLD_DERIVED, load_derived),
+        (bytes.fromhex(OLD_FILES[0][4]), load_codes),
+        (OLD_GROUPED, load_grouped),
+    ],
+    ids=["quantizer", "derived", "codes", "grouped"],
+)
+def test_loaders_reject_a_stray_byte(tmp_path, raw, load):
+    path = tmp_path / "f.bin"
+    path.write_bytes(raw)
+    load(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError, match="bytes after"):
+        load(path)
+
+
+# Header mutation. Each format's header fields are found from its magic;
+# a mutated file must either raise FormatError or load into an object that
+# writes back to exactly the mutated bytes (no other exception, and no
+# silent misread).
+
+
+def _fields_pqz1(raw, p):
+    m, b, d, rot = struct.unpack_from("<4i", raw, p + 4)
+    fields = [(p + 4 * i, 4) for i in range(1, 5)]
+    if m >= 1 and d % m == 0 and 1 <= b <= 16:
+        # bbar of a derived extension, or whatever follows a plain body
+        fields.append((p + 20 + 4 * (rot * d * d + m * (1 << b) * (d // m)), 4))
+    return fields
+
+
+def _fields_pql1(raw, p):
+    return [(p + 4 * i, 4) for i in range(1, 5)]
+
+
+def _fields_pqg1(raw, p):
+    g = struct.unpack_from("<i", raw, p + 8)[0]
+    fields = [(p + 4, 4), (p + 8, 4)]
+    for i in range(g):
+        e = p + 12 + 20 * i
+        fields += [(e, 4), (e + 4, 8), (e + 12, 8)]
+    return fields
+
+
+def _fields_ivf1(raw, p):
+    return [(p + 4, 4), (p + 8, 4)]
+
+
+HEADERS = {b"PQZ1": _fields_pqz1, b"PQL1": _fields_pql1, b"PQG1": _fields_pqg1,
+           b"IVF1": _fields_ivf1}
+
+
+def header_fields(raw):
+    """(offset, width) of every header field, found from each magic."""
+    fields = []
+    for magic, layout in HEADERS.items():
+        p = raw.find(magic)
+        while p >= 0:
+            fields += [(o, w) for o, w in layout(raw, p) if o + w <= len(raw)]
+            p = raw.find(magic, p + 1)
+    return fields
+
+
+@st.composite
+def mutations(draw, raw):
+    kind = draw(st.sampled_from(["overwrite", "truncate", "append"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "append":
+        return raw + draw(st.binary(min_size=1, max_size=64))
+    off, width = draw(st.sampled_from(header_fields(raw)))
+    top = 2 ** (8 * width - 1)
+    value = draw(st.one_of(st.integers(-2, 40), st.integers(-top, top - 1)))
+    new = value.to_bytes(width, "little", signed=True)
+    if new == raw[off : off + width]:
+        new = bytes([raw[off] ^ 1]) + new[1:]
+    return raw[:off] + new + raw[off + width :]
+
+
+def written(save, obj, tmp):
+    """The bytes save(path, obj) writes."""
+    path = tmp / "written.bin"
+    save(path, obj)
+    return path.read_bytes()
+
+
+def save_quantizer_any(path, quant):
+    (save_derived if isinstance(quant, DerivedPQ) else save_quantizer)(path, quant)
+
+
+def save_code_file(path, loaded):
+    save_codes(path, *loaded)
+
+
+ROTATED = ProductQuantizer(m=2, b=2, d=4, codebooks=np.arange(16).reshape(2, 4, 2),
+                           rotation=np.eye(4)[::-1])
+DERIVED = DerivedPQ(pq=ProductQuantizer(m=2, b=2, d=2, codebooks=np.arange(8).reshape(2, 4, 1)),
+                    bbar=1, derived=np.array([[[0.5], [2.5]], [[4.5], [6.5]]]))
+
+
+def sample_files(tmp):
+    """name -> (bytes, load, save) of small files the library wrote; some
+    ids do not fit int32. Every list is non-empty: an empty PQL1 list holds
+    no ids either way, so its ids flag may read 0, and it writes back as 1."""
+    lists = [CodeList(np.array([[0x21], [0x03]], np.uint8), [2**40, 9], m=2),
+             CodeList(np.array([[0x12]], np.uint8), [3], m=2)]
+    derived_index = IvfIndex(np.array([[0.5, 1.5], [2.5, 3.5]]), DERIVED.pq, lists, DERIVED)
+    big_ids = (CodeList(pack(np.array([[1, 2, 3], [4, 5, 6]])), [2**31 + 5, 3], m=3), 4)
+    b10 = (CodeList(np.array([[1000, 7], [3, 1023]], np.uint16), [0, 1]), 10)
+    return {
+        "pqz1-rotation": (written(save_quantizer, ROTATED, tmp), load_quantizer_any,
+                          save_quantizer_any),
+        "pqz1-derived": (written(save_derived, DERIVED, tmp), load_quantizer_any,
+                         save_quantizer_any),
+        "pql1-big-ids": (written(save_code_file, big_ids, tmp), load_codes, save_code_file),
+        "pql1-b10": (written(save_code_file, b10, tmp), load_codes, save_code_file),
+        "pqg1-big-ids": (OLD_GROUPED, load_grouped, save_grouped),
+        "ivf1": (OLD_IVF, load_ivf, save_ivf),
+        "ivf1-derived-big-ids": (written(save_ivf, derived_index, tmp), load_ivf, save_ivf),
+    }
+
+
+SAMPLES = ["pqz1-rotation", "pqz1-derived", "pql1-big-ids", "pql1-b10", "pqg1-big-ids",
+           "ivf1", "ivf1-derived-big-ids"]
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_headers_raise_format_error_or_round_trip(tmp_path, name, data):
+    raw, load, save = sample_files(tmp_path)[name]
+    path = tmp_path / "f.bin"
+    path.write_bytes(raw)
+    save(tmp_path / "back.bin", load(path))
+    assert (tmp_path / "back.bin").read_bytes() == raw
+    bad = data.draw(mutations(raw), label="mutated")
+    path.write_bytes(bad)
+    try:
+        loaded = load(path)
+    except FormatError:
+        return
+    save(tmp_path / "back.bin", loaded)
+    assert (tmp_path / "back.bin").read_bytes() == bad
