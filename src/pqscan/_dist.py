@@ -3,10 +3,11 @@
 Exactness contract of ``nearest``
 ---------------------------------
 ``nearest(x, c)`` returns, bit for bit, what
-``D = cdist(x, c, "sqeuclidean"); i = argmin(D, axis=1); (i, D[rows, i])``
-returns: the lowest index among the centroids at the smallest distance, and
-that distance as cdist rounds it. Codebooks, codes and coarse assignments
-therefore do not depend on how the distances are found.
+``argmin(cdist(x, c, "sqeuclidean"), axis=1)`` returns: per row, the lowest
+index among the centroids at the smallest distance. It returns indexes only;
+a caller that needs the distances computes ``sqdist_rows(x, c[idx])``, which
+is cdist's value for those pairs bit for bit. Codebooks, codes and coarse
+assignments therefore do not depend on how the distances are found.
 
 It gets there in two steps, following the GEMM form faiss uses (Johnson et
 al., 2017). Coordinates are first shifted by the centroid mean mu, so a
@@ -19,8 +20,7 @@ large common offset cancels: xs = x - mu, cs = c - mu. Then, per row,
 ranks the centroids as ||xs - cs||^2 does, up to the row constant ||xs||^2.
 The argmin of ``a`` is a shortlist of one unless another centroid scores
 within the rounding bound below of the row minimum; only such rows are
-reranked, over their shortlist, with the pair form cdist itself uses. The
-winner's distance is always recomputed with that pair form.
+reranked, over their shortlist, with the pair form cdist itself uses.
 
 The bound. Let u = eps/2, S = ||xs||^2 + max_c ||cs||^2 and D(c) the cdist
 value. With gamma_n = n u / (1 - n u), for every centroid (Higham, Accuracy
@@ -45,11 +45,15 @@ underflow. A row whose S is not below max/4 (overflow, inf or NaN) is
 reranked against every centroid, so non-finite input gives cdist's answer
 too. k-means++ seeding (``quantizer._kmeanspp_init``) uses the same bound
 one-sidedly: a point's cdist distance to a new seed can fall below its
-current nearest-seed distance only if its score minus the slack does.
+current nearest-seed distance only if its score minus the slack does. The
+seeding also returns each point's owner, the index of its nearest seed. The
+owner moves to a new seed only when the distance strictly decreases, so
+ties keep the lower index, which is ``nearest``'s own tie rule: the owners
+equal ``nearest(points, seeds)`` and serve as Lloyd's first assignment.
 
-The pair form ``sqdist_rows`` sums (x_j - c_j)^2 column by column from 0,
-which is the order scipy's cdist uses. The tests compare against cdist
-directly, so a scipy that changes its summation order fails them.
+The pair form ``sqdist_rows`` sums (x_j - c_j)^2 over the columns in order
+0..d-1, which is the order scipy's cdist uses. The tests compare against
+cdist directly, so a scipy that changes its summation order fails them.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ _CHUNK = 2048
 # Score-matrix entries per chunk in nearest (512 KiB of float64), so the
 # passes over it stay in cache.
 _CHUNK_ENTRIES = 1 << 16
+# Entries per block in sqdist_rows (32 KiB of float64), so its transposed
+# block stays in L1/L2 cache.
+_ROW_BLOCK_ENTRIES = 1 << 12
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 # Below this scale S nothing in the bound's arithmetic can overflow.
@@ -83,13 +90,24 @@ def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def sqdist_rows(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Row-wise squared distances ||x[i] - c[i]||^2 (c may be one (d,) row).
 
-    Summed column by column from 0, bit-identical to cdist "sqeuclidean".
+    Summed over columns 0..d-1 in order, bit-identical to cdist
+    "sqeuclidean": blocks of rows are transposed to (d, rows) and reduced
+    over axis 0, one column at a time. numpy would reduce a one-row block
+    pairwise, so a lone last row goes through the sequential accumulate.
     """
-    sq = np.asarray(x, dtype=np.float64) - np.asarray(c, dtype=np.float64)
-    np.square(sq, out=sq)
-    out = np.zeros(sq.shape[0])
-    for j in range(sq.shape[1]):
-        out += sq[:, j]
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    n, d = x.shape
+    out = np.empty(n)
+    step = max(2, _ROW_BLOCK_ENTRIES // max(d, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        sq = x[lo:hi] - (c if c.ndim == 1 else c[lo:hi])
+        np.square(sq, out=sq)
+        if hi - lo == 1:
+            out[lo] = np.add.accumulate(sq[0])[-1] if d else 0.0
+        else:
+            out[lo:hi] = np.add.reduce(sq.T.copy(), axis=0)
     return out
 
 
@@ -100,8 +118,8 @@ def shortlist_slack(d: int, scale):
 
 # Non-finite or huge input takes the full rerank; like cdist, stay quiet.
 @np.errstate(invalid="ignore", over="ignore")
-def nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point: (index of nearest centroid, squared distance to it).
+def nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Per point, the index of the nearest centroid, int64.
 
     Bit-identical to cdist "sqeuclidean" followed by argmin, ties to the
     lowest centroid index (see the module docstring). Chunked over points.
@@ -118,7 +136,6 @@ def nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
     w[:d] = -2.0 * cs.T
     w[d] = cn
     idx = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
     step = max(1, _CHUNK_ENTRIES // k)
     # Column d stays 1, so the GEMM adds ||cs||^2 from row d of w.
     xs1 = np.ones((min(step, n), d + 1))
@@ -145,8 +162,7 @@ def nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
             exact[ri, ci] = sqdist_rows(xc[amb[ri]], c[ci])
             part[amb] = np.argmin(exact, axis=1)
         idx[lo:hi] = part
-        dist[lo:hi] = sqdist_rows(xc, c[part])
-    return idx, dist
+    return idx
 
 
 def nearest_k(points: np.ndarray, centroids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -171,7 +171,7 @@ class GroupedDatabase:
             raise ValueError("ids length must match packed codes")
         if int(self.counts.sum()) != n:
             raise ValueError("group counts do not cover the code rows")
-        expected = np.concatenate(([0], np.cumsum(self.counts[:-1])))
+        expected = np.cumsum(self.counts) - self.counts
         if not np.array_equal(self.offsets, expected):
             raise ValueError("offsets must be the exclusive prefix sum of counts")
 
@@ -228,7 +228,7 @@ def group_codes(codelist: CodeList) -> GroupedDatabase:
         [(uniq >> 12) & 0xF, (uniq >> 8) & 0xF, (uniq >> 4) & 0xF, uniq & 0xF],
         axis=1,
     ).astype(np.uint8)
-    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+    offsets = np.cumsum(counts) - counts  # exclusive prefix sum, empty for no groups
     sorted_codes = codes[order]
     packed = np.empty((codes.shape[0], PACKED_BYTES), dtype=np.uint8)
     packed[:, 0] = ((sorted_codes[:, 0] & 0x0F) << 4) | (sorted_codes[:, 1] & 0x0F)

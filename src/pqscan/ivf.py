@@ -120,12 +120,19 @@ def build_ivf(
     ids = _binio.index_array(np.arange(n) if ids is None else ids)
     rng = np.random.default_rng(cfg.seed)
 
+    # kmeans returns the coarse sample's assignment to the float32 centroids
+    # it returns, which is what nearest gives; only the other rows need it.
     coarse_rows = _sample_rows(rng, n, max(K, 100 * K))
-    coarse, _ = kmeans(base[coarse_rows], K, cfg)
-    assign, _ = nearest(base, coarse.astype(np.float64))
+    coarse, sample_assign = kmeans(base[coarse_rows], K, cfg)
+    rest = np.ones(n, dtype=bool)
+    rest[coarse_rows] = False
+    assign = np.empty(n, dtype=np.int64)
+    assign[coarse_rows] = sample_assign
+    coarse64 = coarse.astype(np.float64)
+    assign[rest] = nearest(base[rest], coarse64)
 
     train_rows = _sample_rows(rng, n, 100 * (1 << b))
-    train_res = base[train_rows] - coarse[assign[train_rows]].astype(np.float64)
+    train_res = base[train_rows] - coarse64[assign[train_rows]]
     dpq = None
     if bderived is not None:
         dpq = train_derived(train_res, m, b, bderived, cfg)
@@ -138,13 +145,16 @@ def build_ivf(
     codes = np.empty((n, pq.code_width), dtype=pq.code_dtype)
     for start in range(0, n, _ENCODE_CHUNK):
         stop = min(start + _ENCODE_CHUNK, n)
-        res = base[start:stop] - coarse[assign[start:stop]].astype(np.float64)
+        res = base[start:stop] - coarse64[assign[start:stop]]
         codes[start:stop] = encode(pq, res)
 
-    lists = []
-    for c in range(K):
-        rows = np.flatnonzero(assign == c)
-        lists.append(CodeList(codes[rows], ids[rows], m))
+    # A stable sort keeps each cell's rows in base order.
+    order = np.argsort(assign, kind="stable")
+    codes, ids = codes[order], ids[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=K))))
+    lists = [
+        CodeList(codes[lo:hi], ids[lo:hi], m) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
     return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
 
 

@@ -158,19 +158,43 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contain non-finite values")
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _cdf_index(cdf: np.ndarray, u: float) -> int:
+    """``searchsorted(cdf / cdf[-1], u, side="right")`` for non-decreasing
+    cdf, without the division pass over it.
+
+    Division by cdf[-1] is monotone, so the entries with cdf[i] / cdf[-1] <= u
+    form a prefix. One search for u * cdf[-1] lands within a few distinct
+    values of its end; stepping over whole runs of equal entries with that
+    exact test finds it.
+    """
+    last = cdf[-1]
+    pick = int(cdf.searchsorted(u * last, side="right"))
+    while pick > 0 and not cdf[pick - 1] / last <= u:
+        pick = int(cdf.searchsorted(cdf[pick - 1], side="left"))
+    while pick < cdf.size and cdf[pick] / last <= u:
+        pick = int(cdf.searchsorted(cdf[pick], side="right"))
+    return pick
+
+
+def _kmeanspp_init(
+    points: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding (Arthur & Vassilvitskii, 2007).
 
-    closest[i] is, bit for bit, the cdist distance from point i to its
-    nearest seed so far, so the draws match per-seed cdist seeding with
-    ``rng.choice(n, p=closest / closest.sum())``. Each new
-    seed is scored against every point with one GEMV in the shifted form of
+    Returns (seeds (k, d) float64, owner (n,) int64). closest[i] is, bit for
+    bit, the cdist distance from point i to its nearest seed so far, so the
+    draws match per-seed cdist seeding with
+    ``rng.choice(n, p=closest / closest.sum())``. owner[i] is the index of
+    that seed; it moves only on a strict decrease, so ties keep the lower
+    index and owner equals ``nearest(points, seeds)``. Each new seed is
+    scored against every point with one GEMV in the shifted form of
     ``_dist.nearest``; only points whose lower bound (score minus the
     rounding slack) falls below closest get the exact distance.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
     centroids = np.empty((k, d), dtype=np.float64)
+    owner = np.zeros(n, dtype=np.int64)
     first = int(rng.integers(n))
     centroids[0] = points[first]
     closest = sqdist_rows(points, points[first])
@@ -185,9 +209,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             # The steps rng.choice(n, p=closest / total) runs, without its
             # per-call validation of p: the same draw, bit for bit.
-            cdf = np.cumsum(closest / total)
-            cdf /= cdf[-1]
-            pick = int(cdf.searchsorted(rng.random(), side="right"))
+            pick = _cdf_index(np.cumsum(closest / total), rng.random())
         centroids[c] = points[pick]
         cs = xs[pick]
         cn = float(cs @ cs)
@@ -198,19 +220,21 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             drop = np.flatnonzero(low < closest)
         else:
             drop = np.arange(n)
-        closest[drop] = np.minimum(closest[drop], sqdist_rows(points[drop], points[pick]))
-    return centroids
+        new = sqdist_rows(points[drop], points[pick])
+        won = new < closest[drop]
+        drop = drop[won]
+        closest[drop] = new[won]
+        owner[drop] = c
+    return centroids, owner
 
 
-def _repair_empty(
-    points: np.ndarray, centroids: np.ndarray, assign: np.ndarray, dist: np.ndarray
-) -> bool:
+def _repair_empty(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> bool:
     """Re-seed empty clusters from points farthest from their centroid."""
     counts = np.bincount(assign, minlength=centroids.shape[0])
     empties = np.flatnonzero(counts == 0)
     if empties.size == 0:
         return False
-    work = dist.copy()
+    work = sqdist_rows(points, centroids[assign])
     for c in empties:
         far = int(np.argmax(work))
         centroids[c] = points[far]
@@ -247,7 +271,7 @@ def kmeans(
     points = np.asarray(points, dtype=np.float64)
     _require_finite(points, "points")
     centroids = _kmeans_seeded(points, k, cfg, np.random.SeedSequence(cfg.seed))
-    assign, _ = nearest(points, centroids.astype(np.float64))
+    assign = nearest(points, centroids.astype(np.float64))
     return centroids, assign
 
 
@@ -331,12 +355,14 @@ def _kmeans_seeded(
     if n < k:
         raise TrainError(f"{n} training points for {k} clusters")
     rng = np.random.default_rng(seed_seq)
-    centroids = _kmeanspp_init(points, k, rng)
+    # The seeding's owners are the first assignment, as nearest would find it.
+    centroids, assign = _kmeanspp_init(points, k, rng)
     prev_assign = None
-    for _ in range(cfg.kmeans_iters):
-        assign, dist = nearest(points, centroids)
-        if _repair_empty(points, centroids, assign, dist):
-            assign, dist = nearest(points, centroids)
+    for it in range(cfg.kmeans_iters):
+        if it:
+            assign = nearest(points, centroids)
+        if _repair_empty(points, centroids, assign):
+            assign = nearest(points, centroids)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         centroids = _mean_update(points, assign, k, centroids)
@@ -359,8 +385,9 @@ def train_opq(
     cross-covariance between data and reconstructions. opq_iters=0 degenerates
     to plain product-quantizer training with an identity rotation.
 
-    If error_trace is given, the mean squared reconstruction error after each
-    iteration's step (A) is appended to it.
+    If error_trace is given, each iteration appends the mean squared
+    distance from the rotated data to the centroids step (A) assigned it,
+    measured before that step's mean update.
     """
     cfg = cfg or TrainConfig()
     training = np.asarray(training, dtype=np.float64)
@@ -378,12 +405,13 @@ def train_opq(
         total_err = 0.0
         for j in range(m):
             sub = z[:, j * dsub : (j + 1) * dsub]
-            assign, dist = nearest(sub, books[j])
-            if _repair_empty(sub, books[j], assign, dist):
-                assign, dist = nearest(sub, books[j])
+            assign = nearest(sub, books[j])
+            if _repair_empty(sub, books[j], assign):
+                assign = nearest(sub, books[j])
+            if error_trace is not None:
+                total_err += float(sqdist_rows(sub, books[j][assign]).sum())
             books[j] = _mean_update(sub, assign, k, books[j])
             recon[:, j * dsub : (j + 1) * dsub] = books[j][assign]
-            total_err += float(dist.sum())
         if error_trace is not None:
             error_trace.append(total_err / n)
         try:
@@ -417,7 +445,7 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
     dsub = pq.dsub
     out = np.zeros((rows.shape[0], pq.code_width), dtype=pq.code_dtype)
     for j in range(pq.m):
-        idx, _ = nearest(z[:, j * dsub : (j + 1) * dsub], pq.codebooks[j].astype(np.float64))
+        idx = nearest(z[:, j * dsub : (j + 1) * dsub], pq.codebooks[j].astype(np.float64))
         if pq.b <= 4:
             out[:, j >> 1] |= idx.astype(np.uint8) << (4 * (j & 1))
         else:

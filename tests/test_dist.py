@@ -1,4 +1,5 @@
-"""nearest and k-means++ seeding against their cdist oracles, bit for bit."""
+"""nearest, sqdist_rows, k-means++ seeding and Lloyd's k-means against
+their cdist oracles, bit for bit."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
-from pqscan._dist import nearest
-from pqscan.quantizer import _kmeanspp_init
+from pqscan import TrainConfig
+from pqscan._dist import _ROW_BLOCK_ENTRIES, nearest, sqdist_rows
+from pqscan.quantizer import _cdf_index, _kmeans_seeded, _kmeanspp_init, _mean_update
 
 
 def nearest_oracle(points, centroids):
@@ -35,14 +37,49 @@ def kmeanspp_oracle(points, k, rng):
     return centroids
 
 
-def assert_same_as_oracle(points, centroids):
-    idx, dist = nearest(points, centroids)
-    want_idx, want_dist = nearest_oracle(points, centroids)
-    np.testing.assert_array_equal(idx, want_idx)
+def repair_empty_oracle(points, centroids, assign, dist):
+    """Re-seed each empty cluster, in index order, from the point farthest
+    from its centroid (dist from cdist); True if any was empty."""
+    empties = np.flatnonzero(np.bincount(assign, minlength=centroids.shape[0]) == 0)
+    work = dist.copy()
+    for c in empties:
+        far = int(np.argmax(work))
+        centroids[c] = points[far]
+        work[far] = -1.0
+    return empties.size > 0
+
+
+def kmeans_seeded_oracle(points, k, iters, seed_seq):
+    """_kmeans_seeded with cdist only: kmeanspp_oracle seeds, then per
+    iteration a cdist argmin, the empty-cluster repair and the mean update."""
+    rng = np.random.default_rng(seed_seq)
+    centroids = kmeanspp_oracle(points, k, rng)
+    prev = None
+    for _ in range(iters):
+        assign, dist = nearest_oracle(points, centroids)
+        if repair_empty_oracle(points, centroids, assign, dist):
+            assign, dist = nearest_oracle(points, centroids)
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        centroids = _mean_update(points, assign, k, centroids)
+        prev = assign
+    return centroids.astype(np.float32)
+
+
+def assert_bits_equal(got, want):
     # Bit equality, not closeness (array_equal treats -0.0 == 0.0; the
     # distances are sums of squares, so neither side produces -0.0).
-    assert dist.dtype == np.float64
-    np.testing.assert_array_equal(dist.view(np.int64), want_dist.view(np.int64))
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_same_as_oracle(points, centroids):
+    idx = nearest(points, centroids)
+    want_idx, want_dist = nearest_oracle(points, centroids)
+    assert idx.dtype == np.int64
+    np.testing.assert_array_equal(idx, want_idx)
+    # The winners' distances, as callers compute them, are cdist's.
+    assert_bits_equal(sqdist_rows(points, np.asarray(centroids, np.float64)[idx]), want_dist)
 
 
 def make_case(kind, n, d, k, rng):
@@ -112,10 +149,11 @@ def test_nearest_non_finite_matches_cdist():
     bad_c = c.copy()
     bad_c[4, 2] = np.inf
     for pts, cents in ((x, c), (rng.normal(size=(40, 4)), bad_c), (x * 1e200, c * 1e200)):
-        idx, dist = nearest(pts, cents)
+        idx = nearest(pts, cents)
         want_idx, want_dist = nearest_oracle(pts, cents)
         np.testing.assert_array_equal(idx, want_idx)
-        np.testing.assert_array_equal(dist, want_dist)
+        with np.errstate(over="ignore", invalid="ignore"):  # cdist is quiet too
+            np.testing.assert_array_equal(sqdist_rows(pts, cents[idx]), want_dist)
 
 
 def test_nearest_is_independent_of_chunking():
@@ -139,13 +177,91 @@ def test_kmeanspp_matches_cdist_seeding(seed, n, d, k, offset):
     centers = data.normal(0, 5, (8, d))
     points = centers[data.integers(0, 8, n)] + data.normal(size=(n, d)) + offset
     points[: n // 10] = points[n // 10 : 2 * (n // 10)]  # duplicated points
-    got = _kmeanspp_init(points, k, np.random.default_rng(seed))
+    got, owner = _kmeanspp_init(points, k, np.random.default_rng(seed))
     want = kmeanspp_oracle(points, k, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(owner, nearest_oracle(points, want)[0])
 
 
 def test_kmeanspp_all_points_equal_uses_uniform_draws():
     points = np.full((50, 3), 2.5)
-    got = _kmeanspp_init(points, 4, np.random.default_rng(5))
+    got, owner = _kmeanspp_init(points, 4, np.random.default_rng(5))
     want = kmeanspp_oracle(points, 4, np.random.default_rng(5))
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(owner, np.zeros(50, np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=hnp.arrays(
+        np.float64,
+        st.integers(1, 40),
+        elements=st.one_of(
+            st.just(0.0),
+            st.sampled_from([1.0, 3.0, 1e-300, 1e300]),
+            st.floats(0.0, 1e6, allow_subnormal=True),
+        ),
+    ),
+    normalized=st.booleans(),
+    pos=st.integers(0, 39),
+    nudge=st.sampled_from([-2, -1, 0, 1, 2]),
+)
+def test_cdf_index_is_the_normalized_search(weights, normalized, pos, nudge):
+    # u sits on, or a few ulps beside, a normalized cdf entry, where u * last
+    # and the exact test cdf[i] / last <= u round differently; zero weights
+    # make runs of equal entries to step over. Seeding passes weights that
+    # sum to one; raw sums end anywhere, which moves u * last off the grid.
+    total = weights.sum()
+    if not 0.0 < total < np.inf:
+        return
+    cdf = np.cumsum(weights / total if normalized else weights)
+    norm = cdf / cdf[-1]
+    u = norm[min(pos, cdf.size - 1)]
+    for _ in range(abs(nudge)):
+        u = np.nextafter(u, np.inf if nudge > 0 else -np.inf)
+    u = float(min(max(u, 0.0), np.nextafter(1.0, 0.0)))
+    assert _cdf_index(cdf, u) == int(norm.searchsorted(u, side="right"))
+
+
+@pytest.mark.parametrize("d", [1, 8, 16, 128])
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_sqdist_rows_matches_cdist_diagonal(d, blocks, extra):
+    # n sits just past a whole number of blocks, so the last block is short
+    # and may hold one row: every block must sum in cdist's column order.
+    n = blocks * max(2, _ROW_BLOCK_ENTRIES // d) + extra
+    rng = np.random.default_rng(d * 100 + blocks * 10 + extra)
+    x = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e6], size=(n, 1))
+    c = rng.normal(size=(n, d))
+    want = np.concatenate([
+        cdist(x[lo : lo + 256], c[lo : lo + 256], "sqeuclidean").diagonal()
+        for lo in range(0, n, 256)
+    ])
+    assert_bits_equal(sqdist_rows(x, c), want)
+    assert_bits_equal(sqdist_rows(x, c[0]), cdist(x, c[:1], "sqeuclidean").ravel())
+
+
+@pytest.mark.parametrize("kind", ["normal", "duplicates", "grid", "offset"])
+@pytest.mark.parametrize(
+    "n,d,k",
+    [(300, 1, 16), (400, 2, 32), (500, 8, 64), (200, 16, 64), (120, 128, 8), (40, 3, 40)],
+)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_kmeans_seeded_matches_cdist_lloyd(kind, n, d, k, seed):
+    # Duplicated and grid points give tied distances, repeated seeds and
+    # empty clusters; k == n leaves no spare point at all.
+    points, _ = make_case(kind, n, d, k, np.random.default_rng(seed))
+    cfg = TrainConfig(kmeans_iters=6, seed=seed)
+    got = _kmeans_seeded(points, k, cfg, np.random.SeedSequence(seed))
+    want = kmeans_seeded_oracle(points, k, cfg.kmeans_iters, np.random.SeedSequence(seed))
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+
+@pytest.mark.parametrize("kind", ["normal", "duplicates", "grid", "offset"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_kmeanspp_owners_are_nearest_seeds(kind, seed):
+    points, _ = make_case(kind, 400, 4, 48, np.random.default_rng(seed))
+    seeds, owner = _kmeanspp_init(points, 48, np.random.default_rng(seed))
+    np.testing.assert_array_equal(seeds, kmeanspp_oracle(points, 48, np.random.default_rng(seed)))
+    np.testing.assert_array_equal(owner, nearest_oracle(points, seeds)[0])

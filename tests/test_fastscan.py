@@ -204,6 +204,23 @@ def test_group_codes_single_group():
     np.testing.assert_array_equal(g.keys[0], [3, 1, 2, 0])
 
 
+def test_group_codes_empty(tmp_path, pq88, queries):
+    # No codes, no groups: the directory is empty, PQG1 holds only its
+    # 12-byte header, and a fast scan finds nothing.
+    g = group_codes(CodeList(np.zeros((0, 8), np.uint8)))
+    assert (g.n, g.n_groups) == (0, 0)
+    assert g.keys.shape == (0, 4) and g.offsets.shape == g.counts.shape == (0,)
+    path = tmp_path / "empty.pqg"
+    save_grouped(path, g)
+    assert path.read_bytes() == b"PQG1" + bytes(8)
+    back = load_grouped(path)
+    assert (back.n, back.n_groups) == (0, 0)
+    assert back.packed.shape == (0, 6) and back.ids.shape == (0,)
+    got, stats = fast_scan(back, compute_tables(pq88, queries[0]), 0.5, 10)
+    assert got.items() == []
+    assert (stats.total, stats.checked, stats.pruned) == (0, 0, 0)
+
+
 def test_group_codes_multiset_round_trip(codes88):
     g = group_codes(codes88)
     back = g.ungroup()

@@ -20,7 +20,10 @@ from pqscan import (
     train_pq,
 )
 
+from pqscan.quantizer import _mean_update
+
 from conftest import unpack
+from test_dist import nearest_oracle, repair_empty_oracle
 
 CFG = TrainConfig(kmeans_iters=15, seed=2)
 
@@ -237,6 +240,42 @@ def test_opq_error_trace_non_increasing_tail(blob_data):
     train_opq(blob_data[:500], 4, 4, cfg, error_trace=trace)
     assert len(trace) == 10
     assert trace[-1] <= trace[0] * 1.001
+
+
+def opq_trace_oracle(training, m, b, cfg):
+    """train_opq's loop with cdist assignments; returns the error trace,
+    each entry measured against the codebooks that made the assignment."""
+    n, d = training.shape
+    dsub, k = d // m, 1 << b
+    books = train_pq(training, m, b, cfg).codebooks.astype(np.float64)
+    rot = np.eye(d)
+    trace = []
+    for _ in range(cfg.opq_iters):
+        z = training @ rot.T
+        recon = np.empty_like(z)
+        total = 0.0
+        for j in range(m):
+            sub = z[:, j * dsub : (j + 1) * dsub]
+            assign, dist = nearest_oracle(sub, books[j])
+            if repair_empty_oracle(sub, books[j], assign, dist):
+                assign, dist = nearest_oracle(sub, books[j])
+            total += float(dist.sum())
+            books[j] = _mean_update(sub, assign, k, books[j])
+            recon[:, j * dsub : (j + 1) * dsub] = books[j][assign]
+        trace.append(total / n)
+        u, _, vh = np.linalg.svd(training.T @ recon)
+        rot = (u @ vh).T
+    return trace
+
+
+@pytest.mark.parametrize("m,b", [(4, 4), (8, 3)])
+def test_opq_error_trace_matches_cdist_recomputation(blob_data, m, b):
+    cfg = TrainConfig(kmeans_iters=5, opq_iters=4, seed=6)
+    training = blob_data[:400].astype(np.float64)
+    trace = []
+    train_opq(training, m, b, cfg, error_trace=trace)
+    want = opq_trace_oracle(training, m, b, cfg)
+    np.testing.assert_array_equal(np.array(trace).view(np.int64), np.array(want).view(np.int64))
 
 
 def test_train_rejects_bad_args(blob_data):
