@@ -43,17 +43,35 @@ allows 16 (d + 4) eps S, over three times that, which also absorbs the
 rounding of S and of the threshold itself; the term in tiny covers gradual
 underflow. A row whose S is not below max/4 (overflow, inf or NaN) is
 reranked against every centroid, so non-finite input gives cdist's answer
-too. k-means++ seeding (``quantizer._kmeanspp_init``) uses the same bound
+too.
+
+k-means++ seeding (``quantizer._kmeanspp_init``) uses the same bound
 one-sidedly: a point's cdist distance to a new seed can fall below its
-current nearest-seed distance only if its score minus the slack does. The
-seeding also returns each point's owner, the index of its nearest seed. The
-owner moves to a new seed only when the distance strictly decreases, so
-ties keep the lower index, which is ``nearest``'s own tie rule: the owners
-equal ``nearest(points, seeds)`` and serve as Lloyd's first assignment.
+current nearest-seed distance only if its score minus the slack does. To
+halve the bytes each seed's GEMV reads, it scores in float32: one float32
+copy of the shifted points per seeding, one sgemv per seed. With u32 the
+float32 unit roundoff, the casts move each product by at most 2 u32
+relative and the float32 dot product adds gamma_d(u32); as
+2 ||xs|| ||cs|| <= S, the score is off by about (d + 3) u32 S at most. The
+slack ``shortlist_slack(d, S, np.float32)`` = 16 (d + 4) eps32 S is over
+thirty times that and absorbs the float64 terms above as well; its term in
+tiny32 covers float32 gradual underflow (each cast and product then also
+off by up to 2^-150) and flush-to-zero alike. Below ``SAFE_SCALE32``
+(max32 / 4) every |coordinate| is under 2^63 and every partial sum under S,
+so nothing overflows. If the largest ||xs||^2 reaches it nothing is cast,
+and a seed whose xn_max + cn reaches it gets every point's distance exactly.
+Points whose bound says they might drop get the exact float64 distance, so
+the draws stay bit-identical. The seeding also returns each point's owner,
+the index of its nearest seed. The owner moves to a new seed only when the
+distance strictly decreases, so ties keep the lower index, which is
+``nearest``'s own tie rule: the owners equal ``nearest(points, seeds)`` and
+serve as Lloyd's first assignment.
 
 The pair form ``sqdist_rows`` sums (x_j - c_j)^2 over the columns in order
-0..d-1, which is the order scipy's cdist uses. The tests compare against
-cdist directly, so a scipy that changes its summation order fails them.
+0..d-1, which is the order scipy's cdist uses. Against one row it calls
+cdist itself, which is that reference and several times faster there. The
+tests compare against cdist directly, so a scipy that changes its summation
+order fails them.
 """
 
 from __future__ import annotations
@@ -70,10 +88,14 @@ _CHUNK_ENTRIES = 1 << 16
 # Entries per block in sqdist_rows (32 KiB of float64), so its transposed
 # block stays in L1/L2 cache.
 _ROW_BLOCK_ENTRIES = 1 << 12
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
-# Below this scale S nothing in the bound's arithmetic can overflow.
+# Below these scales S nothing in the bound's arithmetic can overflow, in
+# float64 and in float32 scores respectively.
 SAFE_SCALE = float(np.finfo(np.float64).max) / 4
+SAFE_SCALE32 = float(np.finfo(np.float32).max) / 4
+# (eps, smallest normal) per score dtype, for shortlist_slack.
+_ROUNDING = {
+    t: (float(np.finfo(t).eps), float(np.finfo(t).tiny)) for t in (np.float64, np.float32)
+}
 
 
 def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,18 +113,21 @@ def sqdist_rows(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Row-wise squared distances ||x[i] - c[i]||^2 (c may be one (d,) row).
 
     Summed over columns 0..d-1 in order, bit-identical to cdist
-    "sqeuclidean": blocks of rows are transposed to (d, rows) and reduced
-    over axis 0, one column at a time. numpy would reduce a one-row block
-    pairwise, so a lone last row goes through the sequential accumulate.
+    "sqeuclidean". Against one row this is cdist itself. Otherwise blocks of
+    rows are transposed to (d, rows) and reduced over axis 0, one column at
+    a time. numpy would reduce a one-row block pairwise, so a lone last row
+    goes through the sequential accumulate.
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
+    if c.ndim == 1:
+        return cdist(x, c[None], "sqeuclidean")[:, 0]
     n, d = x.shape
     out = np.empty(n)
     step = max(2, _ROW_BLOCK_ENTRIES // max(d, 1))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        sq = x[lo:hi] - (c if c.ndim == 1 else c[lo:hi])
+        sq = x[lo:hi] - c[lo:hi]
         np.square(sq, out=sq)
         if hi - lo == 1:
             out[lo] = np.add.accumulate(sq[0])[-1] if d else 0.0
@@ -111,9 +136,11 @@ def sqdist_rows(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def shortlist_slack(d: int, scale):
-    """Rounding allowance for scores of dimension d at scale S (see above)."""
-    return 16.0 * (d + 4) * (_EPS * scale + _TINY)
+def shortlist_slack(d: int, scale, dtype=np.float64):
+    """Rounding allowance for scores of dimension d at scale S computed in
+    dtype, float64 or float32 (see above)."""
+    eps, tiny = _ROUNDING[dtype]
+    return 16.0 * (d + 4) * (eps * scale + tiny)
 
 
 # Non-finite or huge input takes the full rerank; like cdist, stay quiet.

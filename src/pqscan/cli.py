@@ -35,7 +35,6 @@ from .ivf import (
     scan_list,
 )
 from .quantizer import (
-    ProductQuantizer,
     TrainConfig,
     TrainError,
     encode,
@@ -61,8 +60,6 @@ BENCH_HEADER = (
     "pruned_fraction",
 )
 
-_ENCODE_CHUNK = 1 << 17
-
 
 def _read_auto(path: str) -> np.ndarray:
     kind = Path(path).suffix.lower().lstrip(".")
@@ -84,14 +81,6 @@ def _sample(rng: np.random.Generator, arr: np.ndarray, size: int) -> np.ndarray:
         return arr
     rows = np.sort(rng.choice(arr.shape[0], size=size, replace=False))
     return arr[rows]
-
-
-def _encode_all(pq: ProductQuantizer, base: np.ndarray) -> CodeList:
-    codes = np.empty((base.shape[0], pq.code_width), dtype=pq.code_dtype)
-    for start in range(0, base.shape[0], _ENCODE_CHUNK):
-        stop = min(start + _ENCODE_CHUNK, base.shape[0])
-        codes[start:stop] = encode(pq, base[start:stop])
-    return CodeList(codes, m=pq.m)
 
 
 def cmd_generate(args) -> int:
@@ -126,16 +115,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    base = _read_auto(args.base).astype(np.float64)
+    base = _read_auto(args.base)
     quant = load_quantizer_any(args.quantizer)
     pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-    save_codes(args.out, _encode_all(pq, base), pq.b)
+    save_codes(args.out, CodeList(encode(pq, base), m=pq.m), pq.b)
     print(f"encoded {base.shape[0]} codes -> {args.out}")
     return 0
 
 
 def cmd_build_ivf(args) -> int:
-    base = _read_auto(args.base).astype(np.float64)
+    base = _read_auto(args.base)
     index = build_ivf(
         base,
         args.K,
@@ -289,7 +278,7 @@ def cmd_bench(args) -> int:
         else:
             quant = train_pq(training, args.m, args.b, cfg)
         pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-        codelist = _encode_all(pq, base)
+        codelist = CodeList(encode(pq, base), m=pq.m)
         run = _exhaustive_search_fn(args, quant, codelist)
         method = args.kernel
         k_col, ma_col = "", ""

@@ -22,6 +22,7 @@ from .derived import (
     write_derived_body,
 )
 from .quantizer import (
+    ENCODE_ROWS,
     ProductQuantizer,
     TrainConfig,
     _check_query,
@@ -53,8 +54,6 @@ DEFAULT_R2_LARGE = 120000
 def default_r2(r: int) -> int:
     """Candidate-set size for the two-pass search at million scale."""
     return DEFAULT_R2_SMALL if r <= 100 else DEFAULT_R2_LARGE
-
-_ENCODE_CHUNK = 1 << 17
 
 
 @dataclass
@@ -108,11 +107,15 @@ def build_ivf(
     residual into the list of its nearest coarse centroid (ties to the
     lowest index). Training uses seeded samples of the base."""
     cfg = cfg or TrainConfig()
-    base = np.asarray(base, dtype=np.float64)
+    # float32 rows are not widened up front: each pass below widens one
+    # chunk at a time, which is exact, so nothing differs from a float64 copy.
+    base = np.asarray(base)
+    if base.dtype != np.float32:
+        base = base.astype(np.float64, copy=False)
     if base.ndim != 2:
         raise ValueError("base must be 2-D")
     _require_finite(base, "base vectors")
-    n = base.shape[0]
+    n, d = base.shape
     if n < K or n < (1 << b):
         raise ValueError(f"{n} vectors cannot train K={K}, b={b}")
     if use_opq and bderived is not None:
@@ -126,10 +129,17 @@ def build_ivf(
     coarse, sample_assign = kmeans(base[coarse_rows], K, cfg)
     rest = np.ones(n, dtype=bool)
     rest[coarse_rows] = False
+    rest = np.flatnonzero(rest)
     assign = np.empty(n, dtype=np.int64)
     assign[coarse_rows] = sample_assign
     coarse64 = coarse.astype(np.float64)
-    assign[rest] = nearest(base[rest], coarse64)
+    # Every index is in range; mode="clip" only spares take the buffering
+    # that its default mode does before writing to out.
+    rows = np.empty((min(ENCODE_ROWS, rest.size), d), dtype=base.dtype)
+    for lo in range(0, rest.size, ENCODE_ROWS):
+        part = rest[lo : lo + ENCODE_ROWS]
+        chunk = np.take(base, part, axis=0, out=rows[: part.size], mode="clip")
+        assign[part] = nearest(chunk, coarse64)
 
     train_rows = _sample_rows(rng, n, 100 * (1 << b))
     train_res = base[train_rows] - coarse64[assign[train_rows]]
@@ -143,10 +153,12 @@ def build_ivf(
         pq = train_pq(train_res, m, b, cfg)
 
     codes = np.empty((n, pq.code_width), dtype=pq.code_dtype)
-    for start in range(0, n, _ENCODE_CHUNK):
-        stop = min(start + _ENCODE_CHUNK, n)
-        res = base[start:stop] - coarse64[assign[start:stop]]
-        codes[start:stop] = encode(pq, res)
+    res = np.empty((min(ENCODE_ROWS, n), d))
+    for lo in range(0, n, ENCODE_ROWS):
+        hi = min(lo + ENCODE_ROWS, n)
+        chunk = np.take(coarse64, assign[lo:hi], axis=0, out=res[: hi - lo], mode="clip")
+        np.subtract(base[lo:hi], chunk, out=chunk)
+        codes[lo:hi] = encode(pq, chunk)
 
     # A stable sort keeps each cell's rows in base order.
     order = np.argsort(assign, kind="stable")

@@ -21,7 +21,12 @@ import numpy as np
 from scipy import sparse
 
 from . import _binio
-from ._dist import SAFE_SCALE, nearest, shortlist_slack, sqdist_matrix, sqdist_rows
+from ._dist import SAFE_SCALE32, nearest, shortlist_slack, sqdist_matrix, sqdist_rows
+
+
+# Rows per chunk wherever a build turns input rows into float64 work arrays
+# (encode, and the IVF assignment and residual passes).
+ENCODE_ROWS = 1 << 13
 
 
 class TrainError(RuntimeError):
@@ -187,9 +192,9 @@ def _kmeanspp_init(
     ``rng.choice(n, p=closest / closest.sum())``. owner[i] is the index of
     that seed; it moves only on a strict decrease, so ties keep the lower
     index and owner equals ``nearest(points, seeds)``. Each new seed is
-    scored against every point with one GEMV in the shifted form of
+    scored against every point with one float32 GEMV in the shifted form of
     ``_dist.nearest``; only points whose lower bound (score minus the
-    rounding slack) falls below closest get the exact distance.
+    float32 rounding slack) falls below closest get the exact distance.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
@@ -201,7 +206,11 @@ def _kmeanspp_init(
     xs = points - points.mean(axis=0)
     xn = np.einsum("ij,ij->i", xs, xs)
     xn_max = xn.max()
-    xlow = xn - shortlist_slack(d, xn)
+    # Points too large for float32 scores cast nothing: every seed then
+    # takes the exact branch below.
+    xs32 = xs.astype(np.float32) if xn_max < SAFE_SCALE32 else None
+    xlow = xn - shortlist_slack(d, xn, np.float32)
+    low = np.empty(n)
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -213,10 +222,9 @@ def _kmeanspp_init(
         centroids[c] = points[pick]
         cs = xs[pick]
         cn = float(cs @ cs)
-        if xn_max + cn < SAFE_SCALE:
-            low = xs @ (-2.0 * cs)
-            low += xlow
-            low += cn - shortlist_slack(d, cn)
+        if xs32 is not None and xn_max + cn < SAFE_SCALE32:
+            np.add(xs32 @ (np.float32(-2.0) * xs32[pick]), xlow, out=low)
+            low += cn - shortlist_slack(d, cn, np.float32)
             drop = np.flatnonzero(low < closest)
         else:
             drop = np.arange(n)
@@ -440,16 +448,22 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
     rows = x[None, :] if single else x
     if rows.shape[1] != pq.d:
         raise ValueError(f"vector dimensionality {rows.shape[1]}, expected {pq.d}")
-    _require_finite(rows, "vectors")
-    z = pq.rotate(rows)
     dsub = pq.dsub
+    books = pq.codebooks.astype(np.float64)
     out = np.zeros((rows.shape[0], pq.code_width), dtype=pq.code_dtype)
-    for j in range(pq.m):
-        idx = nearest(z[:, j * dsub : (j + 1) * dsub], pq.codebooks[j].astype(np.float64))
-        if pq.b <= 4:
-            out[:, j >> 1] |= idx.astype(np.uint8) << (4 * (j & 1))
-        else:
-            out[:, j] = idx
+    # Rows are independent, so a float64 copy of one chunk at a time bounds
+    # the memory whatever the input's size.
+    for lo in range(0, rows.shape[0], ENCODE_ROWS):
+        chunk = rows[lo : lo + ENCODE_ROWS]
+        _require_finite(chunk, "vectors")
+        z = pq.rotate(chunk)
+        part = out[lo : lo + ENCODE_ROWS]
+        for j in range(pq.m):
+            idx = nearest(z[:, j * dsub : (j + 1) * dsub], books[j])
+            if pq.b <= 4:
+                part[:, j >> 1] |= idx.astype(np.uint8) << (4 * (j & 1))
+            else:
+                part[:, j] = idx
     return out[0] if single else out
 
 

@@ -135,17 +135,30 @@ def test_criterion_2_lower_bound_soundness(capsys):
 
 
 def test_criterion_3_pruning_power(capsys):
+    # The pruning claim covers in-distribution queries. Queries drawn around
+    # another seed's cluster centres prune far less (2-15% over seeds 8-12);
+    # on them only exactness is gated, and the pruned fraction is reported.
     rep = Report(capsys, "criterion 3 (pruning power, init=0.5%, r=100)")
     base, queries = in_distribution_split(100_000, 128, 16, 7, 20)
+    outside = generate_synthetic(20, 128, 16, 8)
     pq, codelist, grouped = train_grouped(base, 1, 40_000, 25)
-    checked = total = 0
-    for q in queries:
-        tables = compute_tables(pq, q)
-        _, stats = fast_scan(grouped, tables, 0.005, 100)
-        checked += stats.checked
-        total += stats.total
-    pruned = 1.0 - checked / total
-    rep.done(pruned > 0.90, f"pruned fraction {pruned:.4f}")
+    pruned, mismatches = {}, 0
+    for name, query_set in (("in", queries), ("out", outside)):
+        checked = total = 0
+        for q in query_set:
+            tables = compute_tables(pq, q)
+            got, stats = fast_scan(grouped, tables, 0.005, 100)
+            if name == "out" and got.items() != scan(codelist, tables, 100).items():
+                mismatches += 1
+            checked += stats.checked
+            total += stats.total
+        pruned[name] = 1.0 - checked / total
+    rep.done(
+        pruned["in"] > 0.90 and mismatches == 0,
+        f"pruned fraction {pruned['in']:.4f} in distribution, "
+        f"{pruned['out']:.4f} out of distribution (not gated), "
+        f"{mismatches} mismatching result sets out of distribution",
+    )
 
 
 def _load_sift():

@@ -241,6 +241,43 @@ def test_sqdist_rows_matches_cdist_diagonal(d, blocks, extra):
     assert_bits_equal(sqdist_rows(x, c[0]), cdist(x, c[:1], "sqeuclidean").ravel())
 
 
+@pytest.mark.parametrize("n,d", [(0, 4), (1, 4), (1, 1), (7, 1), (300, 128)])
+def test_sqdist_rows_against_one_row_is_cdist(n, d):
+    rng = np.random.default_rng(n * 1000 + d)
+    x = rng.normal(size=(n, d)) * 1e3
+    c = rng.normal(size=d)
+    got = sqdist_rows(x, c)
+    assert got.shape == (n,)
+    assert_bits_equal(got, cdist(x, c[None], "sqeuclidean")[:, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["normal", "duplicates", "grid", "ulp", "offset"]),
+    scale=st.sampled_from([1e-42, 1e-20, 1.0, 1e18, 1e39, 1e150]),
+    d=st.sampled_from([1, 8, 16, 128]),
+    n=st.integers(2, 60),
+    k_frac=st.floats(0.05, 1.0),
+    duplicated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeanspp_float32_scores_keep_draws_exact(kind, scale, d, n, k_frac, duplicated, seed):
+    # Scores are float32, so the seeding's slack must hold from float32
+    # subnormals (1e-42) through scales float32 cannot hold (1e39, 1e150),
+    # where it must compute every distance exactly and cast nothing.
+    rng = np.random.default_rng(seed)
+    x, c = make_case(kind, n, d, max(2, n // 4), rng)
+    points = np.concatenate([x, c]) * scale
+    if duplicated:
+        half = points.shape[0] // 2
+        points[:half] = points[rng.integers(half, points.shape[0], half)]
+    k = max(1, int(k_frac * points.shape[0]))
+    got, owner = _kmeanspp_init(points, k, np.random.default_rng(seed))
+    want = kmeanspp_oracle(points, k, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(owner, nearest_oracle(points, want)[0])
+
+
 @pytest.mark.parametrize("kind", ["normal", "duplicates", "grid", "offset"])
 @pytest.mark.parametrize(
     "n,d,k",

@@ -14,6 +14,7 @@ from pqscan import (
     default_r2,
     encode,
     exact_knn,
+    generate_synthetic,
     load_ivf,
     qadc_scan,
     query_ivf,
@@ -22,7 +23,8 @@ from pqscan import (
     scan,
     train_derived,
 )
-from pqscan._dist import nearest_k
+from pqscan._dist import nearest, nearest_k
+from pqscan.quantizer import ENCODE_ROWS
 
 CFG = TrainConfig(kmeans_iters=8, seed=4)
 
@@ -120,6 +122,28 @@ def test_lists_equal_per_cell_reference(base, K, with_ids):
         np.testing.assert_array_equal(lst.codes, codes[rows])
         np.testing.assert_array_equal(lst.ids, want_ids[rows])
         assert lst.codes.dtype == codes.dtype and lst.ids.dtype == np.int32
+
+
+@pytest.mark.parametrize("variant", ["plain", "opq", "derived"])
+@pytest.mark.parametrize("K", [16, 170])
+def test_multi_chunk_build_equals_one_shot_reference(K, variant):
+    # Two whole row chunks and a partial third. At K=16 the coarse sample
+    # is 1,600 rows, so the other rows are assigned chunk by chunk; at
+    # K=170 the sample of 100 K rows is the whole base and none are.
+    n = 2 * ENCODE_ROWS + 77
+    base = generate_synthetic(n, 8, 12, seed=2)
+    cfg = TrainConfig(kmeans_iters=3, opq_iters=2, seed=1)
+    options = {"plain": {}, "opq": {"use_opq": True}, "derived": {"bderived": 2}}[variant]
+    idx = build_ivf(base, K=K, m=4, b=4, cfg=cfg, **options)
+    coarse = idx.coarse.astype(np.float64)
+    assign = nearest(base, coarse)
+    codes = encode(idx.pq, base.astype(np.float64) - coarse[assign])
+    assert (idx.pq.rotation is not None) == (variant == "opq")
+    assert (idx.dpq is not None) == (variant == "derived")
+    for cell, lst in enumerate(idx.lists):
+        rows = np.flatnonzero(assign == cell)
+        np.testing.assert_array_equal(lst.ids, rows)
+        np.testing.assert_array_equal(lst.codes, codes[rows])
 
 
 def test_query_matches_merged_oracle(index, queries):

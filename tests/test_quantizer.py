@@ -20,7 +20,7 @@ from pqscan import (
     train_pq,
 )
 
-from pqscan.quantizer import _mean_update
+from pqscan.quantizer import ENCODE_ROWS, _mean_update
 
 from conftest import unpack
 from test_dist import nearest_oracle, repair_empty_oracle
@@ -146,6 +146,19 @@ def test_encode_is_per_subspace_argmin(pq44, blob_data):
         book = pq44.codebooks[j].astype(np.float64)
         d2 = ((sub[:, None, :] - book[None]) ** 2).sum(-1)
         np.testing.assert_array_equal(d2[np.arange(50), codes[:, j]], d2.min(axis=1))
+
+
+@pytest.mark.parametrize("m,b,opq", [(3, 4, True), (2, 8, False)])
+def test_encode_in_row_chunks_equals_per_row(blob_data, m, b, opq):
+    # An odd row count past one chunk: a whole chunk, then a partial one,
+    # each widened from float32 on its own. Odd m packs a padding nibble.
+    x = np.tile(blob_data[:, :30], (5, 1))[: ENCODE_ROWS + 3]
+    x += np.random.default_rng(m).normal(0, 1, x.shape).astype(np.float32)
+    cfg = TrainConfig(kmeans_iters=4, opq_iters=2, seed=m)
+    pq = (train_opq if opq else train_pq)(x[:1000].astype(np.float64), m, b, cfg)
+    got = encode(pq, x)
+    assert got.shape == (x.shape[0], pq.code_width) and got.dtype == pq.code_dtype
+    np.testing.assert_array_equal(got, np.stack([encode(pq, row) for row in x]))
 
 
 def test_decode_encode_of_centroid_concat(pq44):
