@@ -6,8 +6,9 @@ High-resolution sub-quantizers (say b=10, so 1024 centroids) give accurate
 distances but slow table computation. A derived quantizer reuses the same
 codes at lower resolution: the low bits of each code index a small codebook
 whose centroids average the full ones. Pass 1 scans cheap derived tables
-into capped distance buckets; pass 2 reranks the survivors with full
-resolution, computing only the table entries it actually touches.
+and keeps the codes of the nearest capped distance buckets, sorted by
+bucket; pass 2 reranks the survivors with full resolution, computing only
+the table entries it actually touches.
 """
 
 import numpy as np
@@ -59,7 +60,7 @@ for q in queries:
     qt = quantize_compact_tables(compact, db, r2)
     cand = scan_candidates(db, qt, r2)
     lazy = LazyTables(dpq.pq, q)
-    rerank(db, cand, dpq.pq, q, r=100, r2=r2, lazy=lazy)
+    rerank(db, cand, dpq.pq, q, r=100, lazy=lazy)
     lookups.append(lazy.computed)
 
 r_full = recall_at_r(np.array(full_ids), truth, 100)

@@ -3,8 +3,9 @@
 A b-bit codebook is reordered so the low b-bar bits of every centroid index
 name the cluster of a coarser derived codebook (property P1). Stored codes
 then serve two table resolutions: a cheap quantized first pass over the
-derived tables collects candidates into distance-indexed buckets, and a
-second pass reranks them with lazily computed full-resolution tables.
+derived tables keeps the candidates of capped distance buckets, sorted by
+bucket, and a second pass reranks them with lazily computed full-resolution
+tables.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from .quantizer import (
     same_size_kmeans,
     write_quantizer_body,
 )
-from .scan import CodeList, LookupTables, NeighborSet, scan_distances
+from .scan import (
+    CodeList,
+    LookupTables,
+    NeighborSet,
+    _subspace_tables,
+    scan_distances,
+)
 
 CBINS = 255
 
@@ -132,14 +139,7 @@ def train_derived(
 
 def compute_compact_tables(dpq: DerivedPQ, query: np.ndarray) -> LookupTables:
     """Per-sub-space squared distances to the derived centroids only."""
-    query = _check_query(query, dpq.pq.d)
-    z = dpq.pq.rotate(query[None, :])[0]
-    dsub = dpq.pq.dsub
-    out = np.empty((dpq.pq.m, dpq.kbar), dtype=np.float32)
-    for j in range(dpq.pq.m):
-        sub = z[j * dsub : (j + 1) * dsub]
-        out[j] = sqdist_matrix(sub[None, :], dpq.derived[j].astype(np.float64))[0]
-    return LookupTables(out)
+    return _subspace_tables(dpq.pq, dpq.derived, query)
 
 
 def quantize_255(qmin: float, qmax: float, values) -> np.ndarray | int:
@@ -203,112 +203,56 @@ def quantize_compact_tables(
 def adc_low_bits(qt: QuantizedCompactTables, codes: np.ndarray) -> np.ndarray:
     """Approximate distances: saturating (at 255) sums of quantized derived
     table entries addressed by the low bbar bits of each full sub-index.
-    Codes are one component per column or nibble-packed."""
+    Codes are one component per column or nibble-packed.
+
+    The sum is exact in an accumulator wide enough for m * 255 and clamped
+    once; entries are non-negative, so that equals clamping every step."""
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] not in (qt.m, (qt.m + 1) // 2):
         raise ValueError(f"codes must have shape (n, {qt.m}) or packed")
     mask = qt.kbar - 1
-    acc = np.zeros(codes.shape[0], dtype=np.int32)
+    acc = np.zeros(codes.shape[0], dtype=np.min_scalar_type(qt.m * CBINS))
     for j, col in enumerate(code_columns(codes, qt.m)):
-        acc = np.minimum(acc + qt.tables[j].take(col & mask), CBINS)
-    return acc.astype(np.uint8)
+        acc += qt.tables[j].take(col & mask)
+    return np.minimum(acc, CBINS).astype(np.uint8)
 
 
-class CappedBuckets:
-    """Distance-indexed candidate store with a running admission bound.
+@dataclass
+class Candidates:
+    """First-pass survivors sorted stably by quantized distance bin, so each
+    bin keeps storage order: their bins, code list positions and ids."""
 
-    Buckets 0..254 hold ids by quantized distance; bucket 255 (at-or-above
-    qmax) admits ids only while fewer than r2 are retained. Once r2 ids are
-    held, the upper bound is the bucket of the r2-th smallest retained
-    distance and anything above it is refused; finalize() also drops
-    already-stored ids above the final bound.
-    """
-
-    __slots__ = ("r2", "_buckets", "_counts", "_retained")
-
-    def __init__(self, r2: int):
-        if r2 < 1:
-            raise ValueError("r2 must be >= 1")
-        self.r2 = r2
-        self._buckets: list[list[int]] = [[] for _ in range(CBINS + 1)]
-        self._counts = np.zeros(CBINS + 1, dtype=np.int64)
-        self._retained = 0
+    bins: np.ndarray
+    positions: np.ndarray
+    ids: np.ndarray
 
     def __len__(self) -> int:
-        return self._retained
+        return self.bins.shape[0]
 
-    @property
-    def upper_bound(self) -> int:
-        """Bucket of the r2-th smallest retained distance; 255 while fewer
-        than r2 ids are held."""
-        if self._retained < self.r2:
-            return CBINS
-        cum = np.cumsum(self._counts)
-        return int(np.argmax(cum >= self.r2))
-
-    def put(self, dist: int, ident: int) -> bool:
-        """Offer one candidate; returns True if retained."""
-        if not 0 <= dist <= CBINS:
-            raise ValueError("quantized distance out of range")
-        if dist == CBINS:
-            if self._retained >= self.r2:
-                return False
-        elif dist > self.upper_bound:
-            return False
-        self._buckets[dist].append(int(ident))
-        self._counts[dist] += 1
-        self._retained += 1
-        return True
-
-    def finalize(self) -> int:
-        """Drop ids stored above the final bound; returns that bound."""
-        bound = self.upper_bound
-        for v in range(bound + 1, CBINS + 1):
-            self._retained -= len(self._buckets[v])
-            self._counts[v] = 0
-            self._buckets[v] = []
-        return bound
-
-    def bucket(self, dist: int) -> list[int]:
-        return self._buckets[dist]
-
-    def counts(self) -> np.ndarray:
-        return self._counts.copy()
-
-    @classmethod
-    def _from_selection(
-        cls, r2: int, bins: np.ndarray, ids: np.ndarray
-    ) -> "CappedBuckets":
-        """Bulk build from already-admitted candidates in stream order."""
-        out = cls(r2)
-        order = np.argsort(bins, kind="stable")
-        sorted_bins = bins[order]
-        sorted_ids = ids[order]
-        starts = np.searchsorted(sorted_bins, np.arange(CBINS + 2))
-        for v in range(CBINS + 1):
-            lo, hi = starts[v], starts[v + 1]
-            if hi > lo:
-                out._buckets[v] = [int(i) for i in sorted_ids[lo:hi]]
-                out._counts[v] = hi - lo
-        out._retained = int(bins.shape[0])
-        return out
+    def bucket(self, v: int) -> list[int]:
+        """Ids in bin v, in storage order."""
+        lo, hi = self.bins.searchsorted(v, "left"), self.bins.searchsorted(v, "right")
+        return self.ids[lo:hi].tolist()
 
 
 def scan_candidates(
     db: CodeList, qt: QuantizedCompactTables, r2: int
-) -> CappedBuckets:
-    """First pass: bucket every code's approximate distance, discarding
-    those above the running bound, and drop over-bound leftovers.
+) -> Candidates:
+    """First pass: bin every code's approximate distance and keep the codes
+    a capped bucket store admits.
 
-    Equivalent to sequential put() calls in storage order followed by
-    finalize(): any candidate at or below the final bound is always admitted
-    (the running bound only tightens toward it), and anything above the
-    final bound is dropped at the end regardless of when it was seen.
+    The store takes codes in storage order. Bins 0..254 hold codes by
+    quantized distance; bin 255 (at-or-above qmax) admits codes only while
+    fewer than r2 are held. Once r2 are held, the running bound is the bin
+    of the r2-th smallest held distance and anything above it is refused;
+    at the end, codes held above the final bound are dropped. A code in
+    bins 0..254 at or below the final bound is always admitted (the running
+    bound only tightens toward it), and anything above it is dropped
+    regardless of when it was seen, so the survivors are computed in bulk.
     """
     if r2 < 1:
         raise ValueError("r2 must be >= 1")
     d = adc_low_bits(qt, db.codes)
-    ids = db.ids
     smalls = d <= CBINS - 1
     count_small = int(np.count_nonzero(smalls))
     if count_small >= r2:
@@ -326,78 +270,63 @@ def scan_candidates(
             take = int(viol[0]) if viol.size else pos255.size
             sel[pos255[:take]] = True
     pick = np.flatnonzero(sel)
-    return CappedBuckets._from_selection(r2, d[pick], ids[pick])
+    positions = pick[np.argsort(d[pick], kind="stable")]
+    return Candidates(d[positions], positions, db.ids[positions])
 
 
 class LazyTables:
-    """Full-resolution tables computed entry-by-entry on demand.
+    """Full-resolution tables filled on demand, one sub-space per call.
 
-    Uncomputed entries hold a negative sentinel (true distances are >= 0);
-    each (sub-space, index) pair is computed at most once per query, and
+    Each (sub-space, index) entry is computed at most once per query, and
     `computed` counts those computations. Values match compute_tables
     bit-for-bit: the same float64 squared distance rounded to float32.
     """
 
-    __slots__ = ("_z", "_books", "_dsub", "_values", "computed")
+    __slots__ = ("_z", "_books", "_dsub", "_values", "_known", "computed")
 
     def __init__(self, pq: ProductQuantizer, query: np.ndarray):
         query = _check_query(query, pq.d)
         self._z = pq.rotate(query[None, :])[0]
         self._books = pq.codebooks
         self._dsub = pq.dsub
-        self._values = np.full((pq.m, pq.k), -1.0, dtype=np.float64)
+        self._values = np.empty((pq.m, pq.k), dtype=np.float32)
+        self._known = np.zeros((pq.m, pq.k), dtype=bool)
         self.computed = 0
 
-    def lookup(self, j: int, index: int) -> float:
-        v = self._values[j, index]
-        if v < 0.0:
+    def entries(self, j: int, indexes: np.ndarray) -> np.ndarray:
+        """Table j's float32 entries at indexes; the missing ones are
+        computed first, in one distance call."""
+        need = np.zeros(self._known.shape[1], dtype=bool)
+        need[indexes] = True
+        missing = np.flatnonzero(need & ~self._known[j])
+        if missing.size:
             sub = self._z[j * self._dsub : (j + 1) * self._dsub]
-            cent = self._books[j, index].astype(np.float64)
-            raw = sqdist_matrix(sub[None, :], cent[None, :])[0, 0]
-            v = float(np.float32(raw))
-            self._values[j, index] = v
-            self.computed += 1
-        return v
+            cents = self._books[j, missing].astype(np.float64)
+            self._values[j, missing] = sqdist_matrix(sub[None, :], cents)[0]
+            self._known[j, missing] = True
+            self.computed += missing.size
+        return self._values[j].take(indexes)
 
 
 def rerank(
     db: CodeList,
-    cand: CappedBuckets,
+    cand: Candidates,
     pq: ProductQuantizer,
     query: np.ndarray,
     r: int,
-    r2: int,
     lazy: LazyTables | None = None,
 ) -> NeighborSet:
-    """Second pass: walk buckets ascending, processing whole buckets until at
-    least r2 candidates got exact distances; return the r best by
+    """Second pass: full-resolution distances of every candidate, summed in
+    float64 in sub-space order as scan_distances does; return the r best by
     (distance, id)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if lazy is None:
         lazy = LazyTables(pq, query)
-    ids = db.ids
-    if np.array_equal(ids, np.arange(db.n, dtype=np.int64)):
-        position = None
-    else:
-        position = {int(ident): pos for pos, ident in enumerate(ids)}
-    dists: list[float] = []
-    idents: list[int] = []
-    for v in range(CBINS + 1):
-        if len(idents) >= r2:
-            break
-        bucket = cand.bucket(v)
-        if not bucket:
-            continue
-        pos = bucket if position is None else [position[i] for i in bucket]
-        for code in code_components(db.codes[pos], pq.m).tolist():
-            dist = 0.0
-            for j, c in enumerate(code):
-                dist += lazy.lookup(j, c)
-            dists.append(dist)
-        idents.extend(bucket)
-    best = _select_best(np.array(dists, np.float64), np.array(idents, np.int64), r)
-    return NeighborSet.from_pairs(r, *best)
+    dists = np.zeros(len(cand), dtype=np.float64)
+    for j, col in enumerate(code_columns(db.codes[cand.positions], pq.m)):
+        dists += lazy.entries(j, col)
+    return NeighborSet.from_pairs(r, *_select_best(dists, cand.ids, r))
 
 
 def search_two_pass(
@@ -407,7 +336,7 @@ def search_two_pass(
     compact = compute_compact_tables(dpq, query)
     qt = quantize_compact_tables(compact, db, r2)
     cand = scan_candidates(db, qt, r2)
-    return rerank(db, cand, dpq.pq, query, r, r2)
+    return rerank(db, cand, dpq.pq, query, r)
 
 
 def write_derived_body(f: BinaryIO, dpq: DerivedPQ) -> None:

@@ -48,16 +48,24 @@ class LookupTables:
         return self.tables.nbytes
 
 
-def compute_tables(pq: ProductQuantizer, query: np.ndarray) -> LookupTables:
-    """Squared distances from each query sub-vector to every centroid."""
+def _subspace_tables(
+    pq: ProductQuantizer, books: np.ndarray, query: np.ndarray
+) -> LookupTables:
+    """Squared distances from each rotated query sub-vector to every row of
+    books[j], computed in float64 and stored as float32."""
     query = _check_query(query, pq.d)
     z = pq.rotate(query[None, :])[0]
     dsub = pq.dsub
-    out = np.empty((pq.m, pq.k), dtype=np.float32)
+    out = np.empty(books.shape[:2], dtype=np.float32)
     for j in range(pq.m):
         sub = z[j * dsub : (j + 1) * dsub]
-        out[j] = sqdist_matrix(sub[None, :], pq.codebooks[j].astype(np.float64))[0]
+        out[j] = sqdist_matrix(sub[None, :], books[j].astype(np.float64))[0]
     return LookupTables(out)
+
+
+def compute_tables(pq: ProductQuantizer, query: np.ndarray) -> LookupTables:
+    """Squared distances from each query sub-vector to every centroid."""
+    return _subspace_tables(pq, pq.codebooks, query)
 
 
 def adc_distance(tables: LookupTables, code: np.ndarray) -> float:

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqscan import (
-    CappedBuckets,
+    CBINS,
     CodeList,
     LazyTables,
+    QuantizedCompactTables,
     TrainConfig,
     adc_low_bits,
     build_derived_quantizers,
@@ -37,6 +38,63 @@ def dpq(blob_data):
 @pytest.fixture(scope="module")
 def dcodes(blob_data, dpq):
     return CodeList(encode(dpq.pq, blob_data))
+
+
+class CappedBuckets:
+    """Sequential oracle for scan_candidates: a distance-indexed candidate
+    store with a running admission bound.
+
+    Buckets 0..254 hold ids by quantized distance; bucket 255 (at-or-above
+    qmax) admits ids only while fewer than r2 are retained. Once r2 ids are
+    held, the upper bound is the bucket of the r2-th smallest retained
+    distance and anything above it is refused; finalize() also drops
+    already-stored ids above the final bound.
+    """
+
+    def __init__(self, r2):
+        if r2 < 1:
+            raise ValueError("r2 must be >= 1")
+        self.r2 = r2
+        self._buckets = [[] for _ in range(CBINS + 1)]
+        self._counts = np.zeros(CBINS + 1, dtype=np.int64)
+        self._retained = 0
+
+    def __len__(self):
+        return self._retained
+
+    @property
+    def upper_bound(self):
+        """Bucket of the r2-th smallest retained distance; 255 while fewer
+        than r2 ids are held."""
+        if self._retained < self.r2:
+            return CBINS
+        return int(np.argmax(np.cumsum(self._counts) >= self.r2))
+
+    def put(self, dist, ident):
+        """Offer one candidate; returns True if retained."""
+        if not 0 <= dist <= CBINS:
+            raise ValueError("quantized distance out of range")
+        if dist == CBINS:
+            if self._retained >= self.r2:
+                return False
+        elif dist > self.upper_bound:
+            return False
+        self._buckets[dist].append(int(ident))
+        self._counts[dist] += 1
+        self._retained += 1
+        return True
+
+    def finalize(self):
+        """Drop ids stored above the final bound; returns that bound."""
+        bound = self.upper_bound
+        for v in range(bound + 1, CBINS + 1):
+            self._retained -= len(self._buckets[v])
+            self._counts[v] = 0
+            self._buckets[v] = []
+        return bound
+
+    def bucket(self, dist):
+        return self._buckets[dist]
 
 
 def sequential_buckets(r2, dists, ids):
@@ -225,6 +283,12 @@ def test_buckets_superset_of_top_r2():
         assert len(kept) >= min(r2, n)
 
 
+def assert_same_buckets(got, ref):
+    assert len(got) == len(ref)
+    for b in range(CBINS + 1):
+        assert got.bucket(b) == ref.bucket(b), b
+
+
 def test_scan_candidates_equals_sequential(dpq, dcodes, queries):
     for q in queries[:6]:
         compact = compute_compact_tables(dpq, q)
@@ -232,9 +296,40 @@ def test_scan_candidates_equals_sequential(dpq, dcodes, queries):
             qt = quantize_compact_tables(compact, dcodes, r2)
             got = scan_candidates(dcodes, qt, r2)
             bins = adc_low_bits(qt, dcodes.codes)
-            ref = sequential_buckets(r2, bins, dcodes.ids)
-            for b in range(256):
-                assert got.bucket(b) == ref.bucket(b), (r2, b)
+            assert_same_buckets(got, sequential_buckets(r2, bins, dcodes.ids))
+
+
+# m=1 with table arange(256): every code's bin is its own value
+IDENTITY_BINS = QuantizedCompactTables(
+    np.arange(CBINS + 1, dtype=np.uint8)[None, :], qmin=0.0, qmax=1.0
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_scan_candidates_equals_sequential_on_any_bin_stream(data):
+    # many 255s and r2 past the number of small bins reach the branch that
+    # admits 255s only while fewer than r2 are held
+    bins = data.draw(st.lists(st.one_of(
+        st.integers(0, CBINS - 1), st.just(CBINS), st.sampled_from([0, 1, 254])
+    ), min_size=1, max_size=150))
+    n = len(bins)
+    r2 = data.draw(st.integers(1, n + 5))
+    ids = np.array(data.draw(st.permutations(range(n)))) + 2**31 + 5
+    db = CodeList(np.array(bins, dtype=np.uint8)[:, None], ids)
+    got = scan_candidates(db, IDENTITY_BINS, r2)
+    assert_same_buckets(got, sequential_buckets(r2, bins, ids))
+
+
+def test_adc_low_bits_saturates_past_uint16_sums():
+    # m * 255 = 65790 overflows a 16-bit accumulator
+    m = 258
+    tables = np.zeros((m, 2), dtype=np.uint8)
+    tables[:, 0] = 255
+    tables[5, 1] = 200
+    qt = QuantizedCompactTables(tables, qmin=0.0, qmax=1.0)
+    codes = np.array([[0] * m, [1] * m], dtype=np.uint8)
+    assert adc_low_bits(qt, codes).tolist() == [255, 200]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 40))
@@ -258,27 +353,34 @@ def test_lazy_tables_match_eager(dpq, queries):
     lazy = LazyTables(dpq.pq, queries[0])
     eager = compute_tables(dpq.pq, queries[0])
     for j in range(dpq.pq.m):
-        for i in range(0, dpq.pq.k, 7):
-            assert lazy.lookup(j, i) == float(eager.tables[j][i])
+        idx = np.arange(0, dpq.pq.k, 7)
+        np.testing.assert_array_equal(lazy.entries(j, idx), eager.tables[j][idx])
+        idx = np.arange(dpq.pq.k)[::-1]  # the rest, plus cached entries
+        np.testing.assert_array_equal(lazy.entries(j, idx), eager.tables[j][idx])
 
 
 def test_lazy_tables_compute_each_entry_once(dpq, queries):
     lazy = LazyTables(dpq.pq, queries[1])
-    wanted = [(0, 3), (0, 3), (1, 5), (0, 3), (2, 5), (1, 5)]
-    for j, i in wanted:
-        lazy.lookup(j, i)
-    assert lazy.computed == len(set(wanted))
+    wanted = [(0, [3, 3]), (1, [5]), (0, [3, 4]), (2, [5]), (1, [5, 5])]
+    for j, idx in wanted:
+        lazy.entries(j, np.array(idx))
+    assert lazy.computed == len({(j, i) for j, idx in wanted for i in idx})
 
 
-def test_rerank_matches_eager_oracle(dpq, dcodes, queries):
+@pytest.mark.parametrize("ids", ["identity", "permuted-offset"])
+def test_rerank_matches_eager_oracle(dpq, dcodes, queries, ids):
+    db = dcodes
+    if ids == "permuted-offset":
+        perm = np.random.default_rng(9).permutation(dcodes.n)
+        db = CodeList(dcodes.codes[perm], perm.astype(np.int64) + 2**31 + 5)
     for q in queries[:4]:
         compact = compute_compact_tables(dpq, q)
-        qt = quantize_compact_tables(compact, dcodes, 200)
-        cand = scan_candidates(dcodes, qt, 200)
+        qt = quantize_compact_tables(compact, db, 200)
+        cand = scan_candidates(db, qt, 200)
         lazy = LazyTables(dpq.pq, q)
-        got = rerank(dcodes, cand, dpq.pq, q, 10, 200, lazy=lazy)
-        assert got.items() == eager_rerank_oracle(dcodes, cand, dpq.pq, q, 10, 200)
-        uniq = {(j, int(c)) for code in dcodes.codes for j, c in enumerate(code)}
+        got = rerank(db, cand, dpq.pq, q, 10, lazy=lazy)
+        assert got.items() == eager_rerank_oracle(db, cand, dpq.pq, q, 10, 200)
+        uniq = {(j, int(c)) for code in db.codes for j, c in enumerate(code)}
         assert lazy.computed <= len(uniq)
 
 
