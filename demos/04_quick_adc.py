@@ -45,7 +45,11 @@ r_quant = recall_at_r(np.array(quant_ids), truth, 100)
 print(f"Recall@100 with float tables:     {r_float:.3f}")
 print(f"Recall@100 with quantized tables: {r_quant:.3f}")
 
-# the kernel ranks by 8-bit bins; rescale() maps bins back to distances
+# the kernel ranks by 8-bit bins: qt is the QuantizedTables it scanned with,
+# its tables mapped to qt.bins bins over [qt.qmin, qt.qmax], and rescale()
+# maps bins back to distances
 dist, ident = nset.items()[0]
+print(f"last query's tables: {qt.m} x {qt.k} entries in {qt.bins} bins over "
+      f"[{qt.qmin:.0f}, {qt.qmax:.0f}]")
 print(f"closest id for the last query: {ident}, "
       f"bin {dist:.0f} -> distance about {qt.rescale(np.uint8(dist)):.0f}")

@@ -43,30 +43,6 @@ def read_i32(f: BinaryIO) -> int:
     return struct.unpack("<i", raw)[0]
 
 
-def write_i64(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<q", value))
-
-
-def read_i64(f: BinaryIO) -> int:
-    off = f.tell()
-    raw = f.read(8)
-    if len(raw) != 8:
-        raise FormatError("truncated int64 field", offset=off)
-    return struct.unpack("<q", raw)[0]
-
-
-def write_f64(f: BinaryIO, value: float) -> None:
-    f.write(struct.pack("<d", value))
-
-
-def read_f64(f: BinaryIO) -> float:
-    off = f.tell()
-    raw = f.read(8)
-    if len(raw) != 8:
-        raise FormatError("truncated float64 field", offset=off)
-    return struct.unpack("<d", raw)[0]
-
-
 _INT32 = np.iinfo(np.int32)
 
 

@@ -26,6 +26,7 @@ from .data import (
 from .derived import DerivedPQ, load_quantizer_any, save_derived, train_derived
 from .fastscan import fast_scan, group_codes
 from .ivf import (
+    _sample_rows,
     build_ivf,
     check_kernel,
     default_r2,
@@ -76,13 +77,6 @@ def _train_cfg(args) -> TrainConfig:
     )
 
 
-def _sample(rng: np.random.Generator, arr: np.ndarray, size: int) -> np.ndarray:
-    if size <= 0 or size >= arr.shape[0]:
-        return arr
-    rows = np.sort(rng.choice(arr.shape[0], size=size, replace=False))
-    return arr[rows]
-
-
 def cmd_generate(args) -> int:
     vecs = generate_synthetic(args.n, args.d, args.clusters, args.seed)
     if args.kind == "bvecs":
@@ -95,7 +89,8 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     base = _read_auto(args.base)
     rng = np.random.default_rng(args.seed)
-    training = _sample(rng, base, args.sample).astype(np.float64)
+    size = args.sample if args.sample > 0 else base.shape[0]
+    training = base[_sample_rows(rng, base.shape[0], size)].astype(np.float64)
     cfg = _train_cfg(args)
     if args.bderived is not None:
         if args.opq:
@@ -268,7 +263,8 @@ def cmd_bench(args) -> int:
         method = f"ivf-{args.kernel}"
         k_col, ma_col = args.K, args.ma
     else:
-        training = _sample(rng, base, 100 * (1 << args.b)).astype(np.float64)
+        rows = _sample_rows(rng, base.shape[0], 100 * (1 << args.b))
+        training = base[rows]
         if args.kernel == "derived":
             if args.bderived is None:
                 raise ValueError("derived kernel requires --bderived")

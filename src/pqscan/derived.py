@@ -34,7 +34,10 @@ from .scan import (
     CodeList,
     LookupTables,
     NeighborSet,
+    QuantizedTables,
+    _float32_entries,
     _subspace_tables,
+    quantize_tables,
     scan_distances,
 )
 
@@ -65,11 +68,6 @@ class DerivedPQ:
     @property
     def kbar(self) -> int:
         return 1 << self.bbar
-
-    def low_bits(self, indexes) -> np.ndarray | int:
-        """Derived cluster of full centroid index(es): the low bbar bits."""
-        out = np.asarray(indexes, dtype=np.int64) & (self.kbar - 1)
-        return int(out[()]) if out.ndim == 0 else out
 
 
 def build_derived_quantizers(
@@ -142,79 +140,35 @@ def compute_compact_tables(dpq: DerivedPQ, query: np.ndarray) -> LookupTables:
     return _subspace_tables(dpq.pq, dpq.derived, query)
 
 
-def quantize_255(qmin: float, qmax: float, values) -> np.ndarray | int:
-    """255-bin quantization: 255 at or above qmax, else a floor-scaled bin
-    clamped to [0, 254]."""
-    v = np.asarray(values, dtype=np.float64)
-    span = qmax - qmin
-    if span <= 0.0:
-        out = np.zeros(v.shape, dtype=np.uint8)
-    else:
-        bins = np.clip(np.floor((v - qmin) * (CBINS / span)), 0, CBINS - 1)
-        out = np.where(v >= qmax, CBINS, bins).astype(np.uint8)
-    return int(out[()]) if out.ndim == 0 else out
-
-
-@dataclass
-class QuantizedCompactTables:
-    """m derived tables quantized to [0, 255]; 255 means at-or-above qmax."""
-
-    tables: np.ndarray
-    qmin: float
-    qmax: float
-
-    def __post_init__(self):
-        self.tables = np.ascontiguousarray(self.tables, dtype=np.uint8)
-        if self.tables.ndim != 2:
-            raise ValueError("tables must be 2-D (m, kbar)")
-        if self.qmax < self.qmin:
-            raise ValueError("qmax must be >= qmin")
-
-    @property
-    def m(self) -> int:
-        return self.tables.shape[0]
-
-    @property
-    def kbar(self) -> int:
-        return self.tables.shape[1]
-
-
 def quantize_compact_tables(
     compact: LookupTables, db: CodeList, r2: int
-) -> QuantizedCompactTables:
-    """Quantize derived tables with qmax = the largest approximate distance
-    among the first min(r2, n) codes (scanned via the float tables)."""
-    if db.n == 0:
-        raise ValueError("empty code list")
+) -> QuantizedTables:
+    """Quantize derived tables to CBINS bins (quantize_tables); the prefix is
+    the first r2 codes, scanned via the float tables, so qmax is the largest
+    of their distances."""
     if r2 < 1:
         raise ValueError("r2 must be >= 1")
-    kbar = compact.k
-    qmin = float(compact.tables.min())
-    head = code_components(db.codes[: min(r2, db.n)], compact.m)
-    low = (head.astype(np.int64) & (kbar - 1)).astype(np.uint16)
-    dists = scan_distances(compact, low)
-    qmax = float(dists.max())
-    qmax = max(qmax, qmin)
-    return QuantizedCompactTables(
-        tables=quantize_255(qmin, qmax, compact.tables), qmin=qmin, qmax=qmax
-    )
+    head = code_components(db.codes[:r2], compact.m)
+    low = (head.astype(np.int64) & (compact.k - 1)).astype(np.uint16)
+    return quantize_tables(compact, scan_distances(compact, low), r2, CBINS)
 
 
-def adc_low_bits(qt: QuantizedCompactTables, codes: np.ndarray) -> np.ndarray:
-    """Approximate distances: saturating (at 255) sums of quantized derived
-    table entries addressed by the low bbar bits of each full sub-index.
-    Codes are one component per column or nibble-packed.
+def adc_low_bits(qt: QuantizedTables, codes: np.ndarray) -> np.ndarray:
+    """Approximate distances: saturating (at qt.bins) sums of quantized
+    derived table entries addressed by the low bbar bits of each full
+    sub-index. Codes are one component per column or nibble-packed.
 
-    The sum is exact in an accumulator wide enough for m * 255 and clamped
-    once; entries are non-negative, so that equals clamping every step."""
+    The sum is exact in an accumulator wide enough for m * qt.bins and
+    clamped once; entries are non-negative, so that equals clamping every
+    step."""
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] not in (qt.m, (qt.m + 1) // 2):
         raise ValueError(f"codes must have shape (n, {qt.m}) or packed")
-    mask = qt.kbar - 1
-    acc = np.zeros(codes.shape[0], dtype=np.min_scalar_type(qt.m * CBINS))
+    mask = qt.k - 1
+    acc = np.zeros(codes.shape[0], dtype=np.min_scalar_type(qt.m * qt.bins))
     for j, col in enumerate(code_columns(codes, qt.m)):
         acc += qt.tables[j].take(col & mask)
-    return np.minimum(acc, CBINS).astype(np.uint8)
+    return np.minimum(acc, qt.bins).astype(np.uint8)
 
 
 @dataclass
@@ -236,27 +190,28 @@ class Candidates:
 
 
 def scan_candidates(
-    db: CodeList, qt: QuantizedCompactTables, r2: int
+    db: CodeList, qt: QuantizedTables, r2: int
 ) -> Candidates:
     """First pass: bin every code's approximate distance and keep the codes
     a capped bucket store admits.
 
-    The store takes codes in storage order. Bins 0..254 hold codes by
-    quantized distance; bin 255 (at-or-above qmax) admits codes only while
-    fewer than r2 are held. Once r2 are held, the running bound is the bin
-    of the r2-th smallest held distance and anything above it is refused;
-    at the end, codes held above the final bound are dropped. A code in
-    bins 0..254 at or below the final bound is always admitted (the running
-    bound only tightens toward it), and anything above it is dropped
-    regardless of when it was seen, so the survivors are computed in bulk.
+    The store takes codes in storage order. Bins below qt.bins hold codes by
+    quantized distance; the top bin (at-or-above qmax) admits codes only
+    while fewer than r2 are held. Once r2 are held, the running bound is the
+    bin of the r2-th smallest held distance and anything above it is
+    refused; at the end, codes held above the final bound are dropped. A
+    code below the top bin and at or below the final bound is always
+    admitted (the running bound only tightens toward it), and anything above
+    it is dropped regardless of when it was seen, so the survivors are
+    computed in bulk.
     """
     if r2 < 1:
         raise ValueError("r2 must be >= 1")
     d = adc_low_bits(qt, db.codes)
-    smalls = d <= CBINS - 1
+    smalls = d < qt.bins
     count_small = int(np.count_nonzero(smalls))
     if count_small >= r2:
-        hist = np.bincount(d[smalls], minlength=CBINS)
+        hist = np.bincount(d[smalls], minlength=qt.bins)
         bound = int(np.argmax(np.cumsum(hist) >= r2))
         sel = d <= bound
     else:
@@ -302,7 +257,8 @@ class LazyTables:
         if missing.size:
             sub = self._z[j * self._dsub : (j + 1) * self._dsub]
             cents = self._books[j, missing].astype(np.float64)
-            self._values[j, missing] = sqdist_matrix(sub[None, :], cents)[0]
+            dists = sqdist_matrix(sub[None, :], cents)[0]
+            self._values[j, missing] = _float32_entries(dists)
             self._known[j, missing] = True
             self.computed += missing.size
         return self._values[j].take(indexes)

@@ -19,71 +19,18 @@ import numpy as np
 from . import _binio
 from ._dist import _select_best
 from .quantizer import ProductQuantizer, TrainConfig, same_size_kmeans
-from .scan import CodeList, LookupTables, NeighborSet, scan_distances
+from .scan import (
+    CodeList,
+    LookupTables,
+    NeighborSet,
+    QuantizedTables,
+    quantize_tables,
+    scan_distances,
+)
 
 BINS = 127
 GROUP_NIBBLES = 4
 PACKED_BYTES = 6
-
-
-@dataclass
-class QuantParams:
-    """127-bin quantization range: qmin is the global table minimum, qmax a
-    temporary r-th-neighbor distance. Values at or above qmax map to 127."""
-
-    qmin: float
-    qmax: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.qmin) and math.isfinite(self.qmax)):
-            raise ValueError("quantization bounds must be finite")
-        if self.qmax < self.qmin:
-            raise ValueError("qmax must be >= qmin")
-
-    @property
-    def scale(self) -> float:
-        span = self.qmax - self.qmin
-        return BINS / span if span > 0.0 else 0.0
-
-
-def quantize(params: QuantParams, values) -> np.ndarray | int:
-    """Map distances to [0, 127]: 127 at or above qmax, else a floor-scaled
-    bin clamped to [0, 126]. Monotone non-decreasing."""
-    v = np.asarray(values, dtype=np.float64)
-    if params.scale == 0.0:
-        out = np.zeros(v.shape, dtype=np.uint8)
-    else:
-        bins = np.clip(np.floor((v - params.qmin) * params.scale), 0, BINS - 1)
-        out = np.where(v >= params.qmax, BINS, bins).astype(np.uint8)
-    return int(out[()]) if out.ndim == 0 else out
-
-
-def compute_quant_params(
-    tables: LookupTables, codelist: CodeList, init: float, r: int
-) -> QuantParams:
-    """qmin from the tables; qmax from a baseline scan of the first
-    ceil(init*n) codes: the r-th smallest distance, or the largest seen when
-    fewer than r codes were scanned."""
-    if not 0.0 < init <= 1.0:
-        raise ValueError("init must be in (0, 1]")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if codelist.n == 0:
-        raise ValueError("empty code list")
-    n_init = math.ceil(init * codelist.n)
-    prefix_d = scan_distances(tables, codelist.codes[:n_init])
-    return prefix_quant_params(tables, prefix_d, r)
-
-
-def prefix_quant_params(tables: LookupTables, prefix_d: np.ndarray, r: int) -> QuantParams:
-    """The quantization range compute_quant_params picks, given the exact
-    distances of the scanned prefix."""
-    if prefix_d.shape[0] >= r:
-        qmax = float(np.partition(prefix_d, r - 1)[r - 1])
-    else:
-        qmax = float(prefix_d.max())
-    qmin = float(tables.tables.min())
-    return QuantParams(qmin=qmin, qmax=max(qmax, qmin))
 
 
 def assignment_permutation(
@@ -259,27 +206,22 @@ class SmallTables:
             raise ValueError("small-table entries must be <= 127")
 
 
-def _quantized_tables(tables: LookupTables, params: QuantParams) -> np.ndarray:
-    return quantize(params, tables.tables)
-
-
 def _min_tables(qtables: np.ndarray) -> np.ndarray:
     """(4, 16) per-portion minima of quantized tables 4-7."""
     return qtables[4:8].reshape(4, 16, 16).min(axis=2)
 
 
 def build_small_tables(
-    tables: LookupTables, params: QuantParams, key: tuple[int, int, int, int]
+    qt: QuantizedTables, key: tuple[int, int, int, int]
 ) -> SmallTables:
-    if tables.m != 8 or tables.k != 256:
+    if qt.m != 8 or qt.k != 256:
         raise ValueError("small tables require m=8, b=8 lookup tables")
     if len(key) != GROUP_NIBBLES or any(not 0 <= v < 16 for v in key):
         raise ValueError("group key must be four nibbles")
-    qt = _quantized_tables(tables, params)
     small = np.empty((8, 16), dtype=np.uint8)
     for j in range(4):
-        small[j] = qt[j, key[j] * 16 : (key[j] + 1) * 16]
-    small[4:8] = _min_tables(qt)
+        small[j] = qt.tables[j, key[j] * 16 : (key[j] + 1) * 16]
+    small[4:8] = _min_tables(qt.tables)
     return SmallTables(small)
 
 
@@ -355,8 +297,6 @@ def fast_scan(
     if r < 1:
         raise ValueError("r must be >= 1")
     stats = ScanStats(total=grouped.n)
-    if grouped.n == 0:
-        return NeighborSet(r), stats
     codes = grouped.reconstruct_codes()
     ids = grouped.ids
     n = grouped.n
@@ -365,16 +305,14 @@ def fast_scan(
     prefix_d = scan_distances(tables, codes[:n_init])
     stats.checked += n_init
     best_d, best_i = _select_best(prefix_d, ids[:n_init], r)
-    params = prefix_quant_params(tables, prefix_d, r)
-
-    qt = _quantized_tables(tables, params)
-    mins = _min_tables(qt)
+    qt = quantize_tables(tables, prefix_d, r, BINS)
+    mins = _min_tables(qt.tables)
     start = n_init
     while start < n:
         stop = min(start + _CHUNK, n)
         chunk = codes[start:stop]
-        threshold = quantize(params, best_d[-1] if best_d.size == r else np.inf)
-        lb = _lower_bounds_all(chunk, qt, mins)
+        threshold = qt.quantize(best_d[-1] if best_d.size == r else np.inf)
+        lb = _lower_bounds_all(chunk, qt.tables, mins)
         keep = lb <= threshold
         stats.pruned += int(np.count_nonzero(~keep))
         kept = np.flatnonzero(keep)

@@ -8,6 +8,7 @@ code is the sum of m table entries; a scan keeps the r best codes.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -48,6 +49,86 @@ class LookupTables:
         return self.tables.nbytes
 
 
+@dataclass
+class QuantizedTables:
+    """Lookup tables mapped to uint8 bins over [qmin, qmax] by quantize,
+    shape (m, 2^b). A kernel sums entries with saturation at bins, so the sum
+    never exceeds the quantized true distance."""
+
+    tables: np.ndarray
+    qmin: float
+    qmax: float
+    bins: int
+
+    def __post_init__(self):
+        self.tables = np.ascontiguousarray(self.tables, dtype=np.uint8)
+        if self.tables.ndim != 2:
+            raise ValueError("quantized tables must be 2-D (m, 2^b)")
+        if np.any(self.tables > self.bins):
+            raise ValueError(f"quantized entries must be <= {self.bins}")
+        if not (math.isfinite(self.qmin) and self.qmin <= self.qmax < math.inf):
+            raise ValueError("quantization bounds must be finite with qmin <= qmax")
+
+    @property
+    def m(self) -> int:
+        return self.tables.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.tables.shape[1]
+
+    def quantize(self, values) -> np.ndarray | int:
+        return quantize(values, self.qmin, self.qmax, self.bins)
+
+    def rescale(self, bins) -> np.ndarray | float:
+        """Map quantized distances back to representative float values."""
+        span = self.qmax - self.qmin
+        v = np.asarray(bins, dtype=np.float64) * span / self.bins + self.qmin
+        return float(v[()]) if v.ndim == 0 else v
+
+
+def quantize(values, qmin: float, qmax: float, bins: int) -> np.ndarray | int:
+    """Map distances to [0, bins]: bins at or above qmax, else a floor-scaled
+    bin clamped to [0, bins - 1]; all 0 when qmax == qmin. Monotone
+    non-decreasing."""
+    v = np.asarray(values, dtype=np.float64)
+    span = qmax - qmin
+    if span > 0.0:
+        out = np.clip(np.floor((v - qmin) * (bins / span)), 0, bins - 1)
+        out = np.where(v >= qmax, bins, out).astype(np.uint8)
+    else:
+        out = np.zeros(v.shape, dtype=np.uint8)
+    return int(out[()]) if out.ndim == 0 else out
+
+
+def quantize_tables(
+    tables: LookupTables, prefix_d: np.ndarray, r: int, bins: int
+) -> QuantizedTables:
+    """Quantize tables to bins over [qmin, qmax]. qmin is the smallest table
+    entry; qmax is the r-th smallest of the exact distances prefix_d of a
+    scanned prefix (the largest when it holds fewer than r, qmin when it is
+    empty), never below qmin."""
+    qmin = qmax = float(tables.tables.min())
+    if prefix_d.shape[0] > r:
+        qmax = float(np.partition(prefix_d, r - 1)[r - 1])
+    elif prefix_d.shape[0]:
+        qmax = float(prefix_d.max())
+    qmax = max(qmax, qmin)
+    return QuantizedTables(quantize(tables.tables, qmin, qmax, bins), qmin, qmax, bins)
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _float32_entries(values: np.ndarray) -> np.ndarray:
+    """float64 table entries as float32; ValueError if any does not fit, as
+    for a finite query so far from the codebooks that its squared distances
+    overflow."""
+    if not np.all(values <= _F32_MAX):
+        raise ValueError("lookup table entries overflow float32")
+    return values.astype(np.float32)
+
+
 def _subspace_tables(
     pq: ProductQuantizer, books: np.ndarray, query: np.ndarray
 ) -> LookupTables:
@@ -56,11 +137,11 @@ def _subspace_tables(
     query = _check_query(query, pq.d)
     z = pq.rotate(query[None, :])[0]
     dsub = pq.dsub
-    out = np.empty(books.shape[:2], dtype=np.float32)
+    out = np.empty(books.shape[:2])
     for j in range(pq.m):
         sub = z[j * dsub : (j + 1) * dsub]
         out[j] = sqdist_matrix(sub[None, :], books[j].astype(np.float64))[0]
-    return LookupTables(out)
+    return LookupTables(_float32_entries(out))
 
 
 def compute_tables(pq: ProductQuantizer, query: np.ndarray) -> LookupTables:

@@ -1,9 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 
-from pqscan import CodeList, TrainConfig, encode, generate_synthetic, train_pq
+from pqscan import (
+    BINS,
+    CodeList,
+    QuantizedTables,
+    TrainConfig,
+    encode,
+    generate_synthetic,
+    quantize,
+    quantize_tables,
+    scan_distances,
+    train_pq,
+)
 
 FAST_CFG = TrainConfig(kmeans_iters=10, seed=3)
+
+
+def quantized(tables, qmin, qmax, bins=BINS):
+    """LookupTables quantized over a given range rather than a prefix's."""
+    return QuantizedTables(quantize(tables.tables, qmin, qmax, bins), qmin, qmax, bins)
+
+
+def quantize_prefix(tables, codes, init, r):
+    """The quantized tables fast scan uses: the prefix is the first
+    ceil(init * n) codes."""
+    prefix_d = scan_distances(tables, codes[: math.ceil(init * codes.shape[0])])
+    return quantize_tables(tables, prefix_d, r, BINS)
 
 
 def pack(components):

@@ -15,14 +15,13 @@ import pytest
 
 import pqscan
 from pqscan import (
+    BINS,
     CodeList,
     GroundTruth,
     LookupTables,
-    QuantizedTables4,
-    QuantParams,
+    QuantizedTables,
     TrainConfig,
     build_ivf,
-    compute_quant_params,
     compute_tables,
     encode,
     exact_knn,
@@ -35,7 +34,6 @@ from pqscan import (
     optimize_centroid_assignment,
     pack_code,
     qadc_scan,
-    quantize,
     quantized_distances,
     recall_at_r,
     scan,
@@ -44,9 +42,9 @@ from pqscan import (
     train_derived,
     train_pq,
 )
-from pqscan.fastscan import _lower_bounds_all, _min_tables, _quantized_tables
+from pqscan.fastscan import _lower_bounds_all, _min_tables
 
-from conftest import pack
+from conftest import pack, quantize_prefix
 
 
 def _sift_dir():
@@ -113,21 +111,19 @@ def test_criterion_2_lower_bound_soundness(capsys):
     pairs = 0
     for q in queries:
         tables = compute_tables(pq, q)
-        params = compute_quant_params(tables, codelist, 0.01, 100)
-        qt = _quantized_tables(tables, params)
-        mins = _min_tables(qt)
-        lbs = _lower_bounds_all(codes, qt, mins)
-        dq = quantize(params, scan_distances(tables, codes))
+        qt = quantize_prefix(tables, codelist.codes, 0.01, 100)
+        mins = _min_tables(qt.tables)
+        lbs = _lower_bounds_all(codes, qt.tables, mins)
+        dq = qt.quantize(scan_distances(tables, codes))
         violations += int((lbs.astype(np.int64) > dq.astype(np.int64)).sum())
         pairs += codes.shape[0]
     # spot-check the scalar public path against the vectorized one
     tables = compute_tables(pq, queries[0])
-    params = compute_quant_params(tables, codelist, 0.01, 100)
-    qt = _quantized_tables(tables, params)
-    mins = _min_tables(qt)
-    lbs = _lower_bounds_all(codes, qt, mins)
+    qt = quantize_prefix(tables, codelist.codes, 0.01, 100)
+    mins = _min_tables(qt.tables)
+    lbs = _lower_bounds_all(codes, qt.tables, mins)
     for i in range(0, codes.shape[0], 997):
-        small = build_small_tables(tables, params, group_key(codes[i]))
+        small = build_small_tables(qt, group_key(codes[i]))
         if lower_bound(small, pack_code(codes[i])) != int(lbs[i]):
             violations += 1
     rep.done(violations == 0 and pairs >= 1_000_000,
@@ -233,7 +229,7 @@ def test_criterion_6_qadc_kernel_equivalence(capsys):
     rng = np.random.default_rng(0)
     n_codes, m = 1_600_000, 8
     tables = rng.integers(0, 128, (m, 16)).astype(np.uint8)
-    qt = QuantizedTables4(tables=tables, params=QuantParams(0.0, 127.0))
+    qt = QuantizedTables(tables, 0.0, 127.0, BINS)
     codes = rng.integers(0, 256, (n_codes, m // 2)).astype(np.uint8)
     # reference: the clamped per-component scalar recurrence, run code-wise
     acc = np.zeros(n_codes, dtype=np.int64)

@@ -4,7 +4,15 @@ import io
 import numpy as np
 import pytest
 
-from pqscan import load_quantizer, read_vecs
+from pqscan import (
+    CodeList,
+    DerivedPQ,
+    load_quantizer,
+    load_quantizer_any,
+    read_vecs,
+    save_codes,
+    write_vecs,
+)
 from pqscan._dist import nearest_k
 from pqscan.cli import BENCH_HEADER, main
 
@@ -271,3 +279,52 @@ def test_ground_truth_matches_library(workspace):
     truth_ids = read_vecs(workspace / "t.ivecs", "ivecs")
     expect = exact_knn(base, queries, 10)
     np.testing.assert_array_equal(truth_ids, expect.ids.astype(np.int32))
+
+
+# train arguments of a quantizer each query kernel accepts
+KERNEL_QUANTIZERS = {
+    "adc": ["--m", "4", "--b", "4"],
+    "fast-scan": ["--m", "8", "--b", "8"],
+    "quick-adc": ["--m", "4", "--b", "4"],
+    "derived": ["--m", "4", "--b", "6", "--bderived", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_files(workspace):
+    """kernel -> (quantizer path, path of the base encoded with it)."""
+    files = {}
+    for kernel, args in KERNEL_QUANTIZERS.items():
+        quant, codes = workspace / f"{kernel}.pqz", workspace / f"{kernel}.pql"
+        assert main(["train", "--base", str(workspace / "base.fvecs"), "--iters", "3",
+                     *args, "--out", str(quant)]) == 0
+        assert main(["encode", "--base", str(workspace / "base.fvecs"),
+                     "--quantizer", str(quant), "--out", str(codes)]) == 0
+        files[kernel] = quant, codes
+    return files
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_QUANTIZERS))
+def test_query_empty_code_file_prints_only_the_header(
+    workspace, kernel_files, kernel, tmp_path, capsys
+):
+    quant = kernel_files[kernel][0]
+    loaded = load_quantizer_any(quant)
+    pq = loaded.pq if isinstance(loaded, DerivedPQ) else loaded
+    codes = tmp_path / "empty.pql"
+    save_codes(codes, CodeList(np.zeros((0, pq.code_width), pq.code_dtype), m=pq.m), pq.b)
+    got = run(capsys, "query", "--queries", str(workspace / "q.fvecs"),
+              "--codes", str(codes), "--quantizer", str(quant), "--kernel", kernel)
+    assert got == (0, "query,rank,id,distance\n", "")
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_QUANTIZERS))
+def test_query_overflowing_tables_is_exit_1(kernel_files, kernel, tmp_path, capsys):
+    # finite float32 queries whose squared distances overflow float32
+    queries = tmp_path / "far.fvecs"
+    write_vecs(queries, np.full((2, 16), 1e20, dtype=np.float32), "fvecs")
+    quant, codes = kernel_files[kernel]
+    code, out, err = run(capsys, "query", "--queries", str(queries), "--codes",
+                         str(codes), "--quantizer", str(quant), "--kernel", kernel)
+    assert (code, out) == (1, "")
+    assert err == "error: lookup table entries overflow float32\n"

@@ -7,7 +7,7 @@ from pqscan import (
     CBINS,
     CodeList,
     LazyTables,
-    QuantizedCompactTables,
+    QuantizedTables,
     TrainConfig,
     adc_low_bits,
     build_derived_quantizers,
@@ -16,7 +16,7 @@ from pqscan import (
     encode,
     load_derived,
     load_quantizer_any,
-    quantize_255,
+    quantize,
     quantize_compact_tables,
     rerank,
     save_derived,
@@ -213,10 +213,10 @@ def test_compact_tables_match_recomputation(dpq, blob_data):
 
 
 def test_quantize_255_endpoints():
-    assert quantize_255(1.0, 9.0, 1.0) == 0
-    assert quantize_255(1.0, 9.0, 9.0) == 255
-    assert quantize_255(1.0, 9.0, 100.0) == 255
-    vals = quantize_255(0.0, 1.0, np.linspace(0, 0.999, 50))
+    assert quantize(1.0, 1.0, 9.0, CBINS) == 0
+    assert quantize(9.0, 1.0, 9.0, CBINS) == 255
+    assert quantize(100.0, 1.0, 9.0, CBINS) == 255
+    vals = quantize(np.linspace(0, 0.999, 50), 0.0, 1.0, CBINS)
     assert (np.diff(vals.astype(np.int64)) >= 0).all()
 
 
@@ -234,7 +234,7 @@ def test_quantized_distance_below_255_except_maximal(dpq, dcodes, queries):
     qt = quantize_compact_tables(compact, dcodes, r2=dcodes.n)
     low = (dcodes.codes & (dpq.kbar - 1)).astype(np.uint16)
     dists = scan_distances(compact, low)
-    bins = quantize_255(qt.qmin, qt.qmax, dists)
+    bins = qt.quantize(dists)
     np.testing.assert_array_equal(bins == 255, dists == dists.max())
 
 
@@ -300,8 +300,8 @@ def test_scan_candidates_equals_sequential(dpq, dcodes, queries):
 
 
 # m=1 with table arange(256): every code's bin is its own value
-IDENTITY_BINS = QuantizedCompactTables(
-    np.arange(CBINS + 1, dtype=np.uint8)[None, :], qmin=0.0, qmax=1.0
+IDENTITY_BINS = QuantizedTables(
+    np.arange(CBINS + 1, dtype=np.uint8)[None, :], qmin=0.0, qmax=1.0, bins=CBINS
 )
 
 
@@ -327,7 +327,7 @@ def test_adc_low_bits_saturates_past_uint16_sums():
     tables = np.zeros((m, 2), dtype=np.uint8)
     tables[:, 0] = 255
     tables[5, 1] = 200
-    qt = QuantizedCompactTables(tables, qmin=0.0, qmax=1.0)
+    qt = QuantizedTables(tables, qmin=0.0, qmax=1.0, bins=CBINS)
     codes = np.array([[0] * m, [1] * m], dtype=np.uint8)
     assert adc_low_bits(qt, codes).tolist() == [255, 200]
 

@@ -8,11 +8,9 @@ from pqscan import (
     CodeList,
     GroupedDatabase,
     LookupTables,
-    QuantParams,
     adc_distance,
     assignment_permutation,
     build_small_tables,
-    compute_quant_params,
     compute_tables,
     encode,
     fast_scan,
@@ -22,13 +20,16 @@ from pqscan import (
     lower_bound,
     optimize_centroid_assignment,
     pack_code,
-    quantize,
     relabel_codes,
     same_size_kmeans,
     save_grouped,
     scan,
+    quantize,
+    quantize_tables,
     scan_distances,
 )
+
+from conftest import quantize_prefix, quantized
 
 CODE_BYTES = np.array([0x3F, 0x11, 0x21, 0x00, 0xAB, 0xCD, 0xEF, 0x07], dtype=np.uint8)
 
@@ -65,25 +66,24 @@ def small_instance(seed, n=400):
 
 
 def test_quantize_at_qmin_is_zero():
-    p = QuantParams(2.0, 10.0)
-    assert quantize(p, 2.0) == 0
+    assert quantize(2.0, 2.0, 10.0, BINS) == 0
     row = np.full(16, 2.0, dtype=np.float32)
-    np.testing.assert_array_equal(quantize(p, row), np.zeros(16, dtype=np.uint8))
+    np.testing.assert_array_equal(
+        quantize(row, 2.0, 10.0, BINS), np.zeros(16, dtype=np.uint8)
+    )
 
 
 def test_quantize_saturates_at_qmax():
-    p = QuantParams(0.0, 8.0)
-    assert quantize(p, 8.0) == 127
-    assert quantize(p, 100.0) == 127
-    assert quantize(p, 7.9999) == 126
+    assert quantize(8.0, 0.0, 8.0, BINS) == 127
+    assert quantize(100.0, 0.0, 8.0, BINS) == 127
+    assert quantize(7.9999, 0.0, 8.0, BINS) == 126
 
 
 @given(st.floats(0, 1e6), st.floats(0, 1e6), st.floats(1e-3, 1e6))
 @settings(max_examples=100, deadline=None)
 def test_quantize_monotone(v1, v2, span):
-    p = QuantParams(0.0, span)
     lo, hi = sorted((v1, v2))
-    assert quantize(p, lo) <= quantize(p, hi)
+    assert quantize(lo, 0.0, span, BINS) <= quantize(hi, 0.0, span, BINS)
 
 
 def test_quant_params_r1_first_code_is_nn():
@@ -92,23 +92,27 @@ def test_quant_params_r1_first_code_is_nn():
     best = float(dists.min())
     order = np.argsort(dists, kind="stable")
     reordered = CodeList(codelist.codes[order])  # true NN first
-    p = compute_quant_params(tables, reordered, init=1 / 50, r=1)
+    p = quantize_prefix(tables, reordered.codes, init=1 / 50, r=1)
     assert p.qmax == best
     assert p.qmin == float(tables.tables.min())
 
 
 def test_quant_params_rth_of_prefix():
     tables, codelist = small_instance(1, n=200)
-    p = compute_quant_params(tables, codelist, init=0.5, r=10)
+    p = quantize_prefix(tables, codelist.codes, init=0.5, r=10)
     prefix = scan_distances(tables, codelist.codes[:100])
     assert p.qmax == float(np.sort(prefix)[9])
 
 
 def test_quant_params_fewer_than_r_uses_largest():
     tables, codelist = small_instance(2, n=20)
-    p = compute_quant_params(tables, codelist, init=0.25, r=50)
+    p = quantize_prefix(tables, codelist.codes, init=0.25, r=50)
     prefix = scan_distances(tables, codelist.codes[:5])
     assert p.qmax == float(prefix.max())
+    # An empty prefix (an empty code list) leaves the range at qmin.
+    p = quantize_tables(tables, prefix[:0], 50, BINS)
+    assert p.qmax == p.qmin == float(tables.tables.min())
+    assert not p.tables.any()
 
 
 # -- centroid assignment -----------------------------------------------------
@@ -149,8 +153,8 @@ def test_optimize_assignment_idempotent_min_tables(pq88, queries):
     q = queries[0]
     for pq in (once, twice):
         tables = compute_tables(pq, q)
-        params = QuantParams(float(tables.tables.min()), float(tables.tables.max()))
-        s1 = build_small_tables(tables, params, (0, 0, 0, 0))
+        qt = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
+        s1 = build_small_tables(qt, (0, 0, 0, 0))
         if pq is once:
             mins_once = s1.tables[4:8].copy()
         else:
@@ -247,17 +251,17 @@ def test_min_table_paper_example():
     portion = np.array([2, 5, 9, 30, 7, 4, 12, 8, 3, 6, 11, 19, 21, 14, 17, 1])
     tables[4, :16] = portion
     lt = LookupTables(tables)
-    params = QuantParams(0.0, 127.0)  # identity-ish mapping: floor(v)
-    small = build_small_tables(lt, params, (0, 0, 0, 0))
-    assert small.tables[4][0] == quantize(params, 1.0) == 1
+    qt = quantized(lt, 0.0, 127.0)  # identity-ish mapping: floor(v)
+    small = build_small_tables(qt, (0, 0, 0, 0))
+    assert small.tables[4][0] == qt.quantize(1.0) == 1
 
 
 def test_small_tables_group_portions():
     tables, _ = small_instance(5)
-    params = QuantParams(float(tables.tables.min()), float(tables.tables.max()))
+    quant = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
     key = (3, 0, 15, 7)
-    small = build_small_tables(tables, params, key)
-    qt = quantize(params, tables.tables)
+    small = build_small_tables(quant, key)
+    qt = quant.tables
     for j in range(4):
         np.testing.assert_array_equal(
             small.tables[j], qt[j][key[j] * 16 : (key[j] + 1) * 16]
@@ -270,8 +274,7 @@ def test_small_tables_group_portions():
 
 def test_lower_bound_zero_tables():
     small = build_small_tables(
-        LookupTables(np.zeros((8, 256), dtype=np.float32)),
-        QuantParams(0.0, 1.0),
+        quantized(LookupTables(np.zeros((8, 256), dtype=np.float32)), 0.0, 1.0),
         (0, 0, 0, 0),
     )
     assert lower_bound(small, pack_code(CODE_BYTES)) == 0
@@ -281,14 +284,14 @@ def test_lower_bound_soundness_exhaustive():
     # soundness oracle: lb <= quantize(adc) for every code, several instances
     for seed in range(4):
         tables, codelist = small_instance(seed, n=2500)
-        params = compute_quant_params(tables, codelist, init=0.1, r=10)
-        qt = quantize(params, tables.tables)
+        quant = quantize_prefix(tables, codelist.codes, init=0.1, r=10)
+        qt = quant.tables
         mins = qt[4:8].reshape(4, 16, 16).min(axis=2)
         for code in codelist.codes:
-            small = build_small_tables(tables, params, group_key(code))
+            small = build_small_tables(quant, group_key(code))
             lb = lower_bound(small, pack_code(code))
             assert lb == scalar_lower_bound(qt, mins, code)
-            assert lb <= int(quantize(params, adc_distance(tables, code)))
+            assert lb <= quant.quantize(adc_distance(tables, code))
 
 
 def test_fast_scan_equals_scan(pq88, codes88, queries):

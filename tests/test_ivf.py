@@ -4,6 +4,7 @@ from scipy.spatial.distance import cdist
 
 from pqscan import (
     DEFAULT_INIT_COUNT,
+    CodeList,
     LazyTables,
     NeighborSet,
     TrainConfig,
@@ -14,13 +15,16 @@ from pqscan import (
     default_r2,
     encode,
     exact_knn,
+    fast_scan,
     generate_synthetic,
+    group_codes,
     load_ivf,
     qadc_scan,
     query_ivf,
     recall_at_r,
     save_ivf,
     scan,
+    search_two_pass,
     train_derived,
 )
 from pqscan._dist import nearest, nearest_k
@@ -279,3 +283,49 @@ def test_query_entry_points_reject_non_finite(index, small_dpq, base, entry, bad
     q[5] = bad
     with pytest.raises(ValueError, match="query contains non-finite values"):
         QUERY_ENTRY_POINTS[entry](index, small_dpq, q)
+
+
+KERNELS = ["adc", "fast-scan", "quick-adc", "derived"]
+
+
+@pytest.fixture(scope="module")
+def run_kernel(pq44, codes44, pq88, codes88, small_dpq, base):
+    """run_kernel(kernel, q, n): the kernel's r=5 result over the first n
+    codes of its list."""
+    dcodes = CodeList(encode(small_dpq.pq, base))
+
+    def run(kernel, q, n):
+        if kernel == "fast-scan":
+            grouped = group_codes(CodeList(codes88.codes[:n]))
+            return fast_scan(grouped, compute_tables(pq88, q), 0.05, 5)[0]
+        if kernel == "derived":
+            return search_two_pass(small_dpq, CodeList(dcodes.codes[:n]), q, 5, 50)
+        codes = CodeList(codes44.codes[:n], m=pq44.m)
+        if kernel == "adc":
+            return scan(codes, compute_tables(pq44, q), 5)
+        return qadc_scan(codes, compute_tables(pq44, q), 50, 5)[0]
+
+    return run
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e200])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_reject_tables_that_overflow_float32(run_kernel, base, kernel, scale):
+    # A finite query this far out has squared distances past float32; every
+    # kernel raises the same error before a cast can warn or give inf.
+    assert len(run_kernel(kernel, base[3], 100)) == 5
+    with pytest.raises(ValueError, match="lookup table entries overflow float32"):
+        run_kernel(kernel, np.full(base.shape[1], scale), 100)
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e200])
+def test_lazy_tables_reject_entries_that_overflow_float32(small_dpq, scale):
+    lazy = LazyTables(small_dpq.pq, np.full(small_dpq.pq.d, scale))
+    with pytest.raises(ValueError, match="lookup table entries overflow float32"):
+        lazy.entries(0, np.arange(small_dpq.pq.k))
+    assert lazy.computed == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_return_nothing_for_an_empty_code_list(run_kernel, base, kernel):
+    assert len(run_kernel(kernel, base[3], 0)) == 0

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from pqscan import (
+    BINS,
     CodeList,
     LookupTables,
     ProductQuantizer,
-    QuantizedTables4,
-    QuantParams,
+    QuantizedTables,
     TrainConfig,
     adc_distance,
     build_ivf,
@@ -69,7 +69,7 @@ def test_pair_table_qadc_equals_clamped_scalar(m, n, seed, cap):
     # cap bounds the entries; low caps keep sums below 127, high ones saturate
     rng = np.random.default_rng(seed)
     tables = rng.integers(0, cap + 1, (m, 16)).astype(np.uint8)
-    qt = QuantizedTables4(tables=tables, params=QuantParams(0.0, 127.0))
+    qt = QuantizedTables(tables, 0.0, 127.0, BINS)
     comps = random_components(rng, n, m, 4)
     got = quantized_distances(pack(comps), qt)
     want = np.array([scalar_qadc(c, tables) for c in comps], dtype=np.uint8)
@@ -108,7 +108,7 @@ def test_qadc_scan_reads_packed_list_of_any_m(m):
     nset, qt = qadc_scan(codelist, tables, 50, 10)
     exact = scan_distances(tables, comps)
     qmax = float(np.sort(exact[:50])[9])
-    assert qt.params.qmax == qmax
+    assert qt.qmax == qmax
     bins = np.array([scalar_qadc(c, qt.tables) for c in comps], dtype=np.float64)
     oracle = sorted(zip(bins.tolist(), codelist.ids.tolist()))[:10]
     assert nset.items() == oracle

@@ -4,21 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqscan import (
+    BINS,
     CodeList,
-    QuantParams,
-    QuantizedTables4,
+    QuantizedTables,
     compute_tables,
     encode,
     qadc_block,
     qadc_scan,
-    quantize_tables_4bit,
     quantized_distances,
     scan,
     scan_distances,
     transpose_blocks,
 )
 
-from conftest import pack
+from conftest import pack, quantized
 
 
 def scalar_qadc(code, qt):
@@ -31,7 +30,7 @@ def scalar_qadc(code, qt):
 
 def random_qt(rng, m):
     tables = rng.integers(0, 128, (m, 16)).astype(np.uint8)
-    return QuantizedTables4(tables=tables, params=QuantParams(0.0, 127.0))
+    return QuantizedTables(tables, 0.0, 127.0, BINS)
 
 
 # -- table quantization ------------------------------------------------------
@@ -39,8 +38,7 @@ def random_qt(rng, m):
 
 def test_quantized_tables_bounds(pq44, queries):
     tables = compute_tables(pq44, queries[0])
-    params = QuantParams(float(tables.tables.min()), float(tables.tables.max()))
-    qt = quantize_tables_4bit(tables, params)
+    qt = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
     assert qt.tables.shape == (4, 16)
     assert qt.tables.max() <= 127
     row_mins = tables.tables.min(axis=1)
@@ -52,15 +50,14 @@ def test_quantized_tables_row_all_qmin():
     t[1] += 5.0
     from pqscan import LookupTables
 
-    qt = quantize_tables_4bit(LookupTables(t), QuantParams(0.0, 5.0))
+    qt = quantized(LookupTables(t), 0.0, 5.0)
     np.testing.assert_array_equal(qt.tables[0], np.zeros(16, dtype=np.uint8))
     np.testing.assert_array_equal(qt.tables[1], np.full(16, 127, dtype=np.uint8))
 
 
 def test_quantized_tables_monotone_rows(pq44, queries):
     tables = compute_tables(pq44, queries[1])
-    params = QuantParams(float(tables.tables.min()), float(tables.tables.max()))
-    qt = quantize_tables_4bit(tables, params)
+    qt = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
     for j in range(4):
         order = np.argsort(tables.tables[j], kind="stable")
         q_sorted = qt.tables[j][order].astype(np.int64)
@@ -83,9 +80,7 @@ def test_qadc_block_equals_scalar(seed, m):
 
 
 def test_qadc_block_saturates():
-    qt = QuantizedTables4(
-        tables=np.full((2, 16), 127, dtype=np.uint8), params=QuantParams(0.0, 1.0)
-    )
+    qt = QuantizedTables(np.full((2, 16), 127, dtype=np.uint8), 0.0, 1.0, BINS)
     codes = np.zeros((16, 2), dtype=np.uint8)
     tlist = transpose_blocks(CodeList(pack(codes), m=2), 4)
     np.testing.assert_array_equal(
@@ -145,7 +140,7 @@ def test_qadc_init_count_full_matches_rth_exact(pq44, codes44, queries):
     tables = compute_tables(pq44, queries[2])
     exact = np.sort(scan_distances(tables, codes44.codes))
     _, qt = qadc_scan(codes44, tables, codes44.n, 10)
-    assert qt.params.qmax == float(exact[9])
+    assert qt.qmax == float(exact[9])
 
 
 def test_qadc_recall_close_to_float_adc(pq44, codes44, blob_data, queries):
@@ -167,9 +162,7 @@ def test_qadc_recall_close_to_float_adc(pq44, codes44, blob_data, queries):
 
 
 def test_rescale_inverts_bins():
-    qt = QuantizedTables4(
-        tables=np.zeros((2, 16), dtype=np.uint8), params=QuantParams(10.0, 137.0)
-    )
+    qt = QuantizedTables(np.zeros((2, 16), dtype=np.uint8), 10.0, 137.0, BINS)
     assert qt.rescale(0) == pytest.approx(10.0)
     assert qt.rescale(127) == pytest.approx(137.0)
     np.testing.assert_allclose(qt.rescale(np.array([0, 127])), [10.0, 137.0])
