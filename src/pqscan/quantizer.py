@@ -207,8 +207,9 @@ def _kmeanspp_init(
     xn = np.einsum("ij,ij->i", xs, xs)
     xn_max = xn.max()
     # Points too large for float32 scores cast nothing: every seed then
-    # takes the exact branch below.
-    xs32 = xs.astype(np.float32) if xn_max < SAFE_SCALE32 else None
+    # takes the exact branch below. Stored (d, n), a draw's score is d
+    # contiguous axpys over the points instead of n dot products of length d.
+    xsT = np.ascontiguousarray(xs.T, dtype=np.float32) if xn_max < SAFE_SCALE32 else None
     xlow = xn - shortlist_slack(d, xn, np.float32)
     low = np.empty(n)
     for c in range(1, k):
@@ -222,8 +223,8 @@ def _kmeanspp_init(
         centroids[c] = points[pick]
         cs = xs[pick]
         cn = float(cs @ cs)
-        if xs32 is not None and xn_max + cn < SAFE_SCALE32:
-            np.add(xs32 @ (np.float32(-2.0) * xs32[pick]), xlow, out=low)
+        if xsT is not None and xn_max + cn < SAFE_SCALE32:
+            np.add((np.float32(-2.0) * xsT[:, pick]) @ xsT, xlow, out=low)
             low += cn - shortlist_slack(d, cn, np.float32)
             drop = np.flatnonzero(low < closest)
         else:

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 from pqscan import TrainConfig
-from pqscan._dist import _ROW_BLOCK_ENTRIES, nearest, sqdist_rows
+from pqscan._dist import _CHUNK_ENTRIES, _ROW_BLOCK_ENTRIES, NARROW_K, nearest, sqdist_rows
 from pqscan.quantizer import _cdf_index, _kmeans_seeded, _kmeanspp_init, _mean_update
 
 
@@ -78,8 +78,11 @@ def assert_same_as_oracle(points, centroids):
     want_idx, want_dist = nearest_oracle(points, centroids)
     assert idx.dtype == np.int64
     np.testing.assert_array_equal(idx, want_idx)
-    # The winners' distances, as callers compute them, are cdist's.
-    assert_bits_equal(sqdist_rows(points, np.asarray(centroids, np.float64)[idx]), want_dist)
+    # The winners' distances, as callers compute them, are cdist's; they
+    # may overflow to inf, as cdist's do, quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got_dist = sqdist_rows(points, np.asarray(centroids, np.float64)[idx])
+    assert_bits_equal(got_dist, want_dist)
 
 
 def make_case(kind, n, d, k, rng):
@@ -109,17 +112,22 @@ def make_case(kind, n, d, k, rng):
     return x, c
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     d=st.sampled_from([1, 2, 8, 16, 128]),
-    k=st.sampled_from([1, 2, 256, 1024]),
+    k=st.sampled_from([1, 2, 16, 256, 1024]),
     n=st.integers(1, 80),
     kind=st.sampled_from(["normal", "duplicates", "grid", "ulp", "offset"]),
+    scale=st.sampled_from([1e-42, 1e-20, 1.0, 1e18, 1e39, 1e150]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_nearest_matches_cdist_argmin(d, k, n, kind, seed):
+def test_nearest_matches_cdist_argmin(d, k, n, kind, scale, seed):
+    # Scores are float32 only inside float32's window of centroid scales;
+    # below it (1e-42, 1e-20) and from SAFE_SCALE32 on (1e39, 1e150, and
+    # 1e18 at large d) they are float64, and 1e18 at small d puts some rows
+    # past the float32 limit. Every case must match cdist.
     x, c = make_case(kind, n, d, k, np.random.default_rng(seed))
-    assert_same_as_oracle(x, c)
+    assert_same_as_oracle(x * scale, c * scale)
 
 
 _coords = st.one_of(
@@ -157,10 +165,20 @@ def test_nearest_non_finite_matches_cdist():
 
 
 def test_nearest_is_independent_of_chunking():
-    # More rows than one chunk holds: every chunk must agree with the oracle.
-    rng = np.random.default_rng(9)
-    x, c = make_case("duplicates", 3000, 8, 1024, rng)
-    assert_same_as_oracle(x, c)
+    # Two whole chunks and a one-row third, on each side of the layout rule:
+    # centroid-major up to NARROW_K centroids, row-major above. Rows of
+    # NaN, inf and -inf sit in every chunk; in the centroid-major layout a
+    # NaN row has no score at or below its threshold at all. float32 rows,
+    # which builds pass, are widened chunk by chunk.
+    for k, d in ((16, 8), (NARROW_K, 16), (NARROW_K + 1, 8), (1024, 8)):
+        rng = np.random.default_rng(k)
+        step = _CHUNK_ENTRIES // k
+        x, c = make_case("duplicates", 2 * step + 1, d, k, rng)
+        x[[0, step + 1, 2 * step], 0] = np.nan
+        x[[1, step + 2]] = np.inf
+        x[[2, step + 3], d // 2] = -np.inf
+        assert_same_as_oracle(x, c)
+        assert_same_as_oracle(x.astype(np.float32), c)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
