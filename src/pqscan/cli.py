@@ -23,26 +23,22 @@ from .data import (
     write_recall_csv,
     write_vecs,
 )
-from .derived import DerivedPQ, load_quantizer_any, save_derived, train_derived
+from .derived import DerivedPQ, load_quantizer_any, save_derived
 from .fastscan import fast_scan, group_codes
 from .ivf import (
+    KERNELS,
     _sample_rows,
     build_ivf,
     check_kernel,
     default_r2,
     load_ivf,
+    plain_pq,
     query_ivf,
     save_ivf,
     scan_list,
+    train_quantizer,
 )
-from .quantizer import (
-    TrainConfig,
-    TrainError,
-    encode,
-    save_quantizer,
-    train_opq,
-    train_pq,
-)
+from .quantizer import TrainConfig, TrainError, encode, save_quantizer
 from .quickadc import DEFAULT_INIT_COUNT
 from .scan import CodeList, compute_tables, load_codes, save_codes
 
@@ -91,28 +87,21 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(args.seed)
     size = args.sample if args.sample > 0 else base.shape[0]
     training = base[_sample_rows(rng, base.shape[0], size)].astype(np.float64)
-    cfg = _train_cfg(args)
-    if args.bderived is not None:
-        if args.opq:
-            raise ValueError("derived quantizers do not support a rotation")
-        dpq = train_derived(training, args.m, args.b, args.bderived, cfg)
-        save_derived(args.out, dpq)
+    quant = train_quantizer(
+        training, args.m, args.b, _train_cfg(args), args.opq, args.bderived
+    )
+    if isinstance(quant, DerivedPQ):
+        save_derived(args.out, quant)
         print(f"trained derived {args.m}x{args.bderived},{args.b} -> {args.out}")
-    elif args.opq:
-        pq = train_opq(training, args.m, args.b, cfg)
-        save_quantizer(args.out, pq)
-        print(f"trained opq {args.m}x{args.b} -> {args.out}")
     else:
-        pq = train_pq(training, args.m, args.b, cfg)
-        save_quantizer(args.out, pq)
-        print(f"trained pq {args.m}x{args.b} -> {args.out}")
+        save_quantizer(args.out, quant)
+        print(f"trained {'opq' if args.opq else 'pq'} {args.m}x{args.b} -> {args.out}")
     return 0
 
 
 def cmd_encode(args) -> int:
     base = _read_auto(args.base)
-    quant = load_quantizer_any(args.quantizer)
-    pq = quant.pq if isinstance(quant, DerivedPQ) else quant
+    pq = plain_pq(load_quantizer_any(args.quantizer))
     save_codes(args.out, CodeList(encode(pq, base), m=pq.m), pq.b)
     print(f"encoded {base.shape[0]} codes -> {args.out}")
     return 0
@@ -157,10 +146,9 @@ def _load_truth(path: str, n_queries: int) -> GroundTruth:
 
 def _exhaustive_search_fn(args, quant, codelist: CodeList):
     """Returns a per-query search fn -> ((D, I), checked, pruned)."""
-    if args.kernel == "fast-scan":
-        pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-        if pq.m != 8 or pq.b != 8:
-            raise ValueError("fast-scan requires m=8, b=8")
+    kernel = check_kernel(args.kernel, quant)
+    if kernel == "fast-scan":
+        pq = plain_pq(quant)
         grouped = group_codes(codelist)
         init = args.init / 100.0
 
@@ -169,7 +157,6 @@ def _exhaustive_search_fn(args, quant, codelist: CodeList):
             return nset.to_arrays(), stats.checked, stats.pruned
 
         return run
-    kernel = check_kernel(args.kernel, quant)
 
     def run(q):
         found = scan_list(quant, codelist, q, args.r, kernel, args.init_count, args.r2)
@@ -194,15 +181,12 @@ def cmd_query(args) -> int:
     queries = _read_auto(args.queries).astype(np.float64)
     # validate inputs and build the search closure before any output
     if args.index:
-        index = load_ivf(args.index)
-        if args.kernel == "fast-scan":
-            raise ValueError("fast-scan is not available under an inverted index")
-        run = _index_search_fn(args, index)
+        run = _index_search_fn(args, load_ivf(args.index))
     else:
         if not (args.codes and args.quantizer):
             raise ValueError("need either --index or both --codes and --quantizer")
         quant = load_quantizer_any(args.quantizer)
-        pq = quant.pq if isinstance(quant, DerivedPQ) else quant
+        pq = plain_pq(quant)
         codelist, b = load_codes(args.codes)
         if (codelist.m, b) != (pq.m, pq.b):
             raise ValueError(
@@ -248,8 +232,6 @@ def cmd_bench(args) -> int:
     if args.kernel == "derived":
         r2_used = default_r2(r) if args.r2 is None else args.r2
     if args.K:
-        if args.kernel == "fast-scan":
-            raise ValueError("fast-scan is not available under an inverted index")
         index = build_ivf(
             base,
             args.K,
@@ -264,16 +246,8 @@ def cmd_bench(args) -> int:
         k_col, ma_col = args.K, args.ma
     else:
         rows = _sample_rows(rng, base.shape[0], 100 * (1 << args.b))
-        training = base[rows]
-        if args.kernel == "derived":
-            if args.bderived is None:
-                raise ValueError("derived kernel requires --bderived")
-            quant = train_derived(training, args.m, args.b, args.bderived, cfg)
-        elif args.opq:
-            quant = train_opq(training, args.m, args.b, cfg)
-        else:
-            quant = train_pq(training, args.m, args.b, cfg)
-        pq = quant.pq if isinstance(quant, DerivedPQ) else quant
+        quant = train_quantizer(base[rows], args.m, args.b, cfg, args.opq, args.bderived)
+        pq = plain_pq(quant)
         codelist = CodeList(encode(pq, base), m=pq.m)
         run = _exhaustive_search_fn(args, quant, codelist)
         method = args.kernel
@@ -388,11 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantizer", default=None)
     p.add_argument("--r", type=int, default=10)
     p.add_argument("--ma", type=int, default=8)
-    p.add_argument(
-        "--kernel",
-        choices=("adc", "fast-scan", "quick-adc", "derived"),
-        default="adc",
-    )
+    p.add_argument("--kernel", choices=KERNELS, default="adc")
     p.add_argument("--r2", type=int, default=None)
     p.add_argument("--init", type=float, default=0.5, help="fast-scan prefix, percent")
     p.add_argument("--init-count", dest="init_count", type=int, default=DEFAULT_INIT_COUNT)
@@ -411,11 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=int, default=None)
     p.add_argument("--init", type=float, default=0.5, help="fast-scan prefix, percent")
     p.add_argument("--init-count", dest="init_count", type=int, default=DEFAULT_INIT_COUNT)
-    p.add_argument(
-        "--kernel",
-        choices=("adc", "fast-scan", "quick-adc", "derived"),
-        default="adc",
-    )
+    p.add_argument("--kernel", choices=KERNELS, default="adc")
     p.add_argument("--opq", action="store_true")
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)

@@ -46,7 +46,8 @@ from .scan import (
     write_codes_body,
 )
 
-KERNELS = ("adc", "quick-adc", "derived")
+# Every scan kernel by name; check_kernel holds what each one requires.
+KERNELS = ("adc", "fast-scan", "quick-adc", "derived")
 DEFAULT_R2_SMALL = 9000
 DEFAULT_R2_LARGE = 120000
 
@@ -118,8 +119,6 @@ def build_ivf(
     n, d = base.shape
     if n < K or n < (1 << b):
         raise ValueError(f"{n} vectors cannot train K={K}, b={b}")
-    if use_opq and bderived is not None:
-        raise ValueError("derived quantizers do not support a rotation")
     ids = _binio.index_array(np.arange(n) if ids is None else ids)
     rng = np.random.default_rng(cfg.seed)
 
@@ -143,14 +142,9 @@ def build_ivf(
 
     train_rows = _sample_rows(rng, n, 100 * (1 << b))
     train_res = base[train_rows] - coarse64[assign[train_rows]]
-    dpq = None
-    if bderived is not None:
-        dpq = train_derived(train_res, m, b, bderived, cfg)
-        pq = dpq.pq
-    elif use_opq:
-        pq = train_opq(train_res, m, b, cfg)
-    else:
-        pq = train_pq(train_res, m, b, cfg)
+    quant = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
+    pq = plain_pq(quant)
+    dpq = quant if isinstance(quant, DerivedPQ) else None
 
     codes = np.empty((n, pq.code_width), dtype=pq.code_dtype)
     res = np.empty((min(ENCODE_ROWS, n), d))
@@ -170,12 +164,43 @@ def build_ivf(
     return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
 
 
-def check_kernel(kernel: str, quant: ProductQuantizer | DerivedPQ) -> str:
-    """The kernel's canonical name, once quant is known to support it."""
+def train_quantizer(
+    training: np.ndarray,
+    m: int,
+    b: int,
+    cfg: TrainConfig | None = None,
+    use_opq: bool = False,
+    bderived: int | None = None,
+) -> ProductQuantizer | DerivedPQ:
+    """A derived quantizer with bderived-bit derived codebooks when bderived
+    is given, else an optimized (rotated) one when use_opq, else a plain one."""
+    if bderived is not None:
+        if use_opq:
+            raise ValueError("derived quantizers do not support a rotation")
+        return train_derived(training, m, b, bderived, cfg)
+    if use_opq:
+        return train_opq(training, m, b, cfg)
+    return train_pq(training, m, b, cfg)
+
+
+def plain_pq(quant: ProductQuantizer | DerivedPQ) -> ProductQuantizer:
+    """The full-resolution product quantizer of quant."""
+    return quant.pq if isinstance(quant, DerivedPQ) else quant
+
+
+def check_kernel(
+    kernel: str, quant: ProductQuantizer | DerivedPQ, indexed: bool = False
+) -> str:
+    """The kernel's canonical name, once quant, under an inverted index if
+    indexed, is known to support it."""
     kernel = kernel.replace("_", "-")
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}")
-    pq = quant.pq if isinstance(quant, DerivedPQ) else quant
+    pq = plain_pq(quant)
+    if kernel == "fast-scan" and indexed:
+        raise ValueError("fast-scan is not available under an inverted index")
+    if kernel == "fast-scan" and (pq.m, pq.b) != (8, 8):
+        raise ValueError("fast-scan requires m=8, b=8")
     if kernel == "quick-adc" and pq.b != 4:
         raise ValueError("quick-adc kernel requires b=4")
     if kernel == "derived" and not isinstance(quant, DerivedPQ):
@@ -192,13 +217,13 @@ def scan_list(
     init_count: int,
     r2: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One list's r best (distances float64, ids int64) under a kernel that
-    check_kernel accepted; quick-adc bins come back as float distances."""
+    """One list's r best (distances float64, ids int64) under a kernel other
+    than fast-scan that check_kernel accepted; quick-adc bins come back as
+    float distances."""
     if kernel == "derived":
         r2 = default_r2(r) if r2 is None else r2
         return search_two_pass(quant, codelist, query, r, r2).to_arrays()
-    pq = quant.pq if isinstance(quant, DerivedPQ) else quant
-    tables = compute_tables(pq, query)
+    tables = compute_tables(plain_pq(quant), query)
     if kernel == "adc":
         return scan(codelist, tables, r).to_arrays()
     part, qt = qadc_scan(codelist, tables, init_count, r)
@@ -218,7 +243,7 @@ def query_ivf(
     """Scan the ma nearest cells' lists against the query residuals and
     select the r best of their union."""
     quant = index.pq if index.dpq is None else index.dpq
-    kernel = check_kernel(kernel, quant)
+    kernel = check_kernel(kernel, quant, indexed=True)
     if not 1 <= ma <= index.K:
         raise ValueError(f"ma must be in [1, {index.K}]")
     if r < 1:

@@ -7,7 +7,6 @@ code is the sum of m table entries; a scan keeps the r best codes.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -180,60 +179,55 @@ def scan_distances(tables: LookupTables, codes: np.ndarray) -> np.ndarray:
 
 
 class NeighborSet:
-    """The r smallest (distance, id) pairs seen so far.
+    """The r best (distance, id) pairs, held as two arrays ascending by
+    (distance, id): float64 distances and int64 ids.
 
-    Bounded max-heap; ties on distance resolve to the lower id. The final
-    contents do not depend on push order.
+    Ties on distance resolve to the lower id, so the contents do not depend
+    on the order pairs arrive in. Every selection is ``_select_best``'s.
     """
 
-    __slots__ = ("r", "_heap")
+    __slots__ = ("r", "_d", "_i")
 
     def __init__(self, r: int):
         if r < 1:
             raise ValueError("r must be >= 1")
         self.r = r
-        self._heap: list[tuple[float, int]] = []
+        self._d = np.empty(0, np.float64)
+        self._i = np.empty(0, np.int64)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._d.shape[0]
 
     @property
     def worst(self) -> float:
         """Current r-th best distance; inf while fewer than r held."""
-        if len(self._heap) < self.r:
-            return float("inf")
-        return -self._heap[0][0]
+        return float(self._d[-1]) if len(self) == self.r else float("inf")
 
     def push(self, distance: float, ident: int) -> bool:
         """Offer a candidate; returns True if it was retained."""
-        entry = (-float(distance), -int(ident))
-        if len(self._heap) < self.r:
-            heapq.heappush(self._heap, entry)
-            return True
-        if entry > self._heap[0]:
-            heapq.heappushpop(self._heap, entry)
-            return True
-        return False
+        distance, ident = float(distance), int(ident)
+        if len(self) == self.r and (distance, ident) >= (self.worst, int(self._i[-1])):
+            return False
+        self._d, self._i = _select_best(
+            np.append(self._d, distance), np.append(self._i, ident), self.r
+        )
+        return True
 
     def items(self) -> list[tuple[float, int]]:
-        """Retained (distance, id) pairs, ascending."""
-        return sorted((-d, -i) for d, i in self._heap)
+        """Held (distance, id) pairs, ascending."""
+        return list(zip(self._d.tolist(), self._i.tolist()))
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(distances float64, ids int64), ascending by (distance, id)."""
-        pairs = self.items()
-        dists = np.array([p[0] for p in pairs], dtype=np.float64)
-        ids = np.array([p[1] for p in pairs], dtype=np.int64)
-        return dists, ids
+        return self._d, self._i
 
     @classmethod
     def from_pairs(cls, r: int, dists: np.ndarray, ids: np.ndarray) -> "NeighborSet":
-        """Bulk-load at most r pairs (assumed already the r best)."""
+        """Hold dists and ids, which must be the r best, ascending, as
+        ``_select_best`` returns them."""
         out = cls(r)
-        out._heap = [
-            (-float(d), -int(i)) for d, i in zip(dists[:r], ids[:r])
-        ]
-        heapq.heapify(out._heap)
+        out._d = np.asarray(dists, dtype=np.float64)
+        out._i = np.asarray(ids, dtype=np.int64)
         return out
 
 

@@ -15,6 +15,7 @@ from pqscan import (
 )
 from pqscan._dist import nearest_k
 from pqscan.cli import BENCH_HEADER, main
+from pqscan.ivf import KERNELS
 
 
 def run(capsys, *argv):
@@ -288,6 +289,21 @@ KERNEL_QUANTIZERS = {
     "quick-adc": ["--m", "4", "--b", "4"],
     "derived": ["--m", "4", "--b", "6", "--bderived", "3"],
 }
+
+
+def test_kernel_quantizers_cover_every_kernel():
+    assert tuple(KERNEL_QUANTIZERS) == KERNELS
+
+
+@pytest.mark.parametrize("index_args", [[], ["--K", "8"]])
+def test_bench_rejects_a_rotation_with_derived_codebooks(workspace, capsys, index_args):
+    code, out, err = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
+                         "--queries", str(workspace / "q.fvecs"),
+                         "--truth", str(workspace / "t.ivecs"),
+                         "--m", "4", "--b", "4", "--bderived", "3", "--opq",
+                         "--iters", "3", "--kernel", "derived", *index_args)
+    assert (code, out) == (1, "")
+    assert err == "error: derived quantizers do not support a rotation\n"
 
 
 @pytest.fixture(scope="module")

@@ -28,6 +28,7 @@ from pqscan import (
     train_derived,
 )
 from pqscan._dist import nearest, nearest_k
+from pqscan.ivf import KERNELS as LIBRARY_KERNELS
 from pqscan.quantizer import ENCODE_ROWS
 
 CFG = TrainConfig(kmeans_iters=8, seed=4)
@@ -286,6 +287,10 @@ def test_query_entry_points_reject_non_finite(index, small_dpq, base, entry, bad
 
 
 KERNELS = ["adc", "fast-scan", "quick-adc", "derived"]
+
+
+def test_kernels_match_the_library():
+    assert tuple(KERNELS) == LIBRARY_KERNELS
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from pqscan import (
     scan_distances,
     transpose_blocks,
 )
+from pqscan._dist import _select_best
 
 from conftest import pack, unpack
 
@@ -115,19 +116,32 @@ def test_scan_random_instances_vs_oracle():
         assert got == sorted_oracle(tables, codes, ids, r)
 
 
-@given(st.lists(st.tuples(st.floats(0, 100), st.integers(0, 10**6)), max_size=60),
-       st.integers(1, 10), st.randoms())
+# Few distinct distances and ids, so ties and repeated (even identical)
+# pairs are common.
+PAIRS = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.5, 2.0]) | st.floats(0, 100),
+              st.integers(0, 5) | st.integers(0, 10**6)),
+    max_size=60,
+)
+
+
+@given(PAIRS, st.integers(1, 10), st.randoms())
 @settings(max_examples=60, deadline=None)
 def test_neighborset_order_insensitive(pairs, r, pyrng):
-    a = NeighborSet(r)
-    for d, i in pairs:
-        a.push(d, i)
     shuffled = list(pairs)
     pyrng.shuffle(shuffled)
-    b = NeighborSet(r)
-    for d, i in shuffled:
-        b.push(d, i)
-    assert a.items() == b.items()
+    for order in (pairs, shuffled):
+        nset = NeighborSet(r)
+        for step, (d, i) in enumerate(order):
+            before = sorted(order[:step])[:r]
+            want = sorted(order[: step + 1])[:r]
+            # Retained exactly when the r best change.
+            assert nset.push(d, i) == (want != before)
+            assert nset.items() == want
+    dists = np.array([d for d, _ in pairs], dtype=np.float64)
+    ids = np.array([i for _, i in pairs], dtype=np.int64)
+    bulk = NeighborSet.from_pairs(r, *_select_best(dists, ids, r))
+    assert bulk.items() == nset.items() == sorted(pairs)[:r]
 
 
 def test_neighborset_tie_breaks_to_lower_id():
