@@ -30,6 +30,7 @@ from .ivf import (
     _sample_rows,
     build_ivf,
     check_kernel,
+    check_kernel_shape,
     default_r2,
     load_ivf,
     plain_pq,
@@ -225,6 +226,7 @@ def cmd_bench(args) -> int:
     if not args.truth:
         raise ValueError("recall reporting requires --truth")
     truth = _load_truth(args.truth, queries.shape[0])
+    check_kernel_shape(args.kernel, args.m, args.b, args.bderived is not None, bool(args.K))
     cfg = _train_cfg(args)
     rng = np.random.default_rng(args.seed)
     r = args.r

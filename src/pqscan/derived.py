@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _binio
 from ._dist import _select_best, sqdist_matrix
+from ._parallel import assign_cost, fork_map
 from .quantizer import (
     ProductQuantizer,
     TrainConfig,
@@ -103,6 +104,13 @@ def build_derived_quantizers(
     return full, derived
 
 
+def check_derived_bits(b: int, bbar: int) -> None:
+    """Reject derived codebooks of bbar bits under b-bit full ones unless
+    1 <= bbar < b <= 16."""
+    if not 1 <= bbar < b <= 16:
+        raise ValueError(f"need 1 <= bbar < b <= 16, got bbar={bbar}, b={b}")
+
+
 def train_derived(
     training: np.ndarray,
     m: int,
@@ -116,21 +124,20 @@ def train_derived(
     training = np.asarray(training, dtype=np.float64)
     if training.ndim != 2 or training.shape[1] % m != 0:
         raise ValueError("training set must be 2-D with d divisible by m")
-    if not 1 <= bbar < b <= 16:
-        raise ValueError(f"need 1 <= bbar < b <= 16, got bbar={bbar}, b={b}")
+    check_derived_bits(b, bbar)
     if training.shape[0] < (1 << b):
         raise ValueError(f"{training.shape[0]} training points for {1 << b} centroids")
     _require_finite(training, "training vectors")
     d = training.shape[1]
     dsub = d // m
     k, kbar = 1 << b, 1 << bbar
-    full = np.empty((m, k, dsub), dtype=np.float32)
-    derived = np.empty((m, kbar, dsub), dtype=np.float32)
-    for j in range(m):
+
+    def books(j):
         sub = np.ascontiguousarray(training[:, j * dsub : (j + 1) * dsub])
-        full[j], derived[j] = build_derived_quantizers(
-            sub, kbar, k, cfg, _seed_for(cfg.seed, j)
-        )
+        return build_derived_quantizers(sub, kbar, k, cfg, _seed_for(cfg.seed, j))
+
+    cost = m * (cfg.kmeans_iters + 1) * assign_cost(training.shape[0], k, dsub)
+    full, derived = (np.stack(column) for column in zip(*fork_map(books, m, cost)))
     pq = ProductQuantizer(m=m, b=b, d=d, codebooks=full)
     return DerivedPQ(pq=pq, bbar=bbar, derived=derived)
 

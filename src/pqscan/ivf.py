@@ -14,8 +14,10 @@ import numpy as np
 
 from . import _binio
 from ._dist import _select_best, nearest, nearest_k
+from ._parallel import assign_cost, fork_map
 from .derived import (
     DerivedPQ,
+    check_derived_bits,
     read_derived_body,
     search_two_pass,
     train_derived,
@@ -26,6 +28,7 @@ from .quantizer import (
     ProductQuantizer,
     TrainConfig,
     _check_query,
+    _checked_rows,
     _require_finite,
     encode,
     kmeans,
@@ -46,7 +49,7 @@ from .scan import (
     write_codes_body,
 )
 
-# Every scan kernel by name; check_kernel holds what each one requires.
+# Every scan kernel by name; check_kernel_shape holds what each one requires.
 KERNELS = ("adc", "fast-scan", "quick-adc", "derived")
 DEFAULT_R2_SMALL = 9000
 DEFAULT_R2_LARGE = 120000
@@ -108,6 +111,7 @@ def build_ivf(
     residual into the list of its nearest coarse centroid (ties to the
     lowest index). Training uses seeded samples of the base."""
     cfg = cfg or TrainConfig()
+    check_train_options(b, use_opq, bderived)
     # float32 rows are not widened up front: each pass below widens one
     # chunk at a time, which is exact, so nothing differs from a float64 copy.
     base = np.asarray(base)
@@ -121,7 +125,47 @@ def build_ivf(
         raise ValueError(f"{n} vectors cannot train K={K}, b={b}")
     ids = _binio.index_array(np.arange(n) if ids is None else ids)
     rng = np.random.default_rng(cfg.seed)
+    # Every row below is a checked base row or its residual, so the callees
+    # skip their own checks.
+    with _checked_rows():
+        coarse, assign = _coarse_assignment(base, K, cfg, rng)
+        # A float64 residual of a finite row and a finite float32 centroid
+        # is finite, so only the centroids' cast can overflow.
+        if not np.isfinite(coarse).all():
+            raise ValueError("coarse centroids overflow float32")
+        coarse64 = coarse.astype(np.float64)
+        train_rows = _sample_rows(rng, n, 100 * (1 << b))
+        train_res = base[train_rows] - coarse64[assign[train_rows]]
+        quant = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
+        pq = plain_pq(quant)
+        dpq = quant if isinstance(quant, DerivedPQ) else None
+        res = np.empty((min(ENCODE_ROWS, n), d))
 
+        def residual_codes(i):
+            lo, hi = i * ENCODE_ROWS, min((i + 1) * ENCODE_ROWS, n)
+            chunk = np.take(coarse64, assign[lo:hi], axis=0, out=res[: hi - lo], mode="clip")
+            np.subtract(base[lo:hi], chunk, out=chunk)
+            return encode(pq, chunk)
+
+        cost = pq.m * assign_cost(n, pq.k, pq.dsub)
+        codes = np.concatenate(fork_map(residual_codes, -(-n // ENCODE_ROWS), cost))
+
+    # A stable sort keeps each cell's rows in base order.
+    order = np.argsort(assign, kind="stable")
+    codes, ids = codes[order], ids[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=K))))
+    lists = [
+        CodeList(codes[lo:hi], ids[lo:hi], m) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
+
+
+def _coarse_assignment(
+    base: np.ndarray, K: int, cfg: TrainConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """K coarse centroids (float32) trained on a seeded sample of base, and
+    every row's nearest one."""
+    n, d = base.shape
     # kmeans returns the coarse sample's assignment to the float32 centroids
     # it returns, which is what nearest gives; only the other rows need it.
     coarse_rows = _sample_rows(rng, n, max(K, 100 * K))
@@ -135,33 +179,15 @@ def build_ivf(
     # Every index is in range; mode="clip" only spares take the buffering
     # that its default mode does before writing to out.
     rows = np.empty((min(ENCODE_ROWS, rest.size), d), dtype=base.dtype)
-    for lo in range(0, rest.size, ENCODE_ROWS):
-        part = rest[lo : lo + ENCODE_ROWS]
+
+    def nearest_cells(i):
+        part = rest[i * ENCODE_ROWS : (i + 1) * ENCODE_ROWS]
         chunk = np.take(base, part, axis=0, out=rows[: part.size], mode="clip")
-        assign[part] = nearest(chunk, coarse64)
+        return nearest(chunk, coarse64)
 
-    train_rows = _sample_rows(rng, n, 100 * (1 << b))
-    train_res = base[train_rows] - coarse64[assign[train_rows]]
-    quant = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
-    pq = plain_pq(quant)
-    dpq = quant if isinstance(quant, DerivedPQ) else None
-
-    codes = np.empty((n, pq.code_width), dtype=pq.code_dtype)
-    res = np.empty((min(ENCODE_ROWS, n), d))
-    for lo in range(0, n, ENCODE_ROWS):
-        hi = min(lo + ENCODE_ROWS, n)
-        chunk = np.take(coarse64, assign[lo:hi], axis=0, out=res[: hi - lo], mode="clip")
-        np.subtract(base[lo:hi], chunk, out=chunk)
-        codes[lo:hi] = encode(pq, chunk)
-
-    # A stable sort keeps each cell's rows in base order.
-    order = np.argsort(assign, kind="stable")
-    codes, ids = codes[order], ids[order]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=K))))
-    lists = [
-        CodeList(codes[lo:hi], ids[lo:hi], m) for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
+    cells = fork_map(nearest_cells, -(-rest.size // ENCODE_ROWS), assign_cost(rest.size, K, d))
+    assign[rest] = np.concatenate([np.empty(0, np.int64), *cells])
+    return coarse, assign
 
 
 def train_quantizer(
@@ -174,9 +200,8 @@ def train_quantizer(
 ) -> ProductQuantizer | DerivedPQ:
     """A derived quantizer with bderived-bit derived codebooks when bderived
     is given, else an optimized (rotated) one when use_opq, else a plain one."""
+    check_train_options(b, use_opq, bderived)
     if bderived is not None:
-        if use_opq:
-            raise ValueError("derived quantizers do not support a rotation")
         return train_derived(training, m, b, bderived, cfg)
     if use_opq:
         return train_opq(training, m, b, cfg)
@@ -188,24 +213,41 @@ def plain_pq(quant: ProductQuantizer | DerivedPQ) -> ProductQuantizer:
     return quant.pq if isinstance(quant, DerivedPQ) else quant
 
 
-def check_kernel(
-    kernel: str, quant: ProductQuantizer | DerivedPQ, indexed: bool = False
+def check_train_options(b: int, use_opq: bool, bderived: int | None) -> None:
+    """Reject quantizer options train_quantizer cannot combine, before any
+    training."""
+    if bderived is not None:
+        if use_opq:
+            raise ValueError("derived quantizers do not support a rotation")
+        check_derived_bits(b, bderived)
+
+
+def check_kernel_shape(
+    kernel: str, m: int, b: int, derived: bool, indexed: bool = False
 ) -> str:
-    """The kernel's canonical name, once quant, under an inverted index if
-    indexed, is known to support it."""
+    """The kernel's canonical name, once a quantizer of m b-bit components,
+    derived or not, under an inverted index if indexed, is known to support
+    it. Needs no trained quantizer, so callers can check before training."""
     kernel = kernel.replace("_", "-")
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}")
-    pq = plain_pq(quant)
     if kernel == "fast-scan" and indexed:
         raise ValueError("fast-scan is not available under an inverted index")
-    if kernel == "fast-scan" and (pq.m, pq.b) != (8, 8):
+    if kernel == "fast-scan" and (m, b) != (8, 8):
         raise ValueError("fast-scan requires m=8, b=8")
-    if kernel == "quick-adc" and pq.b != 4:
+    if kernel == "quick-adc" and b != 4:
         raise ValueError("quick-adc kernel requires b=4")
-    if kernel == "derived" and not isinstance(quant, DerivedPQ):
+    if kernel == "derived" and not derived:
         raise ValueError("derived kernel needs a derived quantizer")
     return kernel
+
+
+def check_kernel(
+    kernel: str, quant: ProductQuantizer | DerivedPQ, indexed: bool = False
+) -> str:
+    """check_kernel_shape for the trained quant."""
+    pq = plain_pq(quant)
+    return check_kernel_shape(kernel, pq.m, pq.b, isinstance(quant, DerivedPQ), indexed)
 
 
 def scan_list(

@@ -14,6 +14,8 @@ which tells the two layouts apart by the width of the array.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
@@ -22,6 +24,7 @@ from scipy import sparse
 
 from . import _binio
 from ._dist import SAFE_SCALE32, nearest, shortlist_slack, sqdist_matrix, sqdist_rows
+from ._parallel import assign_cost, fork_map
 
 
 # Rows per chunk wherever a build turns input rows into float64 work arrays
@@ -158,9 +161,25 @@ def _seed_for(seed: int, lane: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(lane,))
 
 
+# True while a build passes on rows it has already checked for non-finite
+# values (see _checked_rows).
+_ROWS_CHECKED: ContextVar[bool] = ContextVar("rows_checked", default=False)
+
+
 def _require_finite(x: np.ndarray, what: str) -> None:
-    if not np.isfinite(x).all():
+    if not _ROWS_CHECKED.get() and not np.isfinite(x).all():
         raise ValueError(f"{what} contain non-finite values")
+
+
+@contextmanager
+def _checked_rows() -> Iterator[None]:
+    """Skip _require_finite inside: the caller vouches that every row it
+    passes on is finite."""
+    token = _ROWS_CHECKED.set(True)
+    try:
+        yield
+    finally:
+        _ROWS_CHECKED.reset(token)
 
 
 def _cdf_index(cdf: np.ndarray, u: float) -> int:
@@ -348,10 +367,13 @@ def train_pq(
     d = training.shape[1]
     dsub = d // m
     k = 1 << b
-    books = np.empty((m, k, dsub), dtype=np.float32)
-    for j in range(m):
+
+    def book(j):
         sub = np.ascontiguousarray(training[:, j * dsub : (j + 1) * dsub])
-        books[j] = _kmeans_seeded(sub, k, cfg, _seed_for(cfg.seed, j))
+        return _kmeans_seeded(sub, k, cfg, _seed_for(cfg.seed, j))
+
+    cost = m * (cfg.kmeans_iters + 1) * assign_cost(training.shape[0], k, dsub)
+    books = np.stack(fork_map(book, m, cost))
     return ProductQuantizer(m=m, b=b, d=d, codebooks=books)
 
 
@@ -451,20 +473,25 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector dimensionality {rows.shape[1]}, expected {pq.d}")
     dsub = pq.dsub
     books = pq.codebooks.astype(np.float64)
-    out = np.zeros((rows.shape[0], pq.code_width), dtype=pq.code_dtype)
+
     # Rows are independent, so a float64 copy of one chunk at a time bounds
-    # the memory whatever the input's size.
-    for lo in range(0, rows.shape[0], ENCODE_ROWS):
-        chunk = rows[lo : lo + ENCODE_ROWS]
+    # the memory whatever the input's size, and chunks can go to workers.
+    def chunk_codes(i):
+        chunk = rows[i * ENCODE_ROWS : (i + 1) * ENCODE_ROWS]
         _require_finite(chunk, "vectors")
         z = pq.rotate(chunk)
-        part = out[lo : lo + ENCODE_ROWS]
+        part = np.zeros((chunk.shape[0], pq.code_width), dtype=pq.code_dtype)
         for j in range(pq.m):
             idx = nearest(z[:, j * dsub : (j + 1) * dsub], books[j])
             if pq.b <= 4:
                 part[:, j >> 1] |= idx.astype(np.uint8) << (4 * (j & 1))
             else:
                 part[:, j] = idx
+        return part
+
+    n = rows.shape[0]
+    parts = fork_map(chunk_codes, -(-n // ENCODE_ROWS), pq.m * assign_cost(n, pq.k, dsub))
+    out = np.concatenate(parts) if parts else np.zeros((0, pq.code_width), pq.code_dtype)
     return out[0] if single else out
 
 

@@ -344,3 +344,33 @@ def test_query_overflowing_tables_is_exit_1(kernel_files, kernel, tmp_path, caps
                          str(codes), "--quantizer", str(quant), "--kernel", kernel)
     assert (code, out) == (1, "")
     assert err == "error: lookup table entries overflow float32\n"
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any k-means starts."""
+    from pqscan import derived, ivf, quantizer
+
+    def trained(*args, **kwargs):
+        raise AssertionError("training started")
+
+    for module, name in ((quantizer, "_kmeans_seeded"), (derived, "_kmeans_seeded"),
+                         (ivf, "kmeans")):
+        monkeypatch.setattr(module, name, trained)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "8", "--b", "8", "--K", "8", "--kernel", "fast-scan"],
+     "fast-scan is not available under an inverted index"),
+    (["--m", "4", "--b", "4", "--kernel", "derived"], "derived kernel needs a derived quantizer"),
+    (["--m", "4", "--b", "4", "--K", "8", "--kernel", "derived"],
+     "derived kernel needs a derived quantizer"),
+    (["--m", "4", "--b", "6", "--kernel", "quick-adc"], "quick-adc kernel requires b=4"),
+    (["--m", "4", "--b", "4", "--bderived", "3", "--opq", "--K", "8", "--kernel", "derived"],
+     "derived quantizers do not support a rotation"),
+])
+def test_bench_rejects_bad_flags_before_training(workspace, capsys, no_training, argv, message):
+    code, out, err = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
+                         "--queries", str(workspace / "q.fvecs"),
+                         "--truth", str(workspace / "t.ivecs"), *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

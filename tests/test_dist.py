@@ -320,3 +320,17 @@ def test_kmeanspp_owners_are_nearest_seeds(kind, seed):
     seeds, owner = _kmeanspp_init(points, 48, np.random.default_rng(seed))
     np.testing.assert_array_equal(seeds, kmeanspp_oracle(points, 48, np.random.default_rng(seed)))
     np.testing.assert_array_equal(owner, nearest_oracle(points, seeds)[0])
+
+
+def test_nearest_at_65536_centroids_matches_cdist_argmin():
+    # At k = 2^16 chunks keep the floor of rows, not 2^18 // k = 4. Some
+    # centroids repeat and some points sit on a centroid, so ties occur.
+    rng = np.random.default_rng(11)
+    c = rng.normal(size=(1 << 16, 3))
+    c[40_000:40_100] = c[100:200]
+    x = rng.normal(size=(300, 3))
+    x[:50] = c[100:150]
+    want = np.concatenate(
+        [nearest_oracle(x[lo : lo + 32], c)[0] for lo in range(0, x.shape[0], 32)]
+    )
+    np.testing.assert_array_equal(nearest(x, c), want)

@@ -334,3 +334,55 @@ def test_lazy_tables_reject_entries_that_overflow_float32(small_dpq, scale):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernels_return_nothing_for_an_empty_code_list(run_kernel, base, kernel):
     assert len(run_kernel(kernel, base[3], 0)) == 0
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"use_opq": True, "bderived": 3}, "derived quantizers do not support a rotation"),
+    ({"bderived": 4}, "need 1 <= bbar < b <= 16"),
+])
+def test_build_ivf_rejects_options_before_training(base, monkeypatch, options, message):
+    from pqscan import ivf
+
+    def trained(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(ivf, "kmeans", trained)
+    with pytest.raises(ValueError, match=message):
+        build_ivf(base, K=8, m=4, b=4, cfg=CFG, **options)
+
+
+def test_build_ivf_rejects_non_finite_base_before_training(base, monkeypatch):
+    from pqscan import ivf
+
+    def trained(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(ivf, "kmeans", trained)
+    bad = base.copy()
+    bad[-1, -1] = np.inf
+    with pytest.raises(ValueError, match="^base vectors contain non-finite values$"):
+        build_ivf(bad, K=8, m=4, b=4, cfg=CFG)
+
+
+def test_build_ivf_checks_each_value_once(base, monkeypatch):
+    # The base is checked for non-finite values once; its sample, the
+    # training residuals and the encoded residuals are not checked again.
+    isfinite, seen = np.isfinite, []
+
+    def counted(x, *args, **kwargs):
+        seen.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    idx = build_ivf(base, K=8, m=4, b=4, cfg=CFG)
+    others = idx.coarse.size + idx.pq.codebooks.size
+    assert base.size <= sum(seen) <= base.size + others
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the float32 casts overflow
+@pytest.mark.parametrize("scale", [1e39, 1e300])
+def test_build_ivf_rejects_residuals_that_overflow(base, scale):
+    # Finite float64 rows whose coarse centroids overflow float32: their
+    # residuals are not finite, so no codes may be built from them.
+    with pytest.raises(ValueError, match="^coarse centroids overflow float32$"):
+        build_ivf(base.astype(np.float64) * scale, K=8, m=4, b=4, cfg=CFG)
