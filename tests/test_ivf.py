@@ -336,28 +336,27 @@ def test_kernels_return_nothing_for_an_empty_code_list(run_kernel, base, kernel)
     assert len(run_kernel(kernel, base[3], 0)) == 0
 
 
+@pytest.fixture
+def no_coarse_kmeans(monkeypatch):
+    """Fail the test if build_ivf starts its coarse k-means."""
+    from pqscan import ivf
+
+    def trained(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(ivf, "kmeans", trained)
+
+
 @pytest.mark.parametrize("options, message", [
     ({"use_opq": True, "bderived": 3}, "derived quantizers do not support a rotation"),
     ({"bderived": 4}, "need 1 <= bbar < b <= 16"),
 ])
-def test_build_ivf_rejects_options_before_training(base, monkeypatch, options, message):
-    from pqscan import ivf
-
-    def trained(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(ivf, "kmeans", trained)
+def test_build_ivf_rejects_options_before_training(base, no_coarse_kmeans, options, message):
     with pytest.raises(ValueError, match=message):
         build_ivf(base, K=8, m=4, b=4, cfg=CFG, **options)
 
 
-def test_build_ivf_rejects_non_finite_base_before_training(base, monkeypatch):
-    from pqscan import ivf
-
-    def trained(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(ivf, "kmeans", trained)
+def test_build_ivf_rejects_non_finite_base_before_training(base, no_coarse_kmeans):
     bad = base.copy()
     bad[-1, -1] = np.inf
     with pytest.raises(ValueError, match="^base vectors contain non-finite values$"):

@@ -34,22 +34,28 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def forced(monkeypatch):
-    """Fork for any work, on two workers, in 64-row encode chunks."""
+def fork_always(monkeypatch):
+    """Fork for any cost, on two workers."""
     monkeypatch.setattr(_parallel, "_MIN_COST", 0)
     monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Encode and build_ivf in 64-row chunks, so tiny data has several."""
     monkeypatch.setattr(quantizer, "ENCODE_ROWS", 64)
     monkeypatch.setattr(ivf, "ENCODE_ROWS", 64)
+
+
+@pytest.fixture
+def forced(monkeypatch, small_chunks):
+    fork_always(monkeypatch)
 
 
 def serial_and_parallel(monkeypatch, build):
     """build() under the default gate (serial for tiny data), then forced."""
-    monkeypatch.setattr(quantizer, "ENCODE_ROWS", 64)
-    monkeypatch.setattr(ivf, "ENCODE_ROWS", 64)
     serial = build()
-    monkeypatch.setattr(_parallel, "_MIN_COST", 0)
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    fork_always(monkeypatch)
     return serial, build()
 
 
@@ -144,7 +150,7 @@ def test_encode_error_in_the_second_half(forced):
 
 
 @pytest.mark.parametrize("m, b", [(3, 4), (2, 9)])  # nibble-packed; uint16
-def test_train_and_encode_match_serial(monkeypatch, m, b):
+def test_train_and_encode_match_serial(monkeypatch, small_chunks, m, b):
     x = generate_synthetic(600, 12, 6, seed=4)
 
     def build():
@@ -157,7 +163,7 @@ def test_train_and_encode_match_serial(monkeypatch, m, b):
     assert codes_p.dtype == codes.dtype and codes.shape == (600, (m + 1) // 2 if b <= 4 else m)
 
 
-def test_train_derived_matches_serial(monkeypatch):
+def test_train_derived_matches_serial(monkeypatch, small_chunks):
     x = generate_synthetic(300, 8, 4, seed=5)
 
     def build():
@@ -170,7 +176,7 @@ def test_train_derived_matches_serial(monkeypatch):
 
 
 @pytest.mark.parametrize("options", [{}, {"bderived": 2}])
-def test_build_ivf_matches_serial(monkeypatch, options):
+def test_build_ivf_matches_serial(monkeypatch, small_chunks, options):
     x = generate_synthetic(1500, 8, 6, seed=6).astype(np.float32)
 
     def build():
