@@ -95,14 +95,21 @@ k-means++ seeding (``quantizer._kmeanspp_init``) uses the same bound
 one-sidedly: a point's cdist distance to a new seed can fall below its
 current nearest-seed distance only if its score minus the slack does. To
 halve the bytes each seed's GEMV reads, it scores in float32: one float32
-copy of the shifted points per seeding, stored (d, n), and one sgemv per
-seed. The casts move each product by at most 2 u32 relative and the float32
-dot product adds gamma_d(u32); as 2 ||xs|| ||cs|| <= S, the score is off by
-about (d + 3) u32 S at most, well within the same float32 slack. If the
-largest ||xs||^2 reaches ``SAFE_SCALE32`` nothing is cast, and a seed whose
-xn_max + cn reaches it gets every point's distance exactly.
+copy of the points, shifted by their mean and stored (d, n), per k-means
+run, and one sgemv per seed. The Lloyd steps' ``nearest`` calls read the
+same copy. The casts move each product by at most 2 u32 relative and the
+float32 dot product adds gamma_d(u32); as 2 ||xs|| ||cs|| <= S, the score
+is off by about (d + 3) u32 S at most, well within the same float32 slack.
+If the largest ||xs||^2 reaches ``SAFE_SCALE32`` nothing is cast, and a
+seed whose xn_max + cn reaches it gets every point's distance exactly.
 Points whose bound says they might drop get the exact float64 distance, so
-the draws stay bit-identical. The seeding also returns each point's owner,
+the draws stay bit-identical. The draws are split by rows: each share of
+a worker team (``quantizer._Shares``) scores and updates its own points,
+against its own xn_max, while the caller keeps the RNG and the cumulative
+weights over all of them. Which points get the exact distance depends on
+the split and on the GEMV's summation order, but no point whose bound
+holds can change, so the draws stay bit-identical on any number of shares
+as well. The seeding also returns each point's owner,
 the index of its nearest seed. The owner moves to a new seed only when the
 distance strictly decreases, so ties keep the lower index, which is
 ``nearest``'s own tie rule: the owners equal ``nearest(points, seeds)`` and
@@ -192,11 +199,18 @@ def shortlist_slack(d: int, scale, dtype=np.float64):
 
 # Non-finite or huge input takes the full rerank; like cdist, stay quiet.
 @np.errstate(invalid="ignore", over="ignore")
-def nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def nearest(points: np.ndarray, centroids: np.ndarray, _shifted=None) -> np.ndarray:
     """Per point, the index of the nearest centroid, int64.
 
     Bit-identical to cdist "sqeuclidean" followed by argmin, ties to the
     lowest centroid index (see the module docstring). Chunked over points.
+
+    ``_shifted``, for k-means, is ``(mu, xt, xn)``: the shift mu, the points
+    minus mu in float32 stored (d + 1, n) with a last row of ones, and the
+    float32 squared norms of their first d rows. Scores then shift by mu
+    instead of the centroid mean, and float32 scores read xt instead of
+    shifting and casting every chunk again. The bound holds for any shift,
+    and the rerank is exact, so the result is the same.
     """
     # float32 rows widen exactly inside the subtraction and the rerank, so
     # they are not copied to float64 first.
@@ -206,7 +220,7 @@ def nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     c = np.asarray(centroids, dtype=np.float64)
     n, d = x.shape
     k = c.shape[0]
-    mu = c.mean(axis=0)
+    mu = c.mean(axis=0) if _shifted is None else _shifted[0]
     cs = c - mu
     cn = np.einsum("ij,ij->i", cs, cs)
     cmax = cn.max()
@@ -221,8 +235,10 @@ def nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     w[:, d] = cn
     narrow = k <= NARROW_K
     step = max(1, min(n, max(_MIN_CHUNK_ROWS, _CHUNK_ENTRIES // k)))
+    if dtype is not np.float32:
+        _shifted = None
     # Every chunk reuses these buffers: fresh ones would fault in new pages.
-    xs1 = np.ones((step, d + 1), dtype)
+    xs1 = np.ones((step if _shifted is None else 0, d + 1), dtype)
     scores = np.empty(step * k, dtype)
     if narrow:
         hits = np.empty(step * k, np.uint8)
@@ -232,15 +248,20 @@ def nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         hi = min(lo + step, n)
         rows = hi - lo
         xc = x[lo:hi]
-        xs = xs1[:rows, :d]
-        np.subtract(xc, mu, out=xs, casting="same_kind")
-        scale = np.einsum("ij,ij->i", xs, xs) + dtype(cmax)
+        if _shifted is None:
+            xs = xs1[:rows, :d]
+            np.subtract(xc, mu, out=xs, casting="same_kind")
+            scale = np.einsum("ij,ij->i", xs, xs) + dtype(cmax)
+            xt = xs1[:rows].T
+        else:
+            xt = _shifted[1][:, lo:hi]
+            scale = _shifted[2][lo:hi] + dtype(cmax)
         unsafe = ~(scale < limit)
         part = idx[lo:hi]
         if narrow:
             # Centroid-major: each pass is one vectorized reduction over k
             # rows of scores, where argmin(axis=1) pays numpy's per-row cost.
-            a = np.matmul(w, xs1[:rows].T, out=scores[: k * rows].reshape(k, rows))
+            a = np.matmul(w, xt, out=scores[: k * rows].reshape(k, rows))
             thr = _threshold(np.minimum.reduce(a, axis=0), d, scale, dtype)
             hit = hits[: k * rows].reshape(k, rows)
             np.less_equal(a, thr, out=hit.view(bool))
@@ -250,7 +271,7 @@ def nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             amb = np.flatnonzero(~single | unsafe)
             a = a.T  # row-major view for the rerank
         else:
-            a = np.matmul(xs1[:rows], w.T, out=scores[: rows * k].reshape(rows, k))
+            a = np.matmul(xt.T, w.T, out=scores[: rows * k].reshape(rows, k))
             part[:] = np.argmin(a, axis=1)
             r = np.arange(rows)
             best = a[r, part]

@@ -1,39 +1,69 @@
-"""The build's parallel map: independent items in forked worker processes.
+"""The build's parallel paths: a worker team over contiguous shares, and the
+parallel map built on it.
 
-``fork_map(fn, count, cost)`` returns ``[fn(i) for i in range(count)]``,
-in item order, with the items split into contiguous shares, one per CPU in
-the process's affinity mask (``taskset`` restricts it). The calling process
-runs the first share itself; each other share runs in an ``os.fork`` child,
-which sends its pickled results back through a pipe. Each item computes
-exactly what the serial loop would, so results are the same bit for bit.
+``Team(fn, count, cost)`` splits ``range(count)`` into contiguous shares,
+one per CPU in the process's affinity mask (``taskset`` restricts it), and
+forks once: each share but the first gets an ``os.fork`` child that lives
+until the team closes. ``team.map(msg)`` returns ``[fn(share, msg) for
+share in team.shares]``: the calling process runs the first share itself,
+each child runs its own and sends its pickled result back through a pipe.
+A team serves many calls on the same shares, so a child can keep what it
+prepared for its share (say, a converted copy of its rows) from one call to
+the next; the parent closes the team (``with Team(...)``) to reap them.
+k-means runs its seeding draws and Lloyd assignments this way, one call per
+draw or step, with the state every share updates in ``shared_array``
+memory, created before the fork.
 
-It runs the plain serial loop instead when fewer than 2 CPUs are in the
-mask, when ``os.fork`` is missing, when the process runs more than one OS
-thread (forking a threaded process can copy a lock another thread holds, and
-a multi-threaded BLAS already uses the cores), when that thread count cannot
-be read, when the estimated cost is below ``_MIN_COST``, and inside an item
-of another ``fork_map`` call.
+``fork_map(fn, count, cost)`` returns ``[fn(i) for i in range(count)]``, in
+item order: one call of a team whose shares are runs of items. Each item,
+and each share of a team call, computes exactly what the serial loop would,
+so results are the same bit for bit.
+
+A team runs everything in the calling process instead (one share) when
+fewer than 2 CPUs are in the mask, when ``os.fork`` is missing, when the
+process runs more than one OS thread (forking a threaded process can copy a
+lock another thread holds, and a multi-threaded BLAS already uses the
+cores), when that thread count cannot be read, when the estimated cost is
+below ``_MIN_COST``, and while another team of this process has workers
+(so a team or map inside a ``fork_map`` item stays serial). If a fork
+fails, the parent runs that share and the ones after it itself.
 
 A child always leaves through ``os._exit``, so it never returns into its
-caller's stack or runs its exit handlers. The parent reads every pipe and
-reaps every child before it returns, even when its own share raises. An
-exception an item raises reaches the caller with its type and message; if
-several shares fail, the one holding the lowest item wins, as in the loop.
+caller's stack or runs its exit handlers; it leaves when its command pipe
+closes. Only the child holds the write end of its reply pipe, so a child
+that dies mid-call reads as end-of-file in the parent, which reaps it and
+raises instead of waiting. The parent reads every reply of a call, even
+when its own share raises, and reaps every child when the team closes. An
+exception a share raises reaches the caller with its type and message; if
+several shares fail, the lowest share wins, as in the loop.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 from typing import Callable, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
-# Estimated cost (see assign_cost) below which fork_map stays serial. A fork
+# Estimated cost (see assign_cost) below which a team stays serial. A fork
 # and its pipe cost 6-22 ms on a 2-vCPU x86-64 host, more for a process that
 # holds more memory; this is roughly 100 ms of nearest-centroid assignment.
 _MIN_COST = 1 << 30
-# True inside a fork_map call, so that an item's own fork_map stays serial.
+# What a k-means run pays on top of its assignments, in assign_cost units:
+# each Lloyd step's mean update and empty-cluster check (0.2-0.8 ms below
+# 5,000 rows on a 2-vCPU x86-64 host), and each k-means++ draw's passes over
+# every row (weights, cumulative sum, bound test; 20-25 ns per row there).
+_STEP_COST = 1 << 23
+_DRAW_ROW_COST = 1 << 8
+# One call of a team with workers: a message each way through every pipe
+# (about 50 us on the same host).
+_CALL_COST = 1 << 19
+# True while a team of this process has workers, so that the teams and maps
+# started inside its shares stay serial.
 _busy = False
 
 
@@ -43,6 +73,23 @@ def assign_cost(rows: int, k: int, d: int) -> int:
     128 and k = 16 to 1024): a per-row part and a per-score part, each
     growing with d."""
     return rows * (k + 32) * (d + 8)
+
+
+def kmeans_cost(rows: int, k: int, d: int, iters: int) -> int:
+    """Estimated cost of a whole k-means run of iters Lloyd steps on rows
+    points: the seeding and each step cost about one assignment plus a
+    fixed step cost, and each draw a pass over the rows. The fixed parts
+    dominate on few rows and small k."""
+    steps = (iters + 1) * (assign_cost(rows, k, d) + _STEP_COST)
+    return steps + k * rows * _DRAW_ROW_COST
+
+
+def split_cost(rows: int, k: int, d: int, iters: int) -> int:
+    """Estimated gain of splitting one k-means run's rows over a team: the
+    assignments of the seeding and of each step, less one team call per
+    draw and per step. The draws' weights and the mean updates stay in
+    the calling process and do not count."""
+    return max(0, (iters + 1) * assign_cost(rows, k, d) - (k + iters) * _CALL_COST)
 
 
 def _cpus() -> int:
@@ -66,86 +113,182 @@ def _workers(count: int, cost: int) -> int:
     return min(count, _cpus())
 
 
+def shared_array(n: int, dtype) -> np.ndarray:
+    """A zeroed (n,) array in anonymous shared memory: what a team's
+    children write to it before they reply, the parent reads."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype, n)
+
+
+class Team:
+    """Worker processes over contiguous shares of range(count), alive until
+    the team closes (see the module docstring)."""
+
+    def __init__(self, fn: Callable[[range, object], object], count: int, cost: int):
+        global _busy
+        workers = _workers(count, cost)
+        self.fn = fn
+        self.shares = [
+            range(count * w // workers, count * (w + 1) // workers) for w in range(workers)
+        ]
+        # share -> (pid, command pipe's write end, reply pipe's read end)
+        self.children: dict[int, tuple[int, int, int]] = {}
+        if workers < 2:
+            return
+        _busy = True
+        try:
+            for w in range(1, workers):
+                self.children[w] = self._spawn(w)
+        except OSError:  # no process to spare: the parent runs the rest
+            pass
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> Team:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def map(self, msg: object) -> list:
+        """``[fn(share, msg) for share in self.shares]``, each share run
+        where it lives."""
+        data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL) if self.children else b""
+        for _, cmd, _ in self.children.values():
+            try:
+                _write(cmd, data)
+            except OSError:  # a dead child: its reply reads as end-of-file
+                pass
+        outcome: list[tuple[bool, object] | None] = [None] * len(self.shares)
+        try:
+            for w, share in enumerate(self.shares):
+                if w not in self.children:
+                    outcome[w] = _run(self.fn, share, msg)
+                    if not outcome[w][0]:
+                        break
+        finally:
+            for w in list(self.children):
+                outcome[w] = self._reply(w)
+        out = []
+        for ok, value in outcome:
+            if not ok:
+                raise value
+            out.append(value)
+        return out
+
+    def close(self) -> None:
+        """End every child (its command pipe closes) and reap it."""
+        global _busy
+        children, self.children = self.children, {}
+        for _, cmd, _ in children.values():
+            os.close(cmd)
+        for pid, _, reply in children.values():
+            os.close(reply)
+            os.waitpid(pid, 0)
+        if len(self.shares) > 1:
+            _busy = False
+
+    def _spawn(self, w: int) -> tuple[int, int, int]:
+        """Fork the child of share w; returns (pid, command write end, reply
+        read end)."""
+        cmd_r, cmd_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (cmd_r, cmd_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if pid:
+            os.close(cmd_r)
+            os.close(reply_w)
+            return pid, cmd_w, reply_r
+        status = 1
+        try:
+            # The parent's ends of the siblings' pipes are not this child's.
+            for _, cmd, reply in self.children.values():
+                os.close(cmd)
+                os.close(reply)
+            os.close(cmd_w)
+            os.close(reply_r)
+            share = self.shares[w]
+            while (msg := _recv(cmd_r)) is not _EOF:
+                _send_outcome(reply_w, _run(self.fn, share, msg))
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _reply(self, w: int) -> tuple[bool, object]:
+        """Child w's outcome of the current call; a child that died instead
+        is reaped and reported."""
+        pid, cmd, reply = self.children[w]
+        value = _recv(reply)
+        if value is not _EOF:
+            return value
+        del self.children[w]
+        os.close(cmd)
+        os.close(reply)
+        _, status = os.waitpid(pid, 0)
+        return False, RuntimeError(f"build worker exited without a result (status {status})")
+
+
 def fork_map(fn: Callable[[int], T], count: int, cost: int) -> list[T]:
     """``[fn(i) for i in range(count)]``, spread over the CPUs (see above)."""
-    global _busy
-    workers = _workers(count, cost)
-    if workers < 2:
-        return [fn(i) for i in range(count)]
-    shares = [range(count * w // workers, count * (w + 1) // workers) for w in range(workers)]
-    outcome: list[tuple[bool, object] | None] = [None] * workers
-    children = {}
-    _busy = True
-    try:
-        for w in range(1, workers):
-            try:
-                children[w] = _spawn(fn, shares[w])
-            except OSError:  # no process to spare: run the rest here
-                break
-        for w in range(workers):
-            if w not in children:
-                outcome[w] = _run(fn, shares[w])
-                if not outcome[w][0]:
-                    break
-    finally:
-        _busy = False
-        for w, (pid, fd) in children.items():
-            outcome[w] = _collect(pid, fd)
-    out = []
-    for ok, value in outcome:
-        if not ok:
-            raise value
-        out += value
-    return out
+    with Team(lambda share, _: [fn(i) for i in share], count, cost) as team:
+        return [value for part in team.map(None) for value in part]
 
 
-def _run(fn, items) -> tuple[bool, object]:
-    """(True, results) or (False, the exception the first failing item
-    raised)."""
+def _run(fn, share, msg) -> tuple[bool, object]:
+    """(True, fn(share, msg)) or (False, the exception it raised)."""
     try:
-        return True, [fn(i) for i in items]
+        return True, fn(share, msg)
     except Exception as exc:
         return False, exc
 
 
-def _spawn(fn, items) -> tuple[int, int]:
-    """Fork a child that runs fn over items and writes its pickled _run
-    outcome to a pipe; returns (pid, the pipe's read end)."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid:
-        os.close(wfd)
-        return pid, rfd
-    status = 1
-    try:
-        os.close(rfd)
-        ok, value = _run(fn, items)
-        try:
-            if not ok:  # the parent must be able to rebuild it
-                pickle.loads(pickle.dumps(value))
-            data = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            failed = value if not ok else exc
-            data = pickle.dumps((False, RuntimeError(f"{type(failed).__name__}: {failed}")))
-        with os.fdopen(wfd, "wb") as f:
-            f.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+_EOF = object()
+_LENGTH = 8
 
 
-def _collect(pid: int, fd: int) -> tuple[bool, object]:
-    """Read a child's reply to the end, then reap it."""
+def _write(fd: int, data: bytes) -> None:
+    """Send one pickle, framed by its length."""
+    view = memoryview(len(data).to_bytes(_LENGTH, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _send_outcome(fd: int, outcome: tuple[bool, object]) -> None:
+    """Send a _run outcome; one the parent could not rebuild goes as a
+    RuntimeError that keeps its exception's name and message."""
+    ok, value = outcome
     try:
-        with os.fdopen(fd, "rb") as f:
-            data = f.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not data:
-        return False, RuntimeError(f"build worker exited without a result (status {status})")
-    return pickle.loads(data)
+        if not ok:
+            pickle.loads(pickle.dumps(value))
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        failed = value if not ok else exc
+        data = pickle.dumps((False, RuntimeError(f"{type(failed).__name__}: {failed}")))
+    _write(fd, data)
+
+
+def _recv(fd: int) -> object:
+    """The next object sent to fd, or _EOF if the writer closed it first."""
+    head = _read(fd, _LENGTH)
+    if len(head) < _LENGTH:
+        return _EOF
+    size = int.from_bytes(head, "little")
+    data = _read(fd, size)
+    return _EOF if len(data) < size else pickle.loads(data)
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Up to size bytes from fd: fewer only at end-of-file."""
+    parts = []
+    while size:
+        part = os.read(fd, min(size, 1 << 20))
+        if not part:
+            break
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _binio
 from ._dist import _select_best, sqdist_matrix
-from ._parallel import assign_cost, fork_map
+from ._parallel import fork_map, kmeans_cost
 from .quantizer import (
     ProductQuantizer,
     TrainConfig,
@@ -136,7 +136,7 @@ def train_derived(
         sub = np.ascontiguousarray(training[:, j * dsub : (j + 1) * dsub])
         return build_derived_quantizers(sub, kbar, k, cfg, _seed_for(cfg.seed, j))
 
-    cost = m * (cfg.kmeans_iters + 1) * assign_cost(training.shape[0], k, dsub)
+    cost = m * kmeans_cost(training.shape[0], k, dsub, cfg.kmeans_iters)
     full, derived = (np.stack(column) for column in zip(*fork_map(books, m, cost)))
     pq = ProductQuantizer(m=m, b=b, d=d, codebooks=full)
     return DerivedPQ(pq=pq, bbar=bbar, derived=derived)

@@ -14,7 +14,7 @@ which tells the two layouts apart by the width of the array.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
@@ -24,7 +24,7 @@ from scipy import sparse
 
 from . import _binio
 from ._dist import SAFE_SCALE32, nearest, shortlist_slack, sqdist_matrix, sqdist_rows
-from ._parallel import assign_cost, fork_map
+from ._parallel import Team, assign_cost, fork_map, kmeans_cost, shared_array, split_cost
 
 
 # Rows per chunk wherever a build turns input rows into float64 work arrays
@@ -200,8 +200,103 @@ def _cdf_index(cdf: np.ndarray, u: float) -> int:
     return pick
 
 
+class _Shares:
+    """The points of one k-means run, split by rows over a worker team
+    (``_parallel.Team``), for the two steps that are independent per row:
+    k-means++ draws and Lloyd assignments.
+
+    Each share shifts its rows once by the points' mean and keeps them in
+    float32, so every draw's GEMV and every Lloyd ``nearest`` reads that one
+    copy. The seeding's per-point state, closest and owner, lives in shared
+    memory, each share updating its own rows; the draws themselves (the RNG,
+    the cumulative sum) and the mean updates stay with the caller.
+    """
+
+    def __init__(self, points: np.ndarray, k: int, iters: int):
+        n, d = points.shape
+        if n < k:
+            raise TrainError(f"{n} training points for {k} clusters")
+        self.points = points
+        self.mu = points.mean(axis=0)
+        self.closest = shared_array(n, np.float64)
+        self.owner = shared_array(n, np.int64)
+        self._rows: dict[int, _ShareRows] = {}  # by share start, where it runs
+        self.team = Team(self._work, n, split_cost(n, k, d, iters))
+
+    def __enter__(self) -> _Shares:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.team.close()
+
+    def run(self, step: str, *args) -> list:
+        """Every share's _ShareRows.<step>(*args), in share order."""
+        return self.team.map((step, args))
+
+    def nearest(self, centroids: np.ndarray) -> np.ndarray:
+        """``nearest(points, centroids)``."""
+        return np.concatenate(self.run("assign", centroids))
+
+    def _work(self, share: range, msg) -> object:
+        rows = self._rows.get(share.start)
+        if rows is None:
+            rows = self._rows[share.start] = _ShareRows(self, share)
+        step, args = msg
+        return getattr(rows, step)(*args)
+
+
+class _ShareRows:
+    """One share's rows, shifted once, and its slices of the seeding state."""
+
+    def __init__(self, shares: _Shares, share: range):
+        rows = slice(share.start, share.stop)
+        self.points, self.mu = shares.points, shares.mu
+        self.x = self.points[rows]
+        self.closest, self.owner = shares.closest[rows], shares.owner[rows]
+        xs = self.x - self.mu
+        d = xs.shape[1]
+        xn = np.einsum("ij,ij->i", xs, xs)
+        self.xn_max = xn.max(initial=0.0)
+        self.xlow = xn - shortlist_slack(d, xn, np.float32)
+        self.low = np.empty(xn.size)
+        # Rows too large for float32 scores cast nothing: every draw then
+        # takes the exact branch, and nearest shifts them itself. Stored
+        # (d, n), a draw's score is d contiguous axpys over the points
+        # instead of n dot products of length d; the row of ones lets
+        # nearest's GEMM add the centroid norms.
+        self.shifted = None
+        if self.xn_max < SAFE_SCALE32:
+            xt = np.ones((d + 1, xn.size), np.float32)
+            xt[:d] = xs.T
+            self.shifted = (self.mu, xt, np.einsum("ij,ij->j", xt[:d], xt[:d]))
+
+    def first(self, pick: int) -> None:
+        self.closest[:] = sqdist_rows(self.x, self.points[pick])
+
+    def draw(self, c: int, pick: int) -> None:
+        """Seed c is point pick: update closest and owner."""
+        cs = self.points[pick] - self.mu
+        cn = float(cs @ cs)
+        if self.shifted is not None and self.xn_max + cn < SAFE_SCALE32:
+            d = cs.size
+            score = (np.float32(-2.0) * cs.astype(np.float32)) @ self.shifted[1][:d]
+            low = np.add(score, self.xlow, out=self.low)
+            low += cn - shortlist_slack(d, cn, np.float32)
+            drop = np.flatnonzero(low < self.closest)
+        else:
+            drop = np.arange(self.closest.size)
+        new = sqdist_rows(self.x[drop], self.points[pick])
+        won = new < self.closest[drop]
+        drop = drop[won]
+        self.closest[drop] = new[won]
+        self.owner[drop] = c
+
+    def assign(self, centroids: np.ndarray) -> np.ndarray:
+        return nearest(self.x, centroids, _shifted=self.shifted)
+
+
 def _kmeanspp_init(
-    points: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray, k: int, rng: np.random.Generator, shares: _Shares | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding (Arthur & Vassilvitskii, 2007).
 
@@ -214,46 +309,28 @@ def _kmeanspp_init(
     scored against every point with one float32 GEMV in the shifted form of
     ``_dist.nearest``; only points whose lower bound (score minus the
     float32 rounding slack) falls below closest get the exact distance.
+    Each share of the points (one, unless shares says otherwise) updates
+    its own rows; the draws read the whole of closest.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
     centroids = np.empty((k, d), dtype=np.float64)
-    owner = np.zeros(n, dtype=np.int64)
-    first = int(rng.integers(n))
-    centroids[0] = points[first]
-    closest = sqdist_rows(points, points[first])
-    xs = points - points.mean(axis=0)
-    xn = np.einsum("ij,ij->i", xs, xs)
-    xn_max = xn.max()
-    # Points too large for float32 scores cast nothing: every seed then
-    # takes the exact branch below. Stored (d, n), a draw's score is d
-    # contiguous axpys over the points instead of n dot products of length d.
-    xsT = np.ascontiguousarray(xs.T, dtype=np.float32) if xn_max < SAFE_SCALE32 else None
-    xlow = xn - shortlist_slack(d, xn, np.float32)
-    low = np.empty(n)
-    for c in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            pick = int(rng.integers(n))
-        else:
-            # The steps rng.choice(n, p=closest / total) runs, without its
-            # per-call validation of p: the same draw, bit for bit.
-            pick = _cdf_index(np.cumsum(closest / total), rng.random())
-        centroids[c] = points[pick]
-        cs = xs[pick]
-        cn = float(cs @ cs)
-        if xsT is not None and xn_max + cn < SAFE_SCALE32:
-            np.add((np.float32(-2.0) * xsT[:, pick]) @ xsT, xlow, out=low)
-            low += cn - shortlist_slack(d, cn, np.float32)
-            drop = np.flatnonzero(low < closest)
-        else:
-            drop = np.arange(n)
-        new = sqdist_rows(points[drop], points[pick])
-        won = new < closest[drop]
-        drop = drop[won]
-        closest[drop] = new[won]
-        owner[drop] = c
-    return centroids, owner
+    with nullcontext(shares) if shares else _Shares(points, k, 0) as shares:
+        first = int(rng.integers(n))
+        centroids[0] = points[first]
+        shares.run("first", first)
+        closest = shares.closest
+        for c in range(1, k):
+            total = closest.sum()
+            if total <= 0.0:
+                pick = int(rng.integers(n))
+            else:
+                # The steps rng.choice(n, p=closest / total) runs, without
+                # its per-call validation of p: the same draw, bit for bit.
+                pick = _cdf_index(np.cumsum(closest / total), rng.random())
+            centroids[c] = points[pick]
+            shares.run("draw", c, pick)
+        return centroids, shares.owner.copy()
 
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> bool:
@@ -298,8 +375,10 @@ def kmeans(
     cfg = cfg or TrainConfig()
     points = np.asarray(points, dtype=np.float64)
     _require_finite(points, "points")
-    centroids = _kmeans_seeded(points, k, cfg, np.random.SeedSequence(cfg.seed))
-    assign = nearest(points, centroids.astype(np.float64))
+    # The final assignment runs on the shares the run itself used.
+    with _Shares(points, k, cfg.kmeans_iters) as shares:
+        centroids = _kmeans_seeded(points, k, cfg, np.random.SeedSequence(cfg.seed), shares)
+        assign = shares.nearest(centroids.astype(np.float64))
     return centroids, assign
 
 
@@ -372,32 +451,39 @@ def train_pq(
         sub = np.ascontiguousarray(training[:, j * dsub : (j + 1) * dsub])
         return _kmeans_seeded(sub, k, cfg, _seed_for(cfg.seed, j))
 
-    cost = m * (cfg.kmeans_iters + 1) * assign_cost(training.shape[0], k, dsub)
+    cost = m * kmeans_cost(training.shape[0], k, dsub, cfg.kmeans_iters)
     books = np.stack(fork_map(book, m, cost))
     return ProductQuantizer(m=m, b=b, d=d, codebooks=books)
 
 
 def _kmeans_seeded(
-    points: np.ndarray, k: int, cfg: TrainConfig, seed_seq: np.random.SeedSequence
+    points: np.ndarray,
+    k: int,
+    cfg: TrainConfig,
+    seed_seq: np.random.SeedSequence,
+    shares: _Shares | None = None,
 ) -> np.ndarray:
     """kmeans() with an explicit SeedSequence instead of cfg.seed; returns
-    only the centroids (k, d) float32."""
-    n = points.shape[0]
-    if n < k:
-        raise TrainError(f"{n} training points for {k} clusters")
+    only the centroids (k, d) float32.
+
+    Seeding draws and assignments run on shares of the rows (``_Shares``,
+    its own unless given); empty-cluster repair and mean updates run here
+    on the whole arrays, so the result does not depend on the split."""
+    points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed_seq)
-    # The seeding's owners are the first assignment, as nearest would find it.
-    centroids, assign = _kmeanspp_init(points, k, rng)
-    prev_assign = None
-    for it in range(cfg.kmeans_iters):
-        if it:
-            assign = nearest(points, centroids)
-        if _repair_empty(points, centroids, assign):
-            assign = nearest(points, centroids)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        centroids = _mean_update(points, assign, k, centroids)
-        prev_assign = assign
+    with nullcontext(shares) if shares else _Shares(points, k, cfg.kmeans_iters) as shares:
+        # The seeding's owners are the first assignment, as nearest finds it.
+        centroids, assign = _kmeanspp_init(points, k, rng, shares)
+        prev_assign = None
+        for it in range(cfg.kmeans_iters):
+            if it:
+                assign = shares.nearest(centroids)
+            if _repair_empty(points, centroids, assign):
+                assign = shares.nearest(centroids)
+            if prev_assign is not None and np.array_equal(assign, prev_assign):
+                break
+            centroids = _mean_update(points, assign, k, centroids)
+            prev_assign = assign
     return centroids.astype(np.float32)
 
 
