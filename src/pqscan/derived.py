@@ -22,8 +22,8 @@ from .quantizer import (
     ProductQuantizer,
     TrainConfig,
     _check_query,
+    _check_train_args,
     _kmeans_seeded,
-    _require_finite,
     _seed_for,
     code_columns,
     code_components,
@@ -122,12 +122,8 @@ def train_derived(
     plus its 2^bbar derived codebook."""
     cfg = cfg or TrainConfig()
     training = np.asarray(training, dtype=np.float64)
-    if training.ndim != 2 or training.shape[1] % m != 0:
-        raise ValueError("training set must be 2-D with d divisible by m")
     check_derived_bits(b, bbar)
-    if training.shape[0] < (1 << b):
-        raise ValueError(f"{training.shape[0]} training points for {1 << b} centroids")
-    _require_finite(training, "training vectors")
+    _check_train_args(training, m, b)
     d = training.shape[1]
     dsub = d // m
     k, kbar = 1 << b, 1 << bbar

@@ -2,10 +2,10 @@
 
 Codes are grouped by the high nibbles of their first four components and
 packed to 6 bytes. Per query, lookup tables are quantized to 127 bins so a
-cheap 8-bit saturating sum of small-table entries lower-bounds the true
-distance; the exact distance is evaluated only when that bound does not
-exceed the quantized current r-th best. Results match the baseline scan
-exactly.
+cheap 8-bit saturating sum of table entries lower-bounds each code's
+quantized distance. The scan is one bound pass over every code, one exact
+pass over the codes whose bound can still reach the top r, and one top-r
+selection. Results match the baseline scan exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .scan import (
     CodeList,
     LookupTables,
     NeighborSet,
-    QuantizedTables,
     quantize_tables,
     scan_distances,
 )
@@ -141,24 +140,6 @@ class GroupedDatabase:
         codes[:, 4:8] = self.packed[:, 2:6]
         return codes
 
-    def ungroup(self) -> CodeList:
-        return CodeList(self.reconstruct_codes(), self.ids)
-
-
-def pack_code(code: np.ndarray) -> np.ndarray:
-    """6-byte packed form of one 8-component code (group key dropped)."""
-    code = np.asarray(code, dtype=np.uint8)
-    out = np.empty(PACKED_BYTES, dtype=np.uint8)
-    out[0] = ((code[0] & 0x0F) << 4) | (code[1] & 0x0F)
-    out[1] = ((code[2] & 0x0F) << 4) | (code[3] & 0x0F)
-    out[2:6] = code[4:8]
-    return out
-
-
-def group_key(code: np.ndarray) -> tuple[int, int, int, int]:
-    code = np.asarray(code, dtype=np.uint8)
-    return tuple(int(code[j]) >> 4 for j in range(GROUP_NIBBLES))
-
 
 def group_codes(codelist: CodeList) -> GroupedDatabase:
     """Bucket codes by high nibbles of components 0-3, keys ascending,
@@ -190,72 +171,17 @@ def group_codes(codelist: CodeList) -> GroupedDatabase:
     )
 
 
-@dataclass
-class SmallTables:
-    """Eight 16-entry uint8 tables in [0, 127]: S0..S3 are the quantized
-    group portions of the full tables, S4..S7 the quantized minima of the 16
-    portions of tables 4-7."""
-
-    tables: np.ndarray
-
-    def __post_init__(self):
-        self.tables = np.ascontiguousarray(self.tables, dtype=np.uint8)
-        if self.tables.shape != (8, 16):
-            raise ValueError("small tables must have shape (8, 16)")
-        if np.any(self.tables > BINS):
-            raise ValueError("small-table entries must be <= 127")
-
-
-def _min_tables(qtables: np.ndarray) -> np.ndarray:
-    """(4, 16) per-portion minima of quantized tables 4-7."""
-    return qtables[4:8].reshape(4, 16, 16).min(axis=2)
-
-
-def build_small_tables(
-    qt: QuantizedTables, key: tuple[int, int, int, int]
-) -> SmallTables:
-    if qt.m != 8 or qt.k != 256:
-        raise ValueError("small tables require m=8, b=8 lookup tables")
-    if len(key) != GROUP_NIBBLES or any(not 0 <= v < 16 for v in key):
-        raise ValueError("group key must be four nibbles")
-    small = np.empty((8, 16), dtype=np.uint8)
-    for j in range(4):
-        small[j] = qt.tables[j, key[j] * 16 : (key[j] + 1) * 16]
-    small[4:8] = _min_tables(qt.tables)
-    return SmallTables(small)
-
-
-def lower_bound(small: SmallTables, packed: np.ndarray) -> int:
-    """Saturating 8-bit sum (clamped at 127) over the small-table lookups
-    addressed by a packed code: low nibbles for components 0-3, high nibbles
-    for components 4-7. Never exceeds the quantized true distance."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    t = small.tables
-    lanes = (
-        t[0, packed[0] >> 4],
-        t[1, packed[0] & 0x0F],
-        t[2, packed[1] >> 4],
-        t[3, packed[1] & 0x0F],
-        t[4, packed[2] >> 4],
-        t[5, packed[3] >> 4],
-        t[6, packed[4] >> 4],
-        t[7, packed[5] >> 4],
-    )
-    acc = 0
-    for v in lanes:
-        acc = min(acc + int(v), BINS)
-    return acc
-
-
-def _lower_bounds_all(codes: np.ndarray, qt: np.ndarray, mins: np.ndarray) -> np.ndarray:
-    """Vectorized lower_bound over full (n, 8) codes. Group portions indexed
-    by the full byte equal the per-group small-table lookups exactly."""
-    idx = codes.astype(np.int64)
-    acc = qt[0][idx[:, 0]].astype(np.int16)
-    for j in range(1, 4):
-        acc += qt[j][idx[:, j]]
-    for j in range(4, 8):
-        acc += mins[j - 4][idx[:, j] >> 4]
+def _lower_bounds_all(codes: np.ndarray, qtables: np.ndarray) -> np.ndarray:
+    """Lower bounds of the quantized distances of (n, 8) codes under (8, 256)
+    quantized tables: a sum clamped at BINS of tables 0-3 read at the code's
+    components and, for components 4-7, the minimum of the 16-entry portion
+    the high nibble picks. Tables 0-3 read at the full byte equal the
+    paper's per-group small tables read at the low nibble."""
+    mins = qtables[4:8].reshape(4, 16, 16).min(axis=2)
+    bound_tables = np.vstack([qtables[:4], np.repeat(mins, 16, axis=1)]).astype(np.int16)
+    acc = bound_tables[0].take(codes[:, 0])
+    for j in range(1, 8):
+        acc += bound_tables[j].take(codes[:, j])
     return np.minimum(acc, BINS).astype(np.uint8)
 
 
@@ -272,9 +198,6 @@ class ScanStats:
         return self.pruned / self.total if self.total else 0.0
 
 
-_CHUNK = 1 << 10
-
-
 def fast_scan(
     grouped: GroupedDatabase,
     tables: LookupTables,
@@ -283,12 +206,18 @@ def fast_scan(
 ) -> tuple[NeighborSet, ScanStats]:
     """Pruned scan returning exactly the baseline scan's neighbor set.
 
-    The first ceil(init*n) codes are scanned with exact distances to fix the
-    quantization range and seed the neighbor set. For the rest, an 8-bit
-    lower bound is compared to the quantized current r-th best; only codes
-    whose bound does not exceed it get an exact distance. The threshold is
-    refreshed between batches, which can only weaken pruning, never
-    correctness.
+    The first ceil(init*n) codes get exact distances, which fix the
+    quantization range (quantize_tables). Every other code gets a lower
+    bound. The seeds, the codes whose bound is at most the bin holding the
+    r-th smallest bound, get exact distances too; T is the r-th smallest
+    exact distance so far (inf while fewer than r are known). Of the rest,
+    only codes whose bound is at most q(T) get an exact distance, and one
+    selection over all exact distances gives the result.
+
+    Exact: an unscored code has q(D) >= bound > q(T), and q is monotone, so
+    D > T. T is the r-th smallest of a subset of all distances, so it is at
+    least the true r-th best; the code lies strictly outside the top r, ties
+    included.
     """
     if tables.m != 8 or tables.k != 256:
         raise ValueError("fast scan requires m=8, b=8 lookup tables")
@@ -296,34 +225,25 @@ def fast_scan(
         raise ValueError("init must be in (0, 1]")
     if r < 1:
         raise ValueError("r must be >= 1")
-    stats = ScanStats(total=grouped.n)
     codes = grouped.reconstruct_codes()
-    ids = grouped.ids
     n = grouped.n
     n_init = math.ceil(init * n)
 
     prefix_d = scan_distances(tables, codes[:n_init])
-    stats.checked += n_init
-    best_d, best_i = _select_best(prefix_d, ids[:n_init], r)
     qt = quantize_tables(tables, prefix_d, r, BINS)
-    mins = _min_tables(qt.tables)
-    start = n_init
-    while start < n:
-        stop = min(start + _CHUNK, n)
-        chunk = codes[start:stop]
-        threshold = qt.quantize(best_d[-1] if best_d.size == r else np.inf)
-        lb = _lower_bounds_all(chunk, qt.tables, mins)
-        keep = lb <= threshold
-        stats.pruned += int(np.count_nonzero(~keep))
-        kept = np.flatnonzero(keep)
-        if kept.size:
-            d = scan_distances(tables, chunk[kept])
-            stats.checked += kept.size
-            kid = ids[start:stop][kept]
-            best_d, best_i = _select_best(
-                np.concatenate([best_d, d]), np.concatenate([best_i, kid]), r
-            )
-        start = stop
+    rest = codes[n_init:]
+    lb = _lower_bounds_all(rest, qt.tables)
+    at_or_below = np.cumsum(np.bincount(lb, minlength=BINS + 1))
+    seed_bin = int(np.argmax(at_or_below >= min(r, lb.size)))
+    seeds = np.flatnonzero(lb <= seed_bin)
+    seed_d = scan_distances(tables, rest[seeds])
+    known = np.concatenate([prefix_d, seed_d])
+    t = np.partition(known, r - 1)[r - 1] if known.size >= r else np.inf
+    later = np.flatnonzero((lb > seed_bin) & (lb <= qt.quantize(t)))
+    dists = np.concatenate([known, scan_distances(tables, rest[later])])
+    rows = np.concatenate([np.arange(n_init), n_init + seeds, n_init + later])
+    best_d, best_i = _select_best(dists, grouped.ids[rows], r)
+    stats = ScanStats(total=n, checked=dists.size, pruned=n - dists.size)
     return NeighborSet.from_pairs(r, best_d, best_i), stats
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from ._dist import _select_best
 from .fastscan import BINS
 from .scan import (
-    BLOCK,
     CodeList,
     LookupTables,
     NeighborSet,
@@ -27,27 +26,6 @@ from .scan import (
 )
 
 DEFAULT_INIT_COUNT = 200
-
-
-def qadc_block(block: np.ndarray, qt: QuantizedTables) -> np.ndarray:
-    """Distances of one block of 16 codes from transpose_blocks.
-
-    Row j carries components 2j (low nibble) and 2j+1 (high nibble) of all
-    16 codes; each table lookup is added with saturation at qt.bins. Returns
-    16 uint8 distances.
-    """
-    block = np.asarray(block, dtype=np.uint8)
-    t = qt.tables
-    if t.shape[0] % 2 != 0:
-        raise ValueError("block kernel needs even m")
-    if block.shape != (t.shape[0] // 2, BLOCK):
-        raise ValueError(f"block must have shape ({t.shape[0] // 2}, {BLOCK})")
-    acc = np.zeros(BLOCK, dtype=np.int16)
-    for j in range(block.shape[0]):
-        row = block[j]
-        acc = np.minimum(acc + t[2 * j][row & 0x0F], qt.bins)
-        acc = np.minimum(acc + t[2 * j + 1][row >> 4], qt.bins)
-    return acc.astype(np.uint8)
 
 
 def pair_tables(qt: QuantizedTables) -> np.ndarray:
@@ -66,8 +44,8 @@ def quantized_distances(codes: np.ndarray, qt: QuantizedTables) -> np.ndarray:
     """Per-code table sums over nibble-packed (n, ceil(m/2)) codes, clamped
     at qt.bins.
 
-    Equals clamping after every component add, as qadc_block does: all
-    entries are non-negative, so a sum that reaches qt.bins never comes
+    Equals clamping after every component add, as a SIMD kernel's
+    saturating adds do: all entries are non-negative, so a sum that reaches qt.bins never comes
     back below it.
     """
     codes = np.asarray(codes)

@@ -148,23 +148,12 @@ def compute_tables(pq: ProductQuantizer, query: np.ndarray) -> LookupTables:
     return _subspace_tables(pq, pq.codebooks, query)
 
 
-def adc_distance(tables: LookupTables, code: np.ndarray) -> float:
-    """Sum of m table entries, accumulated in float64, sub-space order.
-
-    code is one row of m components or of their nibble-packed bytes."""
-    t = tables.tables
-    acc = 0.0
-    for j, col in enumerate(code_columns(np.asarray(code)[None, :], tables.m)):
-        acc += float(t[j, int(col[0])])
-    return acc
-
-
 def scan_distances(tables: LookupTables, codes: np.ndarray) -> np.ndarray:
-    """adc_distance of the components of every row of codes, bit-identical
-    to the scalar form. Rows are one component per column or nibble-packed.
+    """ADC distance of every row of codes: the sum of its m table entries.
+    Rows are one component per column or nibble-packed.
 
-    Accumulates in float64 with a fixed left-to-right sub-space order so that
-    the vectorized result matches per-element scalar summation exactly.
+    Accumulates in float64 with a fixed left-to-right sub-space order, so
+    each result equals the scalar sum taken in sub-space order exactly.
     """
     codes = np.asarray(codes)
     m = tables.m

@@ -51,6 +51,102 @@ def unpack(codes, m):
     return out
 
 
+def adc_distance(tables, code):
+    """Reference ADC distance of one code: its m table entries summed in
+    float64, sub-space order. code is one row of m components or of their
+    nibble-packed bytes (the two are the same bytes for m = 1)."""
+    code = np.asarray(code)
+    if code.shape[0] != tables.m:
+        code = unpack(code[None, :], tables.m)[0]
+    acc = 0.0
+    for j, c in enumerate(code):
+        acc += float(tables.tables[j, int(c)])
+    return acc
+
+
+def qadc_block(block, qt):
+    """Reference quantized distances of one block of 16 codes from
+    transpose_blocks: row j carries components 2j (low nibble) and 2j+1
+    (high nibble) of all 16 codes; each lookup is added with saturation at
+    qt.bins. Returns 16 uint8 distances."""
+    block = np.asarray(block, dtype=np.uint8)
+    t = qt.tables
+    assert t.shape[0] % 2 == 0 and block.shape == (t.shape[0] // 2, 16)
+    acc = np.zeros(16, dtype=np.int16)
+    for j in range(block.shape[0]):
+        acc = np.minimum(acc + t[2 * j][block[j] & 0x0F], qt.bins)
+        acc = np.minimum(acc + t[2 * j + 1][block[j] >> 4], qt.bins)
+    return acc.astype(np.uint8)
+
+
+# -- the paper's per-group form of fast scan, one code at a time --------------
+
+
+def pack_code(code):
+    """6-byte packed form of one 8-component code (group key dropped): the
+    low nibbles of components 0-3 in two bytes, components 4-7 verbatim."""
+    code = np.asarray(code, dtype=np.uint8)
+    out = np.empty(6, dtype=np.uint8)
+    out[0] = ((code[0] & 0x0F) << 4) | (code[1] & 0x0F)
+    out[1] = ((code[2] & 0x0F) << 4) | (code[3] & 0x0F)
+    out[2:6] = code[4:8]
+    return out
+
+
+def group_key(code):
+    """High nibbles of components 0-3."""
+    code = np.asarray(code, dtype=np.uint8)
+    return tuple(int(code[j]) >> 4 for j in range(4))
+
+
+def ungroup(grouped):
+    """A grouped database's codes and ids, in grouped storage order."""
+    return CodeList(grouped.reconstruct_codes(), grouped.ids)
+
+
+class SmallTables:
+    """Eight 16-entry uint8 tables in [0, 127]: S0..S3 are the quantized
+    group portions of the full tables, S4..S7 the quantized minima of the 16
+    portions of tables 4-7."""
+
+    def __init__(self, tables):
+        self.tables = np.ascontiguousarray(tables, dtype=np.uint8)
+        assert self.tables.shape == (8, 16) and not np.any(self.tables > BINS)
+
+
+def build_small_tables(qt, key):
+    """One group's small tables from (8, 256) quantized tables."""
+    assert qt.m == 8 and qt.k == 256
+    assert len(key) == 4 and all(0 <= v < 16 for v in key)
+    small = np.empty((8, 16), dtype=np.uint8)
+    for j in range(4):
+        small[j] = qt.tables[j, key[j] * 16 : (key[j] + 1) * 16]
+    small[4:8] = qt.tables[4:8].reshape(4, 16, 16).min(axis=2)
+    return SmallTables(small)
+
+
+def lower_bound(small, packed):
+    """Saturating 8-bit sum (clamped at 127) over the small-table lookups
+    addressed by a packed code: low nibbles for components 0-3, high nibbles
+    for components 4-7. Never exceeds the quantized true distance."""
+    packed = np.asarray(packed, dtype=np.uint8)
+    t = small.tables
+    lanes = (
+        t[0, packed[0] >> 4],
+        t[1, packed[0] & 0x0F],
+        t[2, packed[1] >> 4],
+        t[3, packed[1] & 0x0F],
+        t[4, packed[2] >> 4],
+        t[5, packed[3] >> 4],
+        t[6, packed[4] >> 4],
+        t[7, packed[5] >> 4],
+    )
+    acc = 0
+    for v in lanes:
+        acc = min(acc + int(v), BINS)
+    return acc
+
+
 @pytest.fixture(scope="session")
 def blob_data():
     """Small clustered dataset: 2000 points, d=32, 8 blobs."""

@@ -27,12 +27,8 @@ from pqscan import (
     exact_knn,
     fast_scan,
     group_codes,
-    group_key,
-    build_small_tables,
     generate_synthetic,
-    lower_bound,
     optimize_centroid_assignment,
-    pack_code,
     qadc_scan,
     quantized_distances,
     recall_at_r,
@@ -42,9 +38,16 @@ from pqscan import (
     train_derived,
     train_pq,
 )
-from pqscan.fastscan import _lower_bounds_all, _min_tables
+from pqscan.fastscan import _lower_bounds_all
 
-from conftest import pack, quantize_prefix
+from conftest import (
+    build_small_tables,
+    group_key,
+    lower_bound,
+    pack,
+    pack_code,
+    quantize_prefix,
+)
 
 
 def _sift_dir():
@@ -112,16 +115,14 @@ def test_criterion_2_lower_bound_soundness(capsys):
     for q in queries:
         tables = compute_tables(pq, q)
         qt = quantize_prefix(tables, codelist.codes, 0.01, 100)
-        mins = _min_tables(qt.tables)
-        lbs = _lower_bounds_all(codes, qt.tables, mins)
+        lbs = _lower_bounds_all(codes, qt.tables)
         dq = qt.quantize(scan_distances(tables, codes))
         violations += int((lbs.astype(np.int64) > dq.astype(np.int64)).sum())
         pairs += codes.shape[0]
-    # spot-check the scalar public path against the vectorized one
+    # spot-check the per-group scalar oracle against the vectorized bound
     tables = compute_tables(pq, queries[0])
     qt = quantize_prefix(tables, codelist.codes, 0.01, 100)
-    mins = _min_tables(qt.tables)
-    lbs = _lower_bounds_all(codes, qt.tables, mins)
+    lbs = _lower_bounds_all(codes, qt.tables)
     for i in range(0, codes.shape[0], 997):
         small = build_small_tables(qt, group_key(codes[i]))
         if lower_bound(small, pack_code(codes[i])) != int(lbs[i]):

@@ -8,18 +8,13 @@ from pqscan import (
     CodeList,
     GroupedDatabase,
     LookupTables,
-    adc_distance,
     assignment_permutation,
-    build_small_tables,
     compute_tables,
     encode,
     fast_scan,
     group_codes,
-    group_key,
     load_grouped,
-    lower_bound,
     optimize_centroid_assignment,
-    pack_code,
     relabel_codes,
     same_size_kmeans,
     save_grouped,
@@ -29,7 +24,16 @@ from pqscan import (
     scan_distances,
 )
 
-from conftest import quantize_prefix, quantized
+from conftest import (
+    adc_distance,
+    build_small_tables,
+    group_key,
+    lower_bound,
+    pack_code,
+    quantize_prefix,
+    quantized,
+    ungroup,
+)
 
 CODE_BYTES = np.array([0x3F, 0x11, 0x21, 0x00, 0xAB, 0xCD, 0xEF, 0x07], dtype=np.uint8)
 
@@ -227,7 +231,7 @@ def test_group_codes_empty(tmp_path, pq88, queries):
 
 def test_group_codes_multiset_round_trip(codes88):
     g = group_codes(codes88)
-    back = g.ungroup()
+    back = ungroup(g)
     order = np.argsort(back.ids)
     np.testing.assert_array_equal(back.codes[order], codes88.codes)
     np.testing.assert_array_equal(back.ids[order], codes88.ids)
@@ -316,8 +320,8 @@ def test_fast_scan_equals_scan(pq88, codes88, queries):
 )
 @settings(max_examples=40, deadline=None)
 def test_fast_scan_property(seed, n, r, integer_tables, permuted_ids):
-    # n past 1024 spans several pruning chunks; integer tables make many
-    # distances equal, so ties must resolve to the lower id across chunks
+    # integer tables make many distances equal, so ties must resolve to the
+    # lower id wherever in the scan the tied codes fall
     rng = np.random.default_rng(seed)
     if integer_tables:
         tables = LookupTables(rng.integers(0, 4, (8, 256)).astype(np.float32))
@@ -330,6 +334,31 @@ def test_fast_scan_property(seed, n, r, integer_tables, permuted_ids):
     base = scan(codelist, tables, r)
     got, _ = fast_scan(group_codes(codelist), tables, init, r)
     assert got.items() == base.items()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 150),
+    st.integers(1, 40),
+    st.sampled_from([0.0, 0.1, 0.3]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_fast_scan_edges(seed, n, distinct, density, data):
+    # Repeated codes under sparse tables of entries 1-2: many codes get tight
+    # bounds and equal exact distances, so ties straddle the seed/later
+    # boundary and the r-th place. Density 0 gives all-zero tables. r runs
+    # from 1 past n, init from 1/n to 1.0.
+    rng = np.random.default_rng(seed)
+    palette = rng.integers(0, 256, (distinct, 8)).astype(np.uint8)
+    codelist = CodeList(palette[rng.integers(0, distinct, n)], rng.permutation(n))
+    entries = rng.integers(1, 3, (8, 256)) * (rng.random((8, 256)) < density)
+    tables = LookupTables(entries.astype(np.float32))
+    r = data.draw(st.integers(1, n + 5), label="r")
+    init = data.draw(st.integers(1, n), label="init count") / n
+    got, stats = fast_scan(group_codes(codelist), tables, init, r)
+    assert got.items() == scan(codelist, tables, r).items()
+    assert stats.checked + stats.pruned == stats.total == n
 
 
 def test_fast_scan_small_groups_still_exact(pq88, blob_data, queries):

@@ -18,7 +18,6 @@ from pqscan import (
     ProductQuantizer,
     QuantizedTables,
     TrainConfig,
-    adc_distance,
     build_ivf,
     compute_tables,
     decode,
@@ -33,7 +32,7 @@ from pqscan import (
     train_derived,
 )
 
-from conftest import pack, unpack
+from conftest import adc_distance, pack, unpack
 
 bits = st.integers(1, 4)
 widths = st.integers(1, 9)

@@ -6,7 +6,6 @@ import pytest
 from pqscan import (
     ProductQuantizer,
     TrainConfig,
-    adc_distance,
     build_ivf,
     compute_tables,
     decode,
@@ -22,7 +21,7 @@ from pqscan import (
 
 from pqscan.quantizer import ENCODE_ROWS, _mean_update
 
-from conftest import unpack
+from conftest import adc_distance, unpack
 from test_dist import nearest_oracle, repair_empty_oracle
 
 CFG = TrainConfig(kmeans_iters=15, seed=2)
@@ -291,13 +290,21 @@ def test_opq_error_trace_matches_cdist_recomputation(blob_data, m, b):
     np.testing.assert_array_equal(np.array(trace).view(np.int64), np.array(want).view(np.int64))
 
 
-def test_train_rejects_bad_args(blob_data):
+@pytest.mark.parametrize(
+    "train",
+    [
+        lambda rows, m, b: train_pq(rows, m, b, CFG),
+        lambda rows, m, b: train_derived(rows, m, b, b - 1, CFG),
+    ],
+    ids=["train_pq", "train_derived"],
+)
+def test_train_rejects_bad_args(blob_data, train):
     from pqscan import TrainError
 
     with pytest.raises(ValueError):
-        train_pq(blob_data[:100], 5, 4, CFG)  # d=32 not divisible by 5
+        train(blob_data[:100], 5, 4)  # d=32 not divisible by 5
     with pytest.raises(TrainError):
-        train_pq(blob_data[:8], 4, 8, CFG)  # fewer points than centroids
+        train(blob_data[:8], 4, 8)  # fewer points than centroids
 
 
 def test_quantizer_round_trip(tmp_path, pq44):

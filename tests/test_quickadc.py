@@ -9,7 +9,6 @@ from pqscan import (
     QuantizedTables,
     compute_tables,
     encode,
-    qadc_block,
     qadc_scan,
     quantized_distances,
     scan,
@@ -17,7 +16,7 @@ from pqscan import (
     transpose_blocks,
 )
 
-from conftest import pack, quantized
+from conftest import pack, qadc_block, quantized
 
 
 def scalar_qadc(code, qt):

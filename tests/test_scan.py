@@ -7,7 +7,6 @@ from pqscan import (
     CodeList,
     LookupTables,
     NeighborSet,
-    adc_distance,
     compute_tables,
     decode,
     detranspose_blocks,
@@ -20,7 +19,7 @@ from pqscan import (
 )
 from pqscan._dist import _select_best
 
-from conftest import pack, unpack
+from conftest import adc_distance, pack, unpack
 
 
 def sorted_oracle(tables, codes, ids, r):
