@@ -290,21 +290,22 @@ def test_opq_error_trace_matches_cdist_recomputation(blob_data, m, b):
     np.testing.assert_array_equal(np.array(trace).view(np.int64), np.array(want).view(np.int64))
 
 
-@pytest.mark.parametrize(
-    "train",
-    [
-        lambda rows, m, b: train_pq(rows, m, b, CFG),
-        lambda rows, m, b: train_derived(rows, m, b, b - 1, CFG),
-    ],
-    ids=["train_pq", "train_derived"],
-)
-def test_train_rejects_bad_args(blob_data, train):
+def test_train_rejects_bad_args(blob_data):
     from pqscan import TrainError
 
     with pytest.raises(ValueError):
-        train(blob_data[:100], 5, 4)  # d=32 not divisible by 5
+        train_pq(blob_data[:100], 5, 4, CFG)  # d=32 not divisible by 5
     with pytest.raises(TrainError):
-        train(blob_data[:8], 4, 8)  # fewer points than centroids
+        train_pq(blob_data[:8], 4, 8, CFG)  # fewer points than centroids
+
+
+def test_train_derived_rejects_bad_args(blob_data):
+    from pqscan import TrainError
+
+    with pytest.raises(ValueError):
+        train_derived(blob_data[:100], 5, 4, 3, CFG)  # d=32 not divisible by 5
+    with pytest.raises(TrainError):
+        train_derived(blob_data[:8], 4, 8, 7, CFG)  # fewer points than centroids
 
 
 def test_quantizer_round_trip(tmp_path, pq44):
