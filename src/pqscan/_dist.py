@@ -127,14 +127,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-# Rows per chunk for nearest_k, sized so a chunk of distances to ~64K
-# centroids stays well under a GiB of float64.
-_CHUNK = 2048
 # nearest scores codebooks of at most NARROW_K centroids centroid-major.
 NARROW_K = 256
 # Score-matrix entries per chunk in nearest: 1 MiB of float32 scores, so
 # the passes over a chunk stay in L2 cache; but never fewer rows than
-# _MIN_CHUNK_ROWS (see the module docstring).
+# _MIN_CHUNK_ROWS (see the module docstring). nearest_k's chunks hold as
+# many float64 distances, and at least one row.
 _CHUNK_ENTRIES = 1 << 18
 _MIN_CHUNK_ROWS = 64
 # Entries per block in sqdist_rows (32 KiB of float64), so its transposed
@@ -306,8 +304,9 @@ def nearest_k(points: np.ndarray, centroids: np.ndarray, k: int) -> tuple[np.nda
     idx = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k), dtype=np.float64)
     cent_ids = np.arange(centroids.shape[0], dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    step = max(1, _CHUNK_ENTRIES // max(1, cent_ids.size))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         dm = sqdist_matrix(points[lo:hi], centroids)
         for row in range(hi - lo):
             dist[lo + row], idx[lo + row] = _select_best(dm[row], cent_ids, k)

@@ -28,14 +28,17 @@ below ``_MIN_COST``, and while another team of this process has workers
 (so a team or map inside a ``fork_map`` item stays serial). If a fork
 fails, the parent runs that share and the ones after it itself.
 
-A child always leaves through ``os._exit``, so it never returns into its
+Each child has a command pipe and a reply pipe, one-way
+``multiprocessing.Pipe`` connections that carry one pickle per message. A
+child always leaves through ``os._exit``, so it never returns into its
 caller's stack or runs its exit handlers; it leaves when its command pipe
 closes. Only the child holds the write end of its reply pipe, so a child
-that dies mid-call reads as end-of-file in the parent, which reaps it and
-raises instead of waiting. The parent reads every reply of a call, even
-when its own share raises, and reaps every child when the team closes. An
-exception a share raises reaches the caller with its type and message; if
-several shares fail, the lowest share wins, as in the loop.
+that dies mid-call reads as ``EOFError`` (``OSError`` within a message) in
+the parent, which reaps it and raises instead of waiting. The parent reads
+every reply of a call, even when its own share raises, and reaps every
+child when the team closes. An exception a share raises reaches the caller
+with its type and message; if several shares fail, the lowest share wins,
+as in the loop.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
+from multiprocessing import Pipe
+from multiprocessing.connection import Connection
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -132,7 +137,7 @@ class Team:
             range(count * w // workers, count * (w + 1) // workers) for w in range(workers)
         ]
         # share -> (pid, command pipe's write end, reply pipe's read end)
-        self.children: dict[int, tuple[int, int, int]] = {}
+        self.children: dict[int, tuple[int, Connection, Connection]] = {}
         if workers < 2:
             return
         _busy = True
@@ -157,7 +162,7 @@ class Team:
         data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL) if self.children else b""
         for _, cmd, _ in self.children.values():
             try:
-                _write(cmd, data)
+                cmd.send_bytes(data)
             except OSError:  # a dead child: its reply reads as end-of-file
                 pass
         outcome: list[tuple[bool, object] | None] = [None] * len(self.shares)
@@ -182,39 +187,40 @@ class Team:
         global _busy
         children, self.children = self.children, {}
         for _, cmd, _ in children.values():
-            os.close(cmd)
+            cmd.close()
         for pid, _, reply in children.values():
-            os.close(reply)
+            reply.close()
             os.waitpid(pid, 0)
         if len(self.shares) > 1:
             _busy = False
 
-    def _spawn(self, w: int) -> tuple[int, int, int]:
+    def _spawn(self, w: int) -> tuple[int, Connection, Connection]:
         """Fork the child of share w; returns (pid, command write end, reply
         read end)."""
-        cmd_r, cmd_w = os.pipe()
-        reply_r, reply_w = os.pipe()
+        cmd_r, cmd_w = Pipe(duplex=False)
+        reply_r, reply_w = Pipe(duplex=False)
         try:
             pid = os.fork()
         except OSError:
-            for fd in (cmd_r, cmd_w, reply_r, reply_w):
-                os.close(fd)
+            for conn in (cmd_r, cmd_w, reply_r, reply_w):
+                conn.close()
             raise
         if pid:
-            os.close(cmd_r)
-            os.close(reply_w)
+            cmd_r.close()
+            reply_w.close()
             return pid, cmd_w, reply_r
         status = 1
         try:
             # The parent's ends of the siblings' pipes are not this child's.
             for _, cmd, reply in self.children.values():
-                os.close(cmd)
-                os.close(reply)
-            os.close(cmd_w)
-            os.close(reply_r)
+                cmd.close()
+                reply.close()
+            cmd_w.close()
+            reply_r.close()
             share = self.shares[w]
-            while (msg := _recv(cmd_r)) is not _EOF:
-                _send_outcome(reply_w, _run(self.fn, share, msg))
+            while True:
+                _send_outcome(reply_w, _run(self.fn, share, cmd_r.recv()))
+        except EOFError:  # the command pipe closed: the team is done
             status = 0
         finally:
             os._exit(status)
@@ -223,12 +229,13 @@ class Team:
         """Child w's outcome of the current call; a child that died instead
         is reaped and reported."""
         pid, cmd, reply = self.children[w]
-        value = _recv(reply)
-        if value is not _EOF:
-            return value
+        try:
+            return reply.recv()
+        except (EOFError, OSError):
+            pass
         del self.children[w]
-        os.close(cmd)
-        os.close(reply)
+        cmd.close()
+        reply.close()
         _, status = os.waitpid(pid, 0)
         return False, RuntimeError(f"build worker exited without a result (status {status})")
 
@@ -247,18 +254,7 @@ def _run(fn, share, msg) -> tuple[bool, object]:
         return False, exc
 
 
-_EOF = object()
-_LENGTH = 8
-
-
-def _write(fd: int, data: bytes) -> None:
-    """Send one pickle, framed by its length."""
-    view = memoryview(len(data).to_bytes(_LENGTH, "little") + data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _send_outcome(fd: int, outcome: tuple[bool, object]) -> None:
+def _send_outcome(conn: Connection, outcome: tuple[bool, object]) -> None:
     """Send a _run outcome; one the parent could not rebuild goes as a
     RuntimeError that keeps its exception's name and message."""
     ok, value = outcome
@@ -269,26 +265,4 @@ def _send_outcome(fd: int, outcome: tuple[bool, object]) -> None:
     except Exception as exc:
         failed = value if not ok else exc
         data = pickle.dumps((False, RuntimeError(f"{type(failed).__name__}: {failed}")))
-    _write(fd, data)
-
-
-def _recv(fd: int) -> object:
-    """The next object sent to fd, or _EOF if the writer closed it first."""
-    head = _read(fd, _LENGTH)
-    if len(head) < _LENGTH:
-        return _EOF
-    size = int.from_bytes(head, "little")
-    data = _read(fd, size)
-    return _EOF if len(data) < size else pickle.loads(data)
-
-
-def _read(fd: int, size: int) -> bytes:
-    """Up to size bytes from fd: fewer only at end-of-file."""
-    parts = []
-    while size:
-        part = os.read(fd, min(size, 1 << 20))
-        if not part:
-            break
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+    conn.send_bytes(data)

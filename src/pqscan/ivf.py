@@ -109,7 +109,9 @@ def build_ivf(
 ) -> IvfIndex:
     """Train coarse and residual quantizers, then encode every vector's
     residual into the list of its nearest coarse centroid (ties to the
-    lowest index). Training uses seeded samples of the base."""
+    lowest index). Training uses seeded samples of the base; then one pass
+    over row chunks, spread over the CPUs, assigns the rows outside the
+    coarse sample and encodes every residual."""
     cfg = cfg or TrainConfig()
     check_train_options(b, use_opq, bderived)
     # float32 rows are not widened up front: each pass below widens one
@@ -124,31 +126,49 @@ def build_ivf(
     if n < K or n < (1 << b):
         raise ValueError(f"{n} vectors cannot train K={K}, b={b}")
     ids = _binio.index_array(np.arange(n) if ids is None else ids)
+    if ids.shape != (n,):
+        raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
     rng = np.random.default_rng(cfg.seed)
     # Every row below is a checked base row or its residual, so the callees
     # skip their own checks.
     with _checked_rows():
-        coarse, assign = _coarse_assignment(base, K, cfg, rng)
+        coarse_rows = _sample_rows(rng, n, max(K, 100 * K))
+        coarse, sample_assign = kmeans(base[coarse_rows], K, cfg)
         # A float64 residual of a finite row and a finite float32 centroid
         # is finite, so only the centroids' cast can overflow.
         if not np.isfinite(coarse).all():
             raise ValueError("coarse centroids overflow float32")
         coarse64 = coarse.astype(np.float64)
-        train_rows = _sample_rows(rng, n, 100 * (1 << b))
-        train_res = base[train_rows] - coarse64[assign[train_rows]]
+        train = base[_sample_rows(rng, n, 100 * (1 << b))]
+        train_res = train - coarse64[nearest(train, coarse64)]
         quant = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
         pq = plain_pq(quant)
         dpq = quant if isinstance(quant, DerivedPQ) else None
+        # kmeans' assignment of its sample to the float32 centroids it
+        # returns is what nearest gives; -1 marks the rows still to assign.
+        assign = np.full(n, -1, dtype=np.int64)
+        assign[coarse_rows] = sample_assign
+        # Every chunk reuses these buffers; every index is in range, and
+        # mode="clip" only spares take the buffering its default mode does
+        # before writing to out.
+        rows = np.empty((min(ENCODE_ROWS, n), d), dtype=base.dtype)
         res = np.empty((min(ENCODE_ROWS, n), d))
 
-        def residual_codes(i):
+        def cells_and_codes(i):
             lo, hi = i * ENCODE_ROWS, min((i + 1) * ENCODE_ROWS, n)
-            chunk = np.take(coarse64, assign[lo:hi], axis=0, out=res[: hi - lo], mode="clip")
+            cells = assign[lo:hi]
+            other = np.flatnonzero(cells < 0)
+            cells[other] = nearest(
+                np.take(base[lo:hi], other, axis=0, out=rows[: other.size], mode="clip"),
+                coarse64,
+            )
+            chunk = np.take(coarse64, cells, axis=0, out=res[: hi - lo], mode="clip")
             np.subtract(base[lo:hi], chunk, out=chunk)
-            return encode(pq, chunk)
+            return cells, encode(pq, chunk)
 
-        cost = pq.m * assign_cost(n, pq.k, pq.dsub)
-        codes = np.concatenate(fork_map(residual_codes, -(-n // ENCODE_ROWS), cost))
+        cost = assign_cost(n - coarse_rows.size, K, d) + pq.m * assign_cost(n, pq.k, pq.dsub)
+        cells, codes = zip(*fork_map(cells_and_codes, -(-n // ENCODE_ROWS), cost))
+        assign, codes = np.concatenate(cells), np.concatenate(codes)
 
     # A stable sort keeps each cell's rows in base order.
     order = np.argsort(assign, kind="stable")
@@ -158,36 +178,6 @@ def build_ivf(
         CodeList(codes[lo:hi], ids[lo:hi], m) for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
-
-
-def _coarse_assignment(
-    base: np.ndarray, K: int, cfg: TrainConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """K coarse centroids (float32) trained on a seeded sample of base, and
-    every row's nearest one."""
-    n, d = base.shape
-    # kmeans returns the coarse sample's assignment to the float32 centroids
-    # it returns, which is what nearest gives; only the other rows need it.
-    coarse_rows = _sample_rows(rng, n, max(K, 100 * K))
-    coarse, sample_assign = kmeans(base[coarse_rows], K, cfg)
-    rest = np.ones(n, dtype=bool)
-    rest[coarse_rows] = False
-    rest = np.flatnonzero(rest)
-    assign = np.empty(n, dtype=np.int64)
-    assign[coarse_rows] = sample_assign
-    coarse64 = coarse.astype(np.float64)
-    # Every index is in range; mode="clip" only spares take the buffering
-    # that its default mode does before writing to out.
-    rows = np.empty((min(ENCODE_ROWS, rest.size), d), dtype=base.dtype)
-
-    def nearest_cells(i):
-        part = rest[i * ENCODE_ROWS : (i + 1) * ENCODE_ROWS]
-        chunk = np.take(base, part, axis=0, out=rows[: part.size], mode="clip")
-        return nearest(chunk, coarse64)
-
-    cells = fork_map(nearest_cells, -(-rest.size // ENCODE_ROWS), assign_cost(rest.size, K, d))
-    assign[rest] = np.concatenate([np.empty(0, np.int64), *cells])
-    return coarse, assign
 
 
 def train_quantizer(

@@ -9,7 +9,15 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 from pqscan import TrainConfig
-from pqscan._dist import _CHUNK_ENTRIES, _ROW_BLOCK_ENTRIES, NARROW_K, nearest, sqdist_rows
+from pqscan import _dist
+from pqscan._dist import (
+    _CHUNK_ENTRIES,
+    _ROW_BLOCK_ENTRIES,
+    NARROW_K,
+    nearest,
+    nearest_k,
+    sqdist_rows,
+)
 from pqscan.quantizer import _cdf_index, _kmeans_seeded, _kmeanspp_init, _mean_update
 
 
@@ -334,3 +342,31 @@ def test_nearest_at_65536_centroids_matches_cdist_argmin():
         [nearest_oracle(x[lo : lo + 32], c)[0] for lo in range(0, x.shape[0], 32)]
     )
     np.testing.assert_array_equal(nearest(x, c), want)
+
+
+def test_nearest_k_chunks_are_sized_from_the_centroid_count(monkeypatch):
+    # exact_knn scores queries against the whole base: a fixed row count
+    # per chunk would hold that many rows times every base row in float64.
+    # A chunk holds at most _CHUNK_ENTRIES distances, or one row if a row
+    # alone has more. Some centroids repeat, so ties go to the lower index.
+    shapes, real = [], _dist.sqdist_matrix
+
+    def spied(a, b):
+        shapes.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(_dist, "sqdist_matrix", spied)
+    for count, n in ((3_000, 300), (_CHUNK_ENTRIES + 1, 3)):
+        rng = np.random.default_rng(count)
+        c = rng.normal(size=(count, 2))
+        c[-50:] = c[:50]
+        x = rng.normal(size=(n, 2))
+        x[:2] = c[:2]
+        shapes.clear()
+        idx, dist = nearest_k(x, c, 5)
+        assert sum(rows for rows, _ in shapes) == n
+        assert all(rows * cols <= max(_CHUNK_ENTRIES, cols) for rows, cols in shapes)
+        dm = cdist(x, c, "sqeuclidean")
+        want = np.argsort(dm, axis=1, kind="stable")[:, :5]
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(dist, np.take_along_axis(dm, want, axis=1))

@@ -363,6 +363,53 @@ def test_build_ivf_rejects_non_finite_base_before_training(base, no_coarse_kmean
         build_ivf(bad, K=8, m=4, b=4, cfg=CFG)
 
 
+@pytest.mark.parametrize("extra", [5, -10])
+def test_build_ivf_rejects_ids_of_another_length_before_training(base, no_coarse_kmeans, extra):
+    ids = np.arange(base.shape[0] + extra)
+    with pytest.raises(ValueError, match=rf"^ids must have shape \({base.shape[0]},\)"):
+        build_ivf(base, K=8, m=4, b=4, cfg=CFG, ids=ids)
+
+
+def test_build_ivf_assigns_and_encodes_in_one_pass(base, monkeypatch):
+    # After the coarse k-means, one fork_map pass assigns the rows outside
+    # the coarse sample and encodes every residual. The coarse sample keeps
+    # kmeans' assignment, so none of its rows reaches nearest except as part
+    # of the residual training sample, which is assigned before training.
+    from pqscan import _parallel, ivf
+
+    calls, reached = [], []
+    real_kmeans, real_fork_map, real_nearest = ivf.kmeans, ivf.fork_map, ivf.nearest
+
+    def kmeans(*args):
+        calls.append("kmeans")
+        return real_kmeans(*args)
+
+    def fork_map(*args):
+        calls.append("fork_map")
+        return real_fork_map(*args)
+
+    def nearest(points, centroids):
+        reached.extend(bytes(row) for row in np.asarray(points, np.float32))
+        return real_nearest(points, centroids)
+
+    monkeypatch.setattr(ivf, "kmeans", kmeans)
+    monkeypatch.setattr(ivf, "fork_map", fork_map)
+    monkeypatch.setattr(ivf, "nearest", nearest)
+    monkeypatch.setattr(ivf, "ENCODE_ROWS", 300)  # several chunks
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)  # every call in this process
+    build_ivf(base, K=8, m=4, b=4, cfg=CFG)
+    assert calls == ["kmeans", "fork_map"]
+    n = base.shape[0]
+    rng = np.random.default_rng(CFG.seed)
+    coarse_rows = set(ivf._sample_rows(rng, n, 100 * 8).tolist())  # 100 K rows
+    train_rows = set(ivf._sample_rows(rng, n, 100 * 16).tolist())  # 100 * 2^b rows
+    row_of = {bytes(row): i for i, row in enumerate(base)}
+    assert len(row_of) == n
+    reached = [row_of[row] for row in reached]
+    assert not (set(reached) & coarse_rows) - train_rows
+    assert set(range(n)) - coarse_rows <= set(reached)
+
+
 def test_build_ivf_checks_each_value_once(base, monkeypatch):
     # The base is checked for non-finite values once; its sample, the
     # training residuals and the encoded residuals are not checked again.
