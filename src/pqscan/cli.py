@@ -34,7 +34,7 @@ from .ivf import (
     default_r2,
     load_ivf,
     plain_pq,
-    query_ivf,
+    query_ivf_stats,
     save_ivf,
     scan_list,
     train_quantizer,
@@ -160,8 +160,8 @@ def _exhaustive_search_fn(args, quant, codelist: CodeList):
         return run
 
     def run(q):
-        found = scan_list(quant, codelist, q, args.r, kernel, args.init_count, args.r2)
-        return found, codelist.n, 0
+        nset, stats = scan_list(quant, codelist, q, args.r, kernel, args.init_count, args.r2)
+        return nset.to_arrays(), stats.checked, stats.pruned
 
     return run
 
@@ -170,10 +170,10 @@ def _index_search_fn(args, index):
     """Returns a per-query search fn over an inverted index, as above."""
 
     def run(q):
-        found = query_ivf(
+        found, stats = query_ivf_stats(
             index, q, args.ma, args.r, args.kernel, args.init_count, args.r2
         )
-        return found.to_arrays(), 0, 0
+        return found.to_arrays(), stats.checked, stats.pruned
 
     return run
 
@@ -259,23 +259,23 @@ def cmd_bench(args) -> int:
     times = np.array([t for t, _ in outcomes], dtype=np.float64)
     result_ids = np.full((queries.shape[0], r), -1, dtype=np.int64)
     pruned_total = 0
-    scanned_total = 0
-    for qi, (_, ((_, ids), scanned, pruned)) in enumerate(outcomes):
+    codes_total = 0
+    for qi, (_, ((_, ids), checked, pruned)) in enumerate(outcomes):
         result_ids[qi, : ids.shape[0]] = ids
-        scanned_total += scanned
+        codes_total += checked + pruned
         pruned_total += pruned
     if args.K:
         # Codes in the visited lists, counted outside the timed region.
         cells, _ = nearest_k(queries, index.coarse.astype(np.float64), args.ma)
         list_sizes = np.array([lst.n for lst in index.lists])
-        scanned_total = int(list_sizes[cells].sum())
+        codes_total = int(list_sizes[cells].sum())
     recall = recall_at_r(result_ids, truth, r)
     mean_ms = float(times.mean() * 1e3)
     median_ms = float(np.median(times) * 1e3)
-    mcodes = (scanned_total + pruned_total) / float(times.sum()) / 1e6
+    mcodes = codes_total / float(times.sum()) / 1e6
     pruned_col = ""
-    if args.kernel == "fast-scan":
-        pruned_col = f"{pruned_total / (scanned_total + pruned_total):.4f}"
+    if args.kernel in ("fast-scan", "quick-adc"):
+        pruned_col = f"{pruned_total / max(1, codes_total):.4f}"
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_HEADER)
     writer.writerow(

@@ -23,6 +23,7 @@ from .scan import (
     CodeList,
     LookupTables,
     NeighborSet,
+    ScanStats,
     quantize_tables,
     scan_distances,
 )
@@ -183,19 +184,6 @@ def _lower_bounds_all(codes: np.ndarray, qtables: np.ndarray) -> np.ndarray:
     for j in range(1, 8):
         acc += bound_tables[j].take(codes[:, j])
     return np.minimum(acc, BINS).astype(np.uint8)
-
-
-@dataclass
-class ScanStats:
-    """Pruning outcome counts: checked = exact distances computed."""
-
-    total: int = 0
-    checked: int = 0
-    pruned: int = 0
-
-    @property
-    def pruned_fraction(self) -> float:
-        return self.pruned / self.total if self.total else 0.0
 
 
 def fast_scan(

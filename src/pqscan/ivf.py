@@ -41,6 +41,7 @@ from .quickadc import DEFAULT_INIT_COUNT, qadc_scan
 from .scan import (
     CodeList,
     NeighborSet,
+    ScanStats,
     compute_tables,
     read_codes_body,
     scan,
@@ -248,19 +249,17 @@ def scan_list(
     kernel: str,
     init_count: int,
     r2: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One list's r best (distances float64, ids int64) under a kernel other
-    than fast-scan that check_kernel accepted; quick-adc bins come back as
-    float distances."""
+) -> tuple[NeighborSet, ScanStats]:
+    """One list's r best under a kernel other than fast-scan that
+    check_kernel accepted, and the kernel's counts: quick-adc's exact
+    distances and pruned codes, every code as checked for the others."""
     if kernel == "derived":
-        r2 = default_r2(r) if r2 is None else r2
-        return search_two_pass(quant, codelist, query, r, r2).to_arrays()
+        nset = search_two_pass(quant, codelist, query, r, default_r2(r) if r2 is None else r2)
+        return nset, ScanStats(total=codelist.n, checked=codelist.n)
     tables = compute_tables(plain_pq(quant), query)
-    if kernel == "adc":
-        return scan(codelist, tables, r).to_arrays()
-    part, qt = qadc_scan(codelist, tables, init_count, r)
-    dists, ids = part.to_arrays()
-    return qt.rescale(dists), ids
+    if kernel == "quick-adc":
+        return qadc_scan([codelist], [tables], init_count, r)
+    return scan(codelist, tables, r), ScanStats(total=codelist.n, checked=codelist.n)
 
 
 def query_ivf(
@@ -274,6 +273,21 @@ def query_ivf(
 ) -> NeighborSet:
     """Scan the ma nearest cells' lists against the query residuals and
     select the r best of their union."""
+    return query_ivf_stats(index, query, ma, r, kernel, init_count, r2)[0]
+
+
+def query_ivf_stats(
+    index: IvfIndex,
+    query: np.ndarray,
+    ma: int,
+    r: int,
+    kernel: str = "adc",
+    init_count: int = DEFAULT_INIT_COUNT,
+    r2: int | None = None,
+) -> tuple[NeighborSet, ScanStats]:
+    """query_ivf's result and the counts summed over the visited lists (see
+    scan_list). quick-adc scans every visited list in one qadc_scan call,
+    nearest cell first; the other kernels scan each list and merge."""
     quant = index.pq if index.dpq is None else index.dpq
     kernel = check_kernel(kernel, quant, indexed=True)
     if not 1 <= ma <= index.K:
@@ -282,14 +296,19 @@ def query_ivf(
         raise ValueError("r must be >= 1")
     query = _check_query(np.asarray(query, dtype=np.float64), index.d)
     cells, _ = nearest_k(query[None, :], index.coarse.astype(np.float64), ma)
+    visited = [cell for cell in cells[0].tolist() if index.lists[cell].n]
+    lists = [index.lists[cell] for cell in visited]
+    residuals = [query - index.coarse[cell].astype(np.float64) for cell in visited]
+    if kernel == "quick-adc":
+        tables = [compute_tables(index.pq, residual) for residual in residuals]
+        return qadc_scan(lists, tables, init_count, r)
     parts = [(np.empty(0, np.float64), np.empty(0, np.int64))]
-    for cell in cells[0]:
-        lst = index.lists[int(cell)]
-        if lst.n:
-            residual = query - index.coarse[int(cell)].astype(np.float64)
-            parts.append(scan_list(quant, lst, residual, r, kernel, init_count, r2))
+    parts += [scan_list(quant, lst, residual, r, kernel, init_count, r2)[0].to_arrays()
+              for lst, residual in zip(lists, residuals)]
     dists, ids = (np.concatenate(column) for column in zip(*parts))
-    return NeighborSet.from_pairs(r, *_select_best(dists, ids, r))
+    total = sum(lst.n for lst in lists)
+    stats = ScanStats(total=total, checked=total)
+    return NeighborSet.from_pairs(r, *_select_best(dists, ids, r)), stats
 
 
 MAGIC_IVF = b"IVF1"

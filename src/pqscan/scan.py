@@ -79,12 +79,6 @@ class QuantizedTables:
     def quantize(self, values) -> np.ndarray | int:
         return quantize(values, self.qmin, self.qmax, self.bins)
 
-    def rescale(self, bins) -> np.ndarray | float:
-        """Map quantized distances back to representative float values."""
-        span = self.qmax - self.qmin
-        v = np.asarray(bins, dtype=np.float64) * span / self.bins + self.qmin
-        return float(v[()]) if v.ndim == 0 else v
-
 
 def quantize(values, qmin: float, qmax: float, bins: int) -> np.ndarray | int:
     """Map distances to [0, bins]: bins at or above qmax, else a floor-scaled
@@ -270,6 +264,19 @@ class CodeList:
         from .quantizer import encode
 
         return cls(encode(pq, np.atleast_2d(vectors)), ids, pq.m)
+
+
+@dataclass
+class ScanStats:
+    """Pruning outcome counts: checked = exact distances computed."""
+
+    total: int = 0
+    checked: int = 0
+    pruned: int = 0
+
+    @property
+    def pruned_fraction(self) -> float:
+        return self.pruned / self.total if self.total else 0.0
 
 
 def scan(codelist: CodeList, tables: LookupTables, r: int) -> NeighborSet:

@@ -68,7 +68,7 @@ def qadc_block(block, qt):
     """Reference quantized distances of one block of 16 codes from
     transpose_blocks: row j carries components 2j (low nibble) and 2j+1
     (high nibble) of all 16 codes; each lookup is added with saturation at
-    qt.bins. Returns 16 uint8 distances."""
+    qt.bins. Returns 16 int16 distances."""
     block = np.asarray(block, dtype=np.uint8)
     t = qt.tables
     assert t.shape[0] % 2 == 0 and block.shape == (t.shape[0] // 2, 16)
@@ -76,7 +76,7 @@ def qadc_block(block, qt):
     for j in range(block.shape[0]):
         acc = np.minimum(acc + t[2 * j][block[j] & 0x0F], qt.bins)
         acc = np.minimum(acc + t[2 * j + 1][block[j] >> 4], qt.bins)
-    return acc.astype(np.uint8)
+    return acc
 
 
 # -- the paper's per-group form of fast scan, one code at a time --------------

@@ -15,11 +15,9 @@ import pytest
 
 import pqscan
 from pqscan import (
-    BINS,
     CodeList,
     GroundTruth,
     LookupTables,
-    QuantizedTables,
     TrainConfig,
     build_ivf,
     compute_tables,
@@ -39,6 +37,7 @@ from pqscan import (
     train_pq,
 )
 from pqscan.fastscan import _lower_bounds_all
+from pqscan.quickadc import _bound_tables
 
 from conftest import (
     build_small_tables,
@@ -196,7 +195,7 @@ def test_criterion_4_sift1m_recall(capsys):
 
 
 def test_criterion_5_quick_adc_recall_parity(capsys):
-    rep = Report(capsys, "criterion 5 (Quick ADC recall parity, b=4)")
+    rep = Report(capsys, "criterion 5 (Quick ADC returns scan's ids, b=4)")
     if SIFT is not None:
         base, learn, queries, truth = _load_sift()
         queries = queries[:200]
@@ -204,9 +203,8 @@ def test_criterion_5_quick_adc_recall_parity(capsys):
         m = 16
     else:
         # 256 blobs in d=32 keep neighbors distinguishable: float recall
-        # lands near 0.97, so a quantization-induced drop would break
-        # parity instead of hiding in chance-level noise. 500 queries give
-        # the recall estimate 0.002 granularity.
+        # lands near 0.97. 500 queries give the recall estimate 0.002
+        # granularity.
         base, queries = in_distribution_split(50_000, 32, 256, 9, 500)
         truth = exact_knn(base, queries, 100)
         learn = base[:20_000]
@@ -215,33 +213,48 @@ def test_criterion_5_quick_adc_recall_parity(capsys):
     pq = train_pq(learn, m, 4, cfg)
     codelist = CodeList(encode(pq, base), m=m)
     float_res, quant_res = [], []
+    mismatches = 0
     for q in queries:
         tables = compute_tables(pq, q)
-        float_res.append([i for _, i in scan(codelist, tables, 100).items()])
-        nset, _ = qadc_scan(codelist, tables, 200, 100)
-        quant_res.append([i for _, i in nset.items()])
+        want = scan(codelist, tables, 100).items()
+        got, _ = qadc_scan([codelist], [tables], 200, 100)
+        mismatches += got.items() != want
+        float_res.append([i for _, i in want])
+        quant_res.append([i for _, i in got.items()])
     r_f = recall_at_r(np.array(float_res), truth, 100)
     r_q = recall_at_r(np.array(quant_res), truth, 100)
-    rep.done(abs(r_f - r_q) <= 0.01, f"float {r_f:.4f} vs quantized {r_q:.4f}")
+    rep.done(mismatches == 0 and r_q == r_f,
+             f"{mismatches} result sets differ from scan; parity {r_q / r_f:.4f} "
+             f"(float {r_f:.4f}, Quick ADC {r_q:.4f})")
 
 
 def test_criterion_6_qadc_kernel_equivalence(capsys):
-    rep = Report(capsys, "criterion 6 (packed qadc == scalar clamp, 1.6e6 codes)")
+    rep = Report(capsys, "criterion 6 (int16 bound == floor-sum oracle <= s(D - M), 1.6e6 codes)")
     rng = np.random.default_rng(0)
-    n_codes, m = 1_600_000, 8
-    tables = rng.integers(0, 128, (m, 16)).astype(np.uint8)
-    qt = QuantizedTables(tables, 0.0, 127.0, BINS)
+    n_codes, m, n_cells = 1_600_000, 8, 4
+    t64 = rng.gamma(2.0, 50.0, (n_cells, m, 16)).astype(np.float32).astype(np.float64)
     codes = rng.integers(0, 256, (n_codes, m // 2)).astype(np.uint8)
-    # reference: the clamped per-component scalar recurrence, run code-wise
-    acc = np.zeros(n_codes, dtype=np.int64)
-    t = tables.astype(np.int64)
-    for j in range(m // 2):
-        byte = codes[:, j].astype(np.int64)
-        acc = np.minimum(acc + t[2 * j][byte & 0x0F], 127)
-        acc = np.minimum(acc + t[2 * j + 1][byte >> 4], 127)
-    got = quantized_distances(codes, qt).astype(np.int64)
-    bad = int(np.count_nonzero(got != acc))
-    rep.done(bad == 0, f"{bad} mismatching codes of {n_codes}")
+    cells = np.sort(rng.integers(0, n_cells, n_codes))
+    comps = [(codes[:, j // 2] >> (4 * (j % 2))) & 0x0F for j in range(m)]
+    dists = sum(t64[cells, j, comps[j]] for j in range(m))
+    # the 1,000th smallest distance sets the scale, so some entries clamp
+    q, shifts, s = _bound_tables(t64, float(np.partition(dists, 999)[999]))
+    got = quantized_distances(codes, q, cells).astype(np.int64)
+    # reference: per component, the floored scaled shifted entry, clamped
+    bins = 32767 // m
+    mins = t64.min(axis=2)
+    want = np.zeros(n_codes, dtype=np.int64)
+    gap = np.zeros(n_codes)
+    for j in range(m):
+        shifted = t64[cells, j, comps[j]] - mins[cells, j]
+        want += np.minimum(np.floor(shifted * s), bins).astype(np.int64)
+        gap += shifted
+    bad = int(np.count_nonzero(got != want))
+    unsound = int(np.count_nonzero(got > s * gap * (1 + 1e-12)))
+    clamped = float((q == bins).mean())
+    rep.done(bad == 0 and unsound == 0 and 0 < clamped < 1,
+             f"{bad} codes differ from the oracle, {unsound} bounds above s(D - M) "
+             f"of {n_codes}; {clamped:.0%} of entries clamped")
 
 
 def test_criterion_7_derived_p1(capsys):
@@ -326,7 +339,7 @@ def test_criterion_10_throughput_reported(capsys):
     pq4 = train_pq(base4[:20_000], 16, 4, cfg)
     cl4 = CodeList(encode(pq4, base4), m=16)
     base4_rate = rate(lambda q: scan(cl4, compute_tables(pq4, q), 100), q4, cl4.n)
-    qadc_rate = rate(lambda q: qadc_scan(cl4, compute_tables(pq4, q), 200, 100), q4, cl4.n)
+    qadc_rate = rate(lambda q: qadc_scan([cl4], [compute_tables(pq4, q)], 200, 100), q4, cl4.n)
     ratio_fs = fs_rate / base_rate
     ratio_qa = qadc_rate / base4_rate
     detail = (f"fast-scan {fs_rate:.0f} vs scan {base_rate:.0f} Mcodes/s "

@@ -112,18 +112,18 @@ def test_train_reload_identical_encodes(workspace, tmp_path):
     np.testing.assert_array_equal(encode(pq, probe), encode(again, probe))
 
 
-def test_query_quick_adc_rescales_to_floats(workspace, capsys):
+def test_query_quick_adc_equals_adc_csv(workspace, capsys):
     quant = workspace / "q.pqz"
     codes = workspace / "c.pql"
-    code, out, _ = run(capsys, "query", "--queries", str(workspace / "q.fvecs"),
-                       "--codes", str(codes), "--quantizer", str(quant),
-                       "--r", "5", "--kernel", "quick-adc", "--init-count", "50")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert len(rows) == 1 + 8 * 5
-    dists = [float(r[3]) for r in rows[1:]]
-    assert all(d >= 0 for d in dists)
-    assert any(d > 127 for d in dists)  # rescaled distances, not raw bins
+    outs = {}
+    for kernel in ("adc", "quick-adc"):
+        code, outs[kernel], _ = run(
+            capsys, "query", "--queries", str(workspace / "q.fvecs"),
+            "--codes", str(codes), "--quantizer", str(quant),
+            "--r", "5", "--kernel", kernel, "--init-count", "50")
+        assert code == 0
+    assert len(list(csv.reader(io.StringIO(outs["adc"])))) == 1 + 8 * 5
+    assert outs["quick-adc"] == outs["adc"]
 
 
 def test_fast_scan_kernel_needs_8x8(workspace, capsys):
@@ -178,6 +178,22 @@ def test_bench_fast_scan_recall_equals_adc(tmp_path, capsys):
         recalls[kernel] = dict(zip(rows[0], rows[1]))
     assert recalls["adc"]["recall"] == recalls["fast-scan"]["recall"]
     assert float(recalls["fast-scan"]["pruned_fraction"]) >= 0.0
+
+
+@pytest.mark.parametrize("index_args", [[], ["--K", "4", "--ma", "2"]])
+def test_bench_quick_adc_reports_pruned_fraction(workspace, capsys, index_args):
+    rows = {}
+    for kernel in ("adc", "quick-adc"):
+        code, out, _ = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
+                           "--queries", str(workspace / "q.fvecs"),
+                           "--truth", str(workspace / "t.ivecs"),
+                           "--m", "4", "--b", "4", "--r", "5", "--iters", "5",
+                           "--init-count", "20", "--kernel", kernel, *index_args)
+        assert code == 0
+        rows[kernel] = dict(zip(*csv.reader(io.StringIO(out))))
+    assert rows["adc"]["pruned_fraction"] == ""
+    assert rows["quick-adc"]["recall"] == rows["adc"]["recall"]
+    assert 0.0 < float(rows["quick-adc"]["pruned_fraction"]) < 1.0
 
 
 def test_bench_empty_base_is_error(tmp_path, capsys):

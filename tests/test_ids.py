@@ -57,9 +57,12 @@ def test_stored_ids_are_narrow_and_results_int64(codes88, pq88, pq44, codes44, q
     assert want[1].dtype == np.int64
     got = fast_scan(grouped, tables, 0.05, 10)[0].to_arrays()
     np.testing.assert_array_equal(got[1], want[1])
+    adc = scan_list(pq44, codes44, queries[0], 10, "adc", 200, None)[0].to_arrays()
     for kernel in ("adc", "quick-adc"):
-        _, ids = scan_list(pq44, codes44, queries[0], 10, kernel, 200, None)
+        dists, ids = scan_list(pq44, codes44, queries[0], 10, kernel, 200, None)[0].to_arrays()
         assert ids.dtype == np.int64 and ids.size == 10
+        np.testing.assert_array_equal(ids, adc[1])
+        assert dists.tobytes() == adc[0].tobytes()
 
 
 def scan_oracle(tables, codelist, r):
@@ -102,10 +105,14 @@ def test_ivf_with_large_ids_matches_offset_small_ids(blob_data, queries, tmp_pat
     big = build_ivf(blob_data, K=8, m=4, b=4, cfg=cfg, ids=np.arange(n) + 2**33)
     assert {lst.ids.dtype for lst in small.lists} == {np.dtype(np.int32)}
     assert {lst.ids.dtype for lst in big.lists} == {np.dtype(np.int64)}
+    adc_d, adc_i = query_ivf(small, queries[2], 4, 15, "adc").to_arrays()
     for kernel in ("adc", "quick-adc"):
         want_d, want_i = query_ivf(small, queries[2], 4, 15, kernel).to_arrays()
         got_d, got_i = query_ivf(big, queries[2], 4, 15, kernel).to_arrays()
         assert got_i.dtype == np.int64
+        # Quick ADC is exact: ADC's distances and ids, bit for bit
+        assert want_d.tobytes() == adc_d.tobytes()
+        np.testing.assert_array_equal(want_i, adc_i)
         np.testing.assert_array_equal(got_d, want_d)
         np.testing.assert_array_equal(got_i, want_i + 2**33)
     save_ivf(tmp_path / "big.ivf", big)

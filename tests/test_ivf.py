@@ -3,7 +3,6 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from pqscan import (
-    DEFAULT_INIT_COUNT,
     CodeList,
     LazyTables,
     NeighborSet,
@@ -29,6 +28,7 @@ from pqscan import (
 )
 from pqscan._dist import nearest, nearest_k
 from pqscan.ivf import KERNELS as LIBRARY_KERNELS
+from pqscan.ivf import query_ivf_stats
 from pqscan.quantizer import ENCODE_ROWS
 
 CFG = TrainConfig(kmeans_iters=8, seed=4)
@@ -44,9 +44,8 @@ def index(base):
     return build_ivf(base, K=16, m=4, b=4, cfg=CFG)
 
 
-def merged_oracle(index, query, ma, r, kernel="adc"):
-    """Union of per-list residual scans, sorted by (distance, id). Quick ADC
-    lists contribute their r best bins, rescaled to distances."""
+def merged_oracle(index, query, ma, r):
+    """Union of per-list residual scans, sorted by (distance, id)."""
     q64 = np.asarray(query, dtype=np.float64)
     cells, _ = nearest_k(q64[None, :], index.coarse.astype(np.float64), ma)
     pairs = []
@@ -55,12 +54,7 @@ def merged_oracle(index, query, ma, r, kernel="adc"):
         sub = index.lists[cell]
         if sub.n == 0:
             continue
-        tables = compute_tables(index.pq, res)
-        if kernel == "adc":
-            pairs.extend(scan(sub, tables, sub.n).items())
-        else:
-            got, qt = qadc_scan(sub, tables, DEFAULT_INIT_COUNT, r)
-            pairs.extend((float(qt.rescale(d)), i) for d, i in got.items())
+        pairs.extend(scan(sub, compute_tables(index.pq, res), sub.n).items())
     pairs.sort()
     return pairs[:r]
 
@@ -156,7 +150,7 @@ def test_query_matches_merged_oracle(index, queries):
         for q in queries:
             for ma in (1, 4, 16):
                 got = query_ivf(index, q, ma=ma, r=20, kernel=kernel)
-                assert got.items() == merged_oracle(index, q, ma, 20, kernel)
+                assert got.items() == merged_oracle(index, q, ma, 20)
 
 
 def test_query_of_stored_vector_finds_it(index, base):
@@ -203,12 +197,33 @@ def test_scanned_fraction_tracks_ma(index, base, queries):
 
 
 def test_quick_adc_kernel_agrees_on_ids(index, queries):
+    # exact: the same (distance, id) pairs as ADC, bit for bit, whatever the
+    # prefix, the number of cells or r; the counts cover the visited codes
     for q in queries[:5]:
-        a = query_ivf(index, q, ma=4, r=10, kernel="adc")
-        b = query_ivf(index, q, ma=4, r=10, kernel="quick-adc", init_count=50)
-        ids_a = {i for _, i in a.items()}
-        ids_b = {i for _, i in b.items()}
-        assert len(ids_a & ids_b) >= 5  # quantized kernel, same neighborhood
+        for ma, r, init_count in ((1, 10, 1), (4, 10, 50), (16, 300, 200)):
+            a = query_ivf(index, q, ma=ma, r=r, kernel="adc")
+            b, stats = query_ivf_stats(index, q, ma, r, "quick-adc", init_count)
+            assert b.items() == a.items()
+            assert a.to_arrays()[0].tobytes() == b.to_arrays()[0].tobytes()
+            _, adc_stats = query_ivf_stats(index, q, ma, r, "adc")
+            assert stats.total == adc_stats.total == adc_stats.checked
+            assert stats.checked + stats.pruned == stats.total
+
+
+def test_quick_adc_scans_the_visited_lists_in_one_call(index, queries, monkeypatch):
+    import pqscan.ivf as ivf
+
+    calls = []
+
+    def counted(lists, tables, init_count, r):
+        calls.append([lst.n for lst in lists])
+        return qadc_scan(lists, tables, init_count, r)
+
+    monkeypatch.setattr(ivf, "qadc_scan", counted)
+    query_ivf(index, queries[0], ma=4, r=10, kernel="quick-adc")
+    cells, _ = nearest_k(queries[0][None, :].astype(np.float64), index.coarse, 4)
+    sizes = [index.lists[c].n for c in cells[0]]
+    assert calls == [[n for n in sizes if n]]
 
 
 def test_derived_kernel_matches_adc_with_max_r2(base, queries):
@@ -308,7 +323,7 @@ def run_kernel(pq44, codes44, pq88, codes88, small_dpq, base):
         codes = CodeList(codes44.codes[:n], m=pq44.m)
         if kernel == "adc":
             return scan(codes, compute_tables(pq44, q), 5)
-        return qadc_scan(codes, compute_tables(pq44, q), 50, 5)[0]
+        return qadc_scan([codes], [compute_tables(pq44, q)], 50, 5)[0]
 
     return run
 

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from pqscan import (
-    BINS,
     CodeList,
     LookupTables,
     ProductQuantizer,
-    QuantizedTables,
     TrainConfig,
     build_ivf,
     compute_tables,
@@ -31,6 +29,8 @@ from pqscan import (
     search_two_pass,
     train_derived,
 )
+
+from pqscan.quickadc import BOUND_MAX
 
 from conftest import adc_distance, pack, unpack
 
@@ -54,25 +54,65 @@ def test_scan_distances_packed_equals_scalar_adc(b, m, n, seed):
     assert got.tobytes() == want.tobytes()
 
 
-def scalar_qadc(code, tables):
-    """Clamp after every component add, one code at a time."""
-    acc = 0
-    for j, c in enumerate(code):
-        acc = min(acc + int(tables[j][c]), 127)
-    return acc
-
-
-@given(widths, st.integers(0, 40), seeds, st.integers(0, 127))
+@given(widths, st.integers(1, 4), st.integers(0, 40), seeds,
+       st.sampled_from([0.0, 0.01, 0.5, 1.0]))
 @settings(max_examples=120, deadline=None)
-def test_pair_table_qadc_equals_clamped_scalar(m, n, seed, cap):
-    # cap bounds the entries; low caps keep sums below 127, high ones saturate
+def test_pair_table_qadc_equals_clamped_scalar(m, n_cells, n, seed, cap):
+    # Entries run up to cap * (BOUND_MAX // m); at cap 1 every entry may sit
+    # at that per-entry maximum, and a code's sum still fits int16.
     rng = np.random.default_rng(seed)
-    tables = rng.integers(0, cap + 1, (m, 16)).astype(np.uint8)
-    qt = QuantizedTables(tables, 0.0, 127.0, BINS)
+    top = int(cap * (BOUND_MAX // m))
+    q = rng.integers(0, top + 1, (n_cells, m, 16)).astype(np.int16)
+    if cap == 1.0:
+        q[:, :, 0] = top
     comps = random_components(rng, n, m, 4)
-    got = quantized_distances(pack(comps), qt)
-    want = np.array([scalar_qadc(c, tables) for c in comps], dtype=np.uint8)
-    np.testing.assert_array_equal(got, want)
+    comps[: n // 2] = 0
+    cells = rng.integers(0, n_cells, n)
+    got = quantized_distances(pack(comps), q, cells)
+    want = [sum(int(q[c, j, x]) for j, x in enumerate(code)) for code, c in zip(comps, cells)]
+    assert got.dtype == np.int16
+    np.testing.assert_array_equal(got, np.array(want, dtype=np.int64))
+
+
+def table_rows(rng, kind, m):
+    """(m, 16) float32 table entries of one list: random, tie-heavy small
+    integers, one constant (so every code of every list is at the same
+    distance and the scale's span is 0), or random with spikes 10^4 times
+    larger, whose bins clamp at the per-entry maximum."""
+    if kind == "ties":
+        return rng.integers(0, 3, (m, 16)).astype(np.float32)
+    if kind == "equal":
+        return np.full((m, 16), 2.5, dtype=np.float32)
+    t = rng.random((m, 16)).astype(np.float32)
+    if kind == "spikes":
+        t[rng.random((m, 16)) < 0.2] *= 1e4
+    return t
+
+
+@given(widths, st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       st.integers(1, 60), st.integers(1, 50),
+       st.sampled_from(["random", "ties", "equal", "spikes"]), seeds)
+@settings(max_examples=150, deadline=None)
+def test_qadc_scan_equals_exact_merge_over_cells(m, sizes, r, init_count, kind, seed):
+    # Exact for any list sizes (empty lists and fewer codes than r
+    # included), tables with ties, equal tables and clamped entries; each
+    # list is scored with its own tables, and ties fall to the lower id.
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(sum(sizes)) * 3
+    lists, tables, pairs = [], [], []
+    for c, n in enumerate(sizes):
+        comps = random_components(rng, n, m, 4)
+        lst = CodeList(pack(comps), ids[sum(sizes[:c]) : sum(sizes[: c + 1])], m)
+        tab = LookupTables(table_rows(rng, kind, m))
+        lists.append(lst)
+        tables.append(tab)
+        pairs += [(adc_distance(tab, code), int(i)) for code, i in zip(comps, lst.ids)]
+    nset, stats = qadc_scan(lists, tables, init_count, r)
+    got_d, got_i = nset.to_arrays()
+    want = sorted(pairs)[:r]
+    assert list(zip(got_d.tolist(), got_i.tolist())) == want
+    assert got_d.tobytes() == np.array([d for d, _ in want], dtype=np.float64).tobytes()
+    assert stats.total == sum(sizes) and stats.checked + stats.pruned == stats.total
 
 
 @given(bits, st.sampled_from([1, 2, 3, 4, 5, 6]), seeds)
@@ -104,13 +144,9 @@ def test_qadc_scan_reads_packed_list_of_any_m(m):
     comps = random_components(rng, 300, m, 4)
     codelist = CodeList(pack(comps), rng.permutation(300), m)
     tables = LookupTables(rng.random((m, 16)).astype(np.float32))
-    nset, qt = qadc_scan(codelist, tables, 50, 10)
-    exact = scan_distances(tables, comps)
-    qmax = float(np.sort(exact[:50])[9])
-    assert qt.qmax == qmax
-    bins = np.array([scalar_qadc(c, qt.tables) for c in comps], dtype=np.float64)
-    oracle = sorted(zip(bins.tolist(), codelist.ids.tolist()))[:10]
-    assert nset.items() == oracle
+    nset, stats = qadc_scan([codelist], [tables], 50, 10)
+    assert nset.items() == scan(codelist, tables, 10).items()
+    assert stats.pruned > 0
 
 
 def test_packed_list_needs_its_true_m():
@@ -121,10 +157,10 @@ def test_packed_list_needs_its_true_m():
     with pytest.raises(ValueError):
         scan(CodeList(pack(comps), m=3), tables, 5)
     with pytest.raises(ValueError):
-        qadc_scan(CodeList(pack(comps), m=3), tables, 5, 5)
+        qadc_scan([CodeList(pack(comps), m=3)], [tables], 5, 5)
     unpacked = CodeList(random_components(rng, 20, 4, 4), m=4)
     with pytest.raises(ValueError, match="nibble-packed"):
-        qadc_scan(unpacked, tables, 5, 5)
+        qadc_scan([unpacked], [tables], 5, 5)
 
 
 def test_ivf_lists_store_packed_codes_and_quick_adc_takes_odd_m():
@@ -134,7 +170,8 @@ def test_ivf_lists_store_packed_codes_and_quick_adc_takes_odd_m():
         assert lst.codes.shape == (lst.n, 3) and lst.m == 5
         assert not np.any(lst.codes[:, -1] >> 4)
     q = base[7]
-    assert len(query_ivf(index, q, ma=2, r=10, kernel="quick-adc").items()) == 10
+    got = query_ivf(index, q, ma=2, r=10, kernel="quick-adc").items()
+    assert len(got) == 10 and got == query_ivf(index, q, ma=2, r=10).items()
     for lst in index.lists:
         tables = compute_tables(index.pq, q - index.coarse[0])
         np.testing.assert_array_equal(

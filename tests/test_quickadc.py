@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from pqscan import (
     BINS,
     CodeList,
+    LookupTables,
     QuantizedTables,
     compute_tables,
     encode,
@@ -15,6 +18,7 @@ from pqscan import (
     scan_distances,
     transpose_blocks,
 )
+from pqscan.quickadc import BOUND_MAX
 
 from conftest import pack, qadc_block, quantized
 
@@ -88,15 +92,18 @@ def test_qadc_block_saturates():
 
 
 def test_quantized_distances_match_blocks():
+    # int16 entries at most BOUND_MAX // m: no sum reaches the oracle's cap
     rng = np.random.default_rng(4)
-    qt = random_qt(rng, 6)
-    codes = pack(rng.integers(0, 16, (53, 6)))
-    tlist = transpose_blocks(CodeList(codes, m=6), 4)
-    flat = quantized_distances(codes, qt)
+    m = 6
+    entries = rng.integers(0, BOUND_MAX // m + 1, (m, 16)).astype(np.int16)
+    codes = pack(rng.integers(0, 16, (53, m)))
+    tlist = transpose_blocks(CodeList(codes, m=m), 4)
+    flat = quantized_distances(codes, entries[None], np.zeros(codes.shape[0], int))
+    wide = SimpleNamespace(tables=entries, bins=BOUND_MAX)
     for blk in range(tlist.n_blocks):
         v = tlist.block_validity(blk)
         np.testing.assert_array_equal(
-            qadc_block(tlist.blocks[blk], qt)[:v], flat[blk * 16 : blk * 16 + v]
+            qadc_block(tlist.blocks[blk], wide)[:v], flat[blk * 16 : blk * 16 + v]
         )
 
 
@@ -107,17 +114,25 @@ def test_qadc_scan_zero_distance_first(pq44):
     y = np.concatenate([pq44.codebooks[j][0] for j in range(pq44.m)])
     codelist = CodeList.from_vectors(pq44, y)
     tables = compute_tables(pq44, y)
-    nset, qt = qadc_scan(codelist, tables, 1, 1)
+    nset, stats = qadc_scan([codelist], [tables], 1, 1)
     assert nset.items() == [(0.0, 0)]
+    assert (stats.total, stats.checked, stats.pruned) == (1, 1, 0)
 
 
-def test_qadc_scan_equals_quantized_sort(pq44, codes44, queries):
+def exact_sort(tables, codelist, r):
+    """The r best (distance, id) pairs of a full sort of scan_distances."""
+    dists = scan_distances(tables, codelist.codes)
+    return sorted(zip(dists.tolist(), codelist.ids.tolist()))[:r]
+
+
+def test_qadc_scan_equals_exact_sort(pq44, codes44, queries):
     for q in queries[:4]:
         tables = compute_tables(pq44, q)
-        nset, qt = qadc_scan(codes44, tables, 100, 10)
-        bins = quantized_distances(codes44.codes, qt).astype(np.float64)
-        oracle = sorted(zip(bins.tolist(), codes44.ids.tolist()))[:10]
-        assert nset.items() == oracle
+        nset, stats = qadc_scan([codes44], [tables], 100, 10)
+        assert nset.items() == exact_sort(tables, codes44, 10)
+        assert stats.total == codes44.n
+        assert stats.checked + stats.pruned == stats.total
+        assert stats.pruned > 0
 
 
 def test_qadc_scan_padding_neutral(pq44, blob_data):
@@ -128,40 +143,60 @@ def test_qadc_scan_padding_neutral(pq44, blob_data):
     b = CodeList(codes[:48], m=pq44.m)
     q = blob_data[7]
     tables = compute_tables(pq44, q)
-    full, _ = qadc_scan(a, tables, 20, 49)
-    head, _ = qadc_scan(b, tables, 20, 48)
+    full, _ = qadc_scan([a], [tables], 20, 49)
+    head, _ = qadc_scan([b], [tables], 20, 48)
     assert len(full.items()) == 49  # padding lanes emitted nothing
     full_items = [p for p in full.items() if p[1] != 48]
     assert full_items[:48] == head.items()
 
 
 def test_qadc_init_count_full_matches_rth_exact(pq44, codes44, queries):
+    # a prefix of the whole list scores every code exactly
     tables = compute_tables(pq44, queries[2])
     exact = np.sort(scan_distances(tables, codes44.codes))
-    _, qt = qadc_scan(codes44, tables, codes44.n, 10)
-    assert qt.qmax == float(exact[9])
+    nset, stats = qadc_scan([codes44], [tables], codes44.n, 10)
+    assert nset.items()[9][0] == float(exact[9])
+    assert (stats.checked, stats.pruned) == (codes44.n, 0)
 
 
-def test_qadc_recall_close_to_float_adc(pq44, codes44, blob_data, queries):
-    # quantization should not change which region of the list survives
-    from pqscan import exact_knn, recall_at_r
-
-    truth = exact_knn(blob_data, queries, 10)
-    r_float, r_quant = [], []
-    for qi, q in enumerate(queries):
+def test_qadc_recall_close_to_float_adc(pq44, codes44, queries):
+    # exact: the same ids as the float scan, so the same recall
+    for q in queries:
         tables = compute_tables(pq44, q)
-        ids_f = np.array([i for _, i in scan(codes44, tables, 10).items()])
-        nset, _ = qadc_scan(codes44, tables, 200, 10)
-        ids_q = np.array([i for _, i in nset.items()])
-        r_float.append(ids_f)
-        r_quant.append(ids_q)
-    rf = recall_at_r(np.array(r_float), truth, 10)
-    rq = recall_at_r(np.array(r_quant), truth, 10)
-    assert abs(rf - rq) <= 0.15  # tiny sample, loose band; acceptance tightens
+        nset, _ = qadc_scan([codes44], [tables], 200, 10)
+        assert nset.items() == scan(codes44, tables, 10).items()
 
 
-def test_rescale_inverts_bins():
-    qt = QuantizedTables(np.zeros((2, 16), dtype=np.uint8), 10.0, 137.0, BINS)
-    assert qt.rescale(0) == pytest.approx(10.0)
-    assert qt.rescale(127) == pytest.approx(137.0)
-    np.testing.assert_allclose(qt.rescale(np.array([0, 127])), [10.0, 137.0])
+def test_qadc_scan_over_lists_equals_merged_scans(pq44, codes44, queries):
+    # each list keeps its own tables; the result is the merge of the
+    # per-list scans, and empty lists are skipped
+    cuts = [0, 0, 300, 301, 1200, codes44.n]
+    lists = [
+        CodeList(codes44.codes[lo:hi], codes44.ids[lo:hi], pq44.m)
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    for qi, q in enumerate(queries[:4]):
+        tables = [compute_tables(pq44, q + 0.5 * i) for i in range(len(lists))]
+        for init_count in (1, 50, 2000):
+            nset, stats = qadc_scan(lists, tables, init_count, 25)
+            pairs = sorted(p for lst, t in zip(lists, tables) for p in exact_sort(t, lst, 25))
+            assert nset.items() == pairs[:25]
+            assert stats.total == codes44.n
+
+
+def test_qadc_scan_rejects_mismatched_inputs(pq44, codes44, queries):
+    tables = compute_tables(pq44, queries[0])
+    with pytest.raises(ValueError, match="one set of lookup tables per code list"):
+        qadc_scan([codes44, codes44], [tables], 10, 5)
+    narrow = CodeList(codes44.codes[:, :1], m=2)
+    narrow_tables = LookupTables(tables.tables[:2])
+    with pytest.raises(ValueError, match="all of one m"):
+        qadc_scan([codes44, narrow], [tables, narrow_tables], 10, 5)
+    bad = tables.tables.copy()
+    bad[1, 3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        qadc_scan([codes44], [LookupTables(bad)], 10, 5)
+    with pytest.raises(ValueError, match="init_count"):
+        qadc_scan([codes44], [tables], 0, 5)
+    with pytest.raises(ValueError, match="r must be"):
+        qadc_scan([codes44], [tables], 10, 0)
