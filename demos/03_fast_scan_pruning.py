@@ -1,14 +1,17 @@
 """
-Pruned exact scan over grouped codes
-====================================
+Pruned exact scan over 8x8 codes
+================================
 
-For 8x8 codes, grouping by the high nibbles of the first four components
-lets one cheap 8-bit table sum lower-bound the distance of a whole code.
-Most codes never get their exact distance computed, yet the results are
-identical to the plain scan.
+Fast scan reads each stored 8x8 code as four 16-bit words, two components
+per word. One int16 lookup per word in a table of summed, quantized entry
+pairs gives each code a lower bound on its distance, and only the codes
+that bound cannot rule out get an exact distance. Most codes never get one,
+yet the results are identical to the plain scan.
 """
 
 import time
+
+import numpy as np
 
 from pqscan import (
     CodeList,
@@ -18,9 +21,6 @@ from pqscan import (
     fast_scan,
     generate_synthetic,
     group_codes,
-    optimize_centroid_assignment,
-    relabel_codes,
-    assignment_permutation,
     scan,
     train_pq,
 )
@@ -30,17 +30,13 @@ base, queries = rows[:100_000], rows[100_000:]
 
 cfg = TrainConfig(kmeans_iters=12, seed=1)
 pq = train_pq(base[:20_000], m=8, b=8, cfg=cfg)
-codes = encode(pq, base)
-
-# Relabeling centroids so nearby ones share index blocks tightens the
-# per-group minimum tables, which is where the pruning power comes from.
-perm = assignment_permutation(pq)
-pq = optimize_centroid_assignment(pq)
-codelist = CodeList(relabel_codes(codes, perm))
+codelist = CodeList(encode(pq, base))
+# The grouped layout stores 6 bytes per code; fast scan rebuilds the 8-byte
+# codes from it before its bound pass.
 grouped = group_codes(codelist)
 print(f"{codelist.n} codes fell into {len(grouped.keys)} groups")
 
-pruned_total = 0.0
+same, checked, pruned = 0, [], []
 for qi, q in enumerate(queries):
     tables = compute_tables(pq, q)
 
@@ -52,12 +48,14 @@ for qi, q in enumerate(queries):
     fast, stats = fast_scan(grouped, tables, init=0.005, r=100)
     t_fast = time.perf_counter() - t0
 
-    assert fast.items() == exact.items(), "pruned scan must match exactly"
-    pruned_total += stats.pruned_fraction
+    same += fast.items() == exact.items()
+    checked.append(stats.checked)
+    pruned.append(stats.pruned_fraction)
     if qi < 5:
-        print(f"query {qi}: pruned {stats.pruned_fraction:.1%} of codes "
-              f"(scan {t_scan * 1e3:.0f} ms, fast {t_fast * 1e3:.0f} ms), "
-              f"results identical")
+        print(f"query {qi}: {stats.checked} of {stats.total} codes got an exact "
+              f"distance (scan {t_scan * 1e3:.0f} ms, fast {t_fast * 1e3:.0f} ms)")
 
-print(f"mean pruned fraction over {len(queries)} queries: "
-      f"{pruned_total / len(queries):.1%}")
+print(f"results equal to the plain scan's: {same} of {len(queries)} queries")
+print(f"exact distances per query: median {np.median(checked):.0f}, "
+      f"max {max(checked)}; the first 0.5% of the codes (500) set the scale")
+print(f"codes pruned by the bound: {np.mean(pruned):.1%} on average")

@@ -24,7 +24,6 @@ from .data import (
     write_vecs,
 )
 from .derived import DerivedPQ, load_quantizer_any, save_derived
-from .fastscan import fast_scan, group_codes
 from .ivf import (
     KERNELS,
     _sample_rows,
@@ -41,7 +40,7 @@ from .ivf import (
 )
 from .quantizer import TrainConfig, TrainError, encode, save_quantizer
 from .quickadc import DEFAULT_INIT_COUNT
-from .scan import CodeList, compute_tables, load_codes, save_codes
+from .scan import CodeList, load_codes, save_codes
 
 BENCH_HEADER = (
     "method",
@@ -148,16 +147,6 @@ def _load_truth(path: str, n_queries: int) -> GroundTruth:
 def _exhaustive_search_fn(args, quant, codelist: CodeList):
     """Returns a per-query search fn -> ((D, I), checked, pruned)."""
     kernel = check_kernel(args.kernel, quant)
-    if kernel == "fast-scan":
-        pq = plain_pq(quant)
-        grouped = group_codes(codelist)
-        init = args.init / 100.0
-
-        def run(q):
-            nset, stats = fast_scan(grouped, compute_tables(pq, q), init, args.r)
-            return nset.to_arrays(), stats.checked, stats.pruned
-
-        return run
 
     def run(q):
         nset, stats = scan_list(quant, codelist, q, args.r, kernel, args.init_count, args.r2)
@@ -366,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ma", type=int, default=8)
     p.add_argument("--kernel", choices=KERNELS, default="adc")
     p.add_argument("--r2", type=int, default=None)
-    p.add_argument("--init", type=float, default=0.5, help="fast-scan prefix, percent")
     p.add_argument("--init-count", dest="init_count", type=int, default=DEFAULT_INIT_COUNT)
     p.set_defaults(fn=cmd_query)
 
@@ -381,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ma", type=int, default=8)
     p.add_argument("--r", type=int, default=100)
     p.add_argument("--r2", type=int, default=None)
-    p.add_argument("--init", type=float, default=0.5, help="fast-scan prefix, percent")
     p.add_argument("--init-count", dest="init_count", type=int, default=DEFAULT_INIT_COUNT)
     p.add_argument("--kernel", choices=KERNELS, default="adc")
     p.add_argument("--opq", action="store_true")

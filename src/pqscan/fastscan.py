@@ -1,11 +1,11 @@
-"""Pruned exact scan over grouped 8x8 codes.
+"""Grouped 8x8 codes and the fast scan over them.
 
-Codes are grouped by the high nibbles of their first four components and
-packed to 6 bytes. Per query, lookup tables are quantized to 127 bins so a
-cheap 8-bit saturating sum of table entries lower-bounds each code's
-quantized distance. The scan is one bound pass over every code, one exact
-pass over the codes whose bound can still reach the top r, and one top-r
-selection. Results match the baseline scan exactly.
+PQ Fast Scan (André, Kermarrec & Le Scouarnec, VLDB 2015) stores 8x8 codes
+grouped by the high nibbles of their first four components and packed to 6
+bytes. Its scan is the one exact pruned kernel of ``quickadc``, which reads
+8x8 codes as four 16-bit words: ``fast_scan`` rebuilds the (n, 8) codes of a
+grouped database and makes one ``qadc_scan`` call, so its results equal the
+plain scan's.
 """
 
 from __future__ import annotations
@@ -17,18 +17,17 @@ from typing import BinaryIO
 import numpy as np
 
 from . import _binio
-from ._dist import _select_best
 from .quantizer import ProductQuantizer, TrainConfig, same_size_kmeans
+from .quickadc import qadc_scan
 from .scan import (
     CodeList,
     LookupTables,
     NeighborSet,
     ScanStats,
-    quantize_tables,
-    scan_distances,
+    # Not called here; the benchmark's tracer patches this name.
+    scan_distances,  # noqa: F401
 )
 
-BINS = 127
 GROUP_NIBBLES = 4
 PACKED_BYTES = 6
 
@@ -38,8 +37,9 @@ def assignment_permutation(
 ) -> np.ndarray:
     """Per-codebook centroid order placing each same-size cluster of 16
     centroids in one contiguous block. Identity for codebooks 0-3; codebooks
-    4-7 are the ones whose small tables keep only portion minima, so tight
-    portions matter there. Returns (m, 256) int64 of old indexes."""
+    4-7 are the ones whose small tables keep only portion minima in the
+    paper's per-group bound (``fast_scan``'s bound does not depend on the
+    labels). Returns (m, 256) int64 of old indexes."""
     if pq.m != 8 or pq.b != 8:
         raise ValueError("optimized assignment requires m=8, b=8")
     perm = np.tile(np.arange(pq.k, dtype=np.int64), (pq.m, 1))
@@ -172,67 +172,20 @@ def group_codes(codelist: CodeList) -> GroupedDatabase:
     )
 
 
-def _lower_bounds_all(codes: np.ndarray, qtables: np.ndarray) -> np.ndarray:
-    """Lower bounds of the quantized distances of (n, 8) codes under (8, 256)
-    quantized tables: a sum clamped at BINS of tables 0-3 read at the code's
-    components and, for components 4-7, the minimum of the 16-entry portion
-    the high nibble picks. Tables 0-3 read at the full byte equal the
-    paper's per-group small tables read at the low nibble."""
-    mins = qtables[4:8].reshape(4, 16, 16).min(axis=2)
-    bound_tables = np.vstack([qtables[:4], np.repeat(mins, 16, axis=1)]).astype(np.int16)
-    acc = bound_tables[0].take(codes[:, 0])
-    for j in range(1, 8):
-        acc += bound_tables[j].take(codes[:, j])
-    return np.minimum(acc, BINS).astype(np.uint8)
-
-
 def fast_scan(
     grouped: GroupedDatabase,
     tables: LookupTables,
     init: float,
     r: int,
 ) -> tuple[NeighborSet, ScanStats]:
-    """Pruned scan returning exactly the baseline scan's neighbor set.
-
-    The first ceil(init*n) codes get exact distances, which fix the
-    quantization range (quantize_tables). Every other code gets a lower
-    bound. The seeds, the codes whose bound is at most the bin holding the
-    r-th smallest bound, get exact distances too; T is the r-th smallest
-    exact distance so far (inf while fewer than r are known). Of the rest,
-    only codes whose bound is at most q(T) get an exact distance, and one
-    selection over all exact distances gives the result.
-
-    Exact: an unscored code has q(D) >= bound > q(T), and q is monotone, so
-    D > T. T is the r-th smallest of a subset of all distances, so it is at
-    least the true r-th best; the code lies strictly outside the top r, ties
-    included.
-    """
+    """The baseline scan's neighbor set, from ``qadc_scan`` over the grouped
+    codes with the first ceil(init*n) of them as its prefix."""
     if tables.m != 8 or tables.k != 256:
         raise ValueError("fast scan requires m=8, b=8 lookup tables")
     if not 0.0 < init <= 1.0:
         raise ValueError("init must be in (0, 1]")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    codes = grouped.reconstruct_codes()
-    n = grouped.n
-    n_init = math.ceil(init * n)
-
-    prefix_d = scan_distances(tables, codes[:n_init])
-    qt = quantize_tables(tables, prefix_d, r, BINS)
-    rest = codes[n_init:]
-    lb = _lower_bounds_all(rest, qt.tables)
-    at_or_below = np.cumsum(np.bincount(lb, minlength=BINS + 1))
-    seed_bin = int(np.argmax(at_or_below >= min(r, lb.size)))
-    seeds = np.flatnonzero(lb <= seed_bin)
-    seed_d = scan_distances(tables, rest[seeds])
-    known = np.concatenate([prefix_d, seed_d])
-    t = np.partition(known, r - 1)[r - 1] if known.size >= r else np.inf
-    later = np.flatnonzero((lb > seed_bin) & (lb <= qt.quantize(t)))
-    dists = np.concatenate([known, scan_distances(tables, rest[later])])
-    rows = np.concatenate([np.arange(n_init), n_init + seeds, n_init + later])
-    best_d, best_i = _select_best(dists, grouped.ids[rows], r)
-    stats = ScanStats(total=n, checked=dists.size, pruned=n - dists.size)
-    return NeighborSet.from_pairs(r, best_d, best_i), stats
+    codes = CodeList(grouped.reconstruct_codes(), grouped.ids)
+    return qadc_scan([codes], [tables], max(1, math.ceil(init * grouped.n)), r)
 
 
 MAGIC_GROUPED = b"PQG1"

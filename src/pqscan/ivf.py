@@ -250,14 +250,14 @@ def scan_list(
     init_count: int,
     r2: int | None,
 ) -> tuple[NeighborSet, ScanStats]:
-    """One list's r best under a kernel other than fast-scan that
-    check_kernel accepted, and the kernel's counts: quick-adc's exact
-    distances and pruned codes, every code as checked for the others."""
+    """One list's r best under a kernel that check_kernel accepted, and the
+    kernel's counts: the exact distances and pruned codes of quick-adc and
+    fast-scan (both ``qadc_scan``), every code as checked for the others."""
     if kernel == "derived":
         nset = search_two_pass(quant, codelist, query, r, default_r2(r) if r2 is None else r2)
         return nset, ScanStats(total=codelist.n, checked=codelist.n)
     tables = compute_tables(plain_pq(quant), query)
-    if kernel == "quick-adc":
+    if kernel in ("quick-adc", "fast-scan"):
         return qadc_scan([codelist], [tables], init_count, r)
     return scan(codelist, tables, r), ScanStats(total=codelist.n, checked=codelist.n)
 

@@ -1,34 +1,25 @@
-import math
-
 import numpy as np
 import pytest
 
 from pqscan import (
-    BINS,
     CodeList,
     QuantizedTables,
     TrainConfig,
     encode,
     generate_synthetic,
     quantize,
-    quantize_tables,
-    scan_distances,
     train_pq,
 )
 
 FAST_CFG = TrainConfig(kmeans_iters=10, seed=3)
 
+# The 127-bin range of the uint8 table-quantization tests.
+BINS = 127
+
 
 def quantized(tables, qmin, qmax, bins=BINS):
     """LookupTables quantized over a given range rather than a prefix's."""
     return QuantizedTables(quantize(tables.tables, qmin, qmax, bins), qmin, qmax, bins)
-
-
-def quantize_prefix(tables, codes, init, r):
-    """The quantized tables fast scan uses: the prefix is the first
-    ceil(init * n) codes."""
-    prefix_d = scan_distances(tables, codes[: math.ceil(init * codes.shape[0])])
-    return quantize_tables(tables, prefix_d, r, BINS)
 
 
 def pack(components):
@@ -104,47 +95,23 @@ def ungroup(grouped):
     return CodeList(grouped.reconstruct_codes(), grouped.ids)
 
 
-class SmallTables:
-    """Eight 16-entry uint8 tables in [0, 127]: S0..S3 are the quantized
-    group portions of the full tables, S4..S7 the quantized minima of the 16
-    portions of tables 4-7."""
-
-    def __init__(self, tables):
-        self.tables = np.ascontiguousarray(tables, dtype=np.uint8)
-        assert self.tables.shape == (8, 16) and not np.any(self.tables > BINS)
+# -- the bound pass of qadc_scan, one component at a time ---------------------
 
 
-def build_small_tables(qt, key):
-    """One group's small tables from (8, 256) quantized tables."""
-    assert qt.m == 8 and qt.k == 256
-    assert len(key) == 4 and all(0 <= v < 16 for v in key)
-    small = np.empty((8, 16), dtype=np.uint8)
-    for j in range(4):
-        small[j] = qt.tables[j, key[j] * 16 : (key[j] + 1) * 16]
-    small[4:8] = qt.tables[4:8].reshape(4, 16, 16).min(axis=2)
-    return SmallTables(small)
-
-
-def lower_bound(small, packed):
-    """Saturating 8-bit sum (clamped at 127) over the small-table lookups
-    addressed by a packed code: low nibbles for components 0-3, high nibbles
-    for components 4-7. Never exceeds the quantized true distance."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    t = small.tables
-    lanes = (
-        t[0, packed[0] >> 4],
-        t[1, packed[0] & 0x0F],
-        t[2, packed[1] >> 4],
-        t[3, packed[1] & 0x0F],
-        t[4, packed[2] >> 4],
-        t[5, packed[3] >> 4],
-        t[6, packed[4] >> 4],
-        t[7, packed[5] >> 4],
-    )
-    acc = 0
-    for v in lanes:
-        acc = min(acc + int(v), BINS)
-    return acc
+def floor_sum_bounds(t64, comps, cells, s):
+    """Reference bounds of (n, m) components, row i under the (m, k) float64
+    tables t64[cells[i]]: per component the row-shifted entry times s,
+    floored and clamped at 32767 // m, summed in int64. Also returns each
+    row's real-arithmetic D - M, the sum of its shifted entries."""
+    _, m, _ = t64.shape
+    mins = t64.min(axis=2)
+    want = np.zeros(comps.shape[0], dtype=np.int64)
+    gap = np.zeros(comps.shape[0])
+    for j in range(m):
+        shifted = t64[cells, j, comps[:, j]] - mins[cells, j]
+        want += np.minimum(np.floor(shifted * s), 32767 // m).astype(np.int64)
+        gap += shifted
+    return want, gap
 
 
 @pytest.fixture(scope="session")

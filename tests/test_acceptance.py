@@ -36,17 +36,9 @@ from pqscan import (
     train_derived,
     train_pq,
 )
-from pqscan.fastscan import _lower_bounds_all
 from pqscan.quickadc import _bound_tables
 
-from conftest import (
-    build_small_tables,
-    group_key,
-    lower_bound,
-    pack,
-    pack_code,
-    quantize_prefix,
-)
+from conftest import floor_sum_bounds, pack, unpack
 
 
 def _sift_dir():
@@ -105,35 +97,37 @@ def test_criterion_1_fast_scan_exactness(capsys):
 
 
 def test_criterion_2_lower_bound_soundness(capsys):
-    rep = Report(capsys, "criterion 2 (lower-bound soundness, >= 1e6 pairs)")
+    # Fast scan's bound pass: 8x8 codes read as four uint16 words from
+    # 65,536-entry pair tables. The r-th distance of a 1% prefix sets the
+    # scale, for r = 100 and r = 1 in turn; at r = 1 far entries clamp.
+    rep = Report(capsys, "criterion 2 (8-bit bound == floor-sum oracle <= s(D - M), >= 1e6 pairs)")
     base, queries = in_distribution_split(50_000, 128, 16, 3, 20)
-    pq, codelist, grouped = train_grouped(base, 1, 8_000, 4)
-    codes = grouped.reconstruct_codes()
-    violations = 0
-    pairs = 0
-    for q in queries:
-        tables = compute_tables(pq, q)
-        qt = quantize_prefix(tables, codelist.codes, 0.01, 100)
-        lbs = _lower_bounds_all(codes, qt.tables)
-        dq = qt.quantize(scan_distances(tables, codes))
-        violations += int((lbs.astype(np.int64) > dq.astype(np.int64)).sum())
+    pq = train_pq(base[:8_000], 8, 8, TrainConfig(kmeans_iters=4, seed=1))
+    codes = encode(pq, base)
+    cells = np.zeros(codes.shape[0], dtype=np.intp)
+    bad = unsound = clamped = pairs = 0
+    for i, query in enumerate(queries):
+        tables = compute_tables(pq, query)
+        t64 = tables.tables.astype(np.float64)[None]
+        prefix = scan_distances(tables, codes[:500])
+        kth = 99 if i % 2 else 0
+        q, _, s = _bound_tables(t64, float(np.partition(prefix, kth)[kth]))
+        got = quantized_distances(codes, q, cells).astype(np.int64)
+        want, gap = floor_sum_bounds(t64, codes, cells, s)
+        bad += int(np.count_nonzero(got != want))
+        unsound += int(np.count_nonzero(got > s * gap * (1 + 1e-12)))
+        clamped += int(np.count_nonzero(q == 32767 // 8))
         pairs += codes.shape[0]
-    # spot-check the per-group scalar oracle against the vectorized bound
-    tables = compute_tables(pq, queries[0])
-    qt = quantize_prefix(tables, codelist.codes, 0.01, 100)
-    lbs = _lower_bounds_all(codes, qt.tables)
-    for i in range(0, codes.shape[0], 997):
-        small = build_small_tables(qt, group_key(codes[i]))
-        if lower_bound(small, pack_code(codes[i])) != int(lbs[i]):
-            violations += 1
-    rep.done(violations == 0 and pairs >= 1_000_000,
-             f"{pairs} pairs, {violations} violations")
+    rep.done(bad == 0 and unsound == 0 and clamped > 0 and pairs >= 1_000_000,
+             f"{pairs} pairs, {bad} differ from the oracle, {unsound} above s(D - M); "
+             f"{clamped / (len(queries) * q.size):.0%} of entries clamped")
 
 
 def test_criterion_3_pruning_power(capsys):
-    # The pruning claim covers in-distribution queries. Queries drawn around
-    # another seed's cluster centres prune far less (2-15% over seeds 8-12);
-    # on them only exactness is gated, and the pruned fraction is reported.
+    # In distribution the bound leaves about r codes beyond the prefix and
+    # the seeds. Queries drawn around another seed's cluster centres are
+    # gated too: the bound does not depend on where the prefix's r-th
+    # distance falls among the table entries.
     rep = Report(capsys, "criterion 3 (pruning power, init=0.5%, r=100)")
     base, queries = in_distribution_split(100_000, 128, 16, 7, 20)
     outside = generate_synthetic(20, 128, 16, 8)
@@ -150,9 +144,9 @@ def test_criterion_3_pruning_power(capsys):
             total += stats.total
         pruned[name] = 1.0 - checked / total
     rep.done(
-        pruned["in"] > 0.90 and mismatches == 0,
+        pruned["in"] > 0.98 and pruned["out"] >= 0.90 and mismatches == 0,
         f"pruned fraction {pruned['in']:.4f} in distribution, "
-        f"{pruned['out']:.4f} out of distribution (not gated), "
+        f"{pruned['out']:.4f} out of distribution, "
         f"{mismatches} mismatching result sets out of distribution",
     )
 
@@ -235,23 +229,15 @@ def test_criterion_6_qadc_kernel_equivalence(capsys):
     t64 = rng.gamma(2.0, 50.0, (n_cells, m, 16)).astype(np.float32).astype(np.float64)
     codes = rng.integers(0, 256, (n_codes, m // 2)).astype(np.uint8)
     cells = np.sort(rng.integers(0, n_cells, n_codes))
-    comps = [(codes[:, j // 2] >> (4 * (j % 2))) & 0x0F for j in range(m)]
-    dists = sum(t64[cells, j, comps[j]] for j in range(m))
+    comps = unpack(codes, m)
+    dists = sum(t64[cells, j, comps[:, j]] for j in range(m))
     # the 1,000th smallest distance sets the scale, so some entries clamp
     q, shifts, s = _bound_tables(t64, float(np.partition(dists, 999)[999]))
     got = quantized_distances(codes, q, cells).astype(np.int64)
-    # reference: per component, the floored scaled shifted entry, clamped
-    bins = 32767 // m
-    mins = t64.min(axis=2)
-    want = np.zeros(n_codes, dtype=np.int64)
-    gap = np.zeros(n_codes)
-    for j in range(m):
-        shifted = t64[cells, j, comps[j]] - mins[cells, j]
-        want += np.minimum(np.floor(shifted * s), bins).astype(np.int64)
-        gap += shifted
+    want, gap = floor_sum_bounds(t64, comps, cells, s)
     bad = int(np.count_nonzero(got != want))
     unsound = int(np.count_nonzero(got > s * gap * (1 + 1e-12)))
-    clamped = float((q == bins).mean())
+    clamped = float((q == 32767 // m).mean())
     rep.done(bad == 0 and unsound == 0 and 0 < clamped < 1,
              f"{bad} codes differ from the oracle, {unsound} bounds above s(D - M) "
              f"of {n_codes}; {clamped:.0%} of entries clamped")

@@ -126,6 +126,28 @@ def test_query_quick_adc_equals_adc_csv(workspace, capsys):
     assert outs["quick-adc"] == outs["adc"]
 
 
+def test_query_fast_scan_equals_adc_csv(workspace, tmp_path, capsys):
+    # fast-scan reads the stored 8x8 codes; --init-count sets its prefix
+    quant = tmp_path / "q88.pqz"
+    codes = tmp_path / "c88.pql"
+    assert main(["train", "--base", str(workspace / "base.fvecs"), "--m", "8",
+                 "--b", "8", "--iters", "4", "--seed", "2", "--out", str(quant)]) == 0
+    assert main(["encode", "--base", str(workspace / "base.fvecs"),
+                 "--quantizer", str(quant), "--out", str(codes)]) == 0
+    outs = {}
+    for kernel, init_count in (("adc", "200"), ("fast-scan", "30"), ("fast-scan", "1000")):
+        code, outs[kernel, init_count], _ = run(
+            capsys, "query", "--queries", str(workspace / "q.fvecs"),
+            "--codes", str(codes), "--quantizer", str(quant),
+            "--r", "10", "--kernel", kernel, "--init-count", init_count)
+        assert code == 0
+    assert len(list(csv.reader(io.StringIO(outs["adc", "200"])))) == 1 + 8 * 10
+    assert outs["fast-scan", "30"] == outs["fast-scan", "1000"] == outs["adc", "200"]
+    with pytest.raises(SystemExit):
+        main(["query", "--queries", str(workspace / "q.fvecs"), "--codes", str(codes),
+              "--quantizer", str(quant), "--kernel", "fast-scan", "--init", "0.5"])
+
+
 def test_fast_scan_kernel_needs_8x8(workspace, capsys):
     quant = workspace / "q.pqz"
     codes = workspace / "c.pql"

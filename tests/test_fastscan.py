@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqscan import (
-    BINS,
     CodeList,
-    GroupedDatabase,
     LookupTables,
     assignment_permutation,
     compute_tables,
@@ -15,6 +13,8 @@ from pqscan import (
     group_codes,
     load_grouped,
     optimize_centroid_assignment,
+    qadc_scan,
+    quantized_distances,
     relabel_codes,
     same_size_kmeans,
     save_grouped,
@@ -23,14 +23,13 @@ from pqscan import (
     quantize_tables,
     scan_distances,
 )
+from pqscan.quickadc import _bound_tables
 
 from conftest import (
-    adc_distance,
-    build_small_tables,
+    BINS,
+    floor_sum_bounds,
     group_key,
-    lower_bound,
     pack_code,
-    quantize_prefix,
     quantized,
     ungroup,
 )
@@ -47,16 +46,6 @@ def unpack_code(packed):
     out[3] = packed[1] & 0x0F
     out[4:8] = packed[2:6]
     return out
-
-
-def scalar_lower_bound(qtables, mins, code):
-    """Saturating sum of group-relative lookups, scalar reference."""
-    acc = 0
-    for j in range(4):
-        acc = min(acc + int(qtables[j][code[j]]), BINS)
-    for j in range(4, 8):
-        acc = min(acc + int(mins[j - 4][code[j] >> 4]), BINS)
-    return acc
 
 
 def small_instance(seed, n=400):
@@ -96,22 +85,22 @@ def test_quant_params_r1_first_code_is_nn():
     best = float(dists.min())
     order = np.argsort(dists, kind="stable")
     reordered = CodeList(codelist.codes[order])  # true NN first
-    p = quantize_prefix(tables, reordered.codes, init=1 / 50, r=1)
+    p = quantize_tables(tables, scan_distances(tables, reordered.codes[:1]), 1, BINS)
     assert p.qmax == best
     assert p.qmin == float(tables.tables.min())
 
 
 def test_quant_params_rth_of_prefix():
     tables, codelist = small_instance(1, n=200)
-    p = quantize_prefix(tables, codelist.codes, init=0.5, r=10)
     prefix = scan_distances(tables, codelist.codes[:100])
+    p = quantize_tables(tables, prefix, 10, BINS)
     assert p.qmax == float(np.sort(prefix)[9])
 
 
 def test_quant_params_fewer_than_r_uses_largest():
     tables, codelist = small_instance(2, n=20)
-    p = quantize_prefix(tables, codelist.codes, init=0.25, r=50)
     prefix = scan_distances(tables, codelist.codes[:5])
+    p = quantize_tables(tables, prefix, 50, BINS)
     assert p.qmax == float(prefix.max())
     # An empty prefix (an empty code list) leaves the range at qmin.
     p = quantize_tables(tables, prefix[:0], 50, BINS)
@@ -152,18 +141,16 @@ def test_assignment_clusters_become_blocks():
 
 
 def test_optimize_assignment_idempotent_min_tables(pq88, queries):
+    # the quantized minima of the 16-entry portions of tables 4-7 match up
+    # to block order
     once = optimize_centroid_assignment(pq88)
     twice = optimize_centroid_assignment(once)
-    q = queries[0]
+    mins = []
     for pq in (once, twice):
-        tables = compute_tables(pq, q)
+        tables = compute_tables(pq, queries[0])
         qt = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
-        s1 = build_small_tables(qt, (0, 0, 0, 0))
-        if pq is once:
-            mins_once = s1.tables[4:8].copy()
-        else:
-            mins_twice = s1.tables[4:8]
-    np.testing.assert_array_equal(np.sort(mins_once, 1), np.sort(mins_twice, 1))
+        mins.append(np.sort(qt.tables[4:8].reshape(4, 16, 16).min(axis=2), 1))
+    np.testing.assert_array_equal(mins[0], mins[1])
 
 
 def test_relabel_codes_round_trips_decode(pq88, blob_data):
@@ -246,56 +233,44 @@ def test_group_codes_multiset_round_trip(codes88):
     assert (np.diff(merged) > 0).all()
 
 
-# -- small tables and lower bounds -------------------------------------------
+# -- the 8-bit bound pass ----------------------------------------------------
 
 
-def test_min_table_paper_example():
-    # first 16-entry portion of table 4 has minimum 1 before quantization
-    tables = np.ones((8, 256), dtype=np.float32) * 50
-    portion = np.array([2, 5, 9, 30, 7, 4, 12, 8, 3, 6, 11, 19, 21, 14, 17, 1])
-    tables[4, :16] = portion
-    lt = LookupTables(tables)
-    qt = quantized(lt, 0.0, 127.0)  # identity-ish mapping: floor(v)
-    small = build_small_tables(qt, (0, 0, 0, 0))
-    assert small.tables[4][0] == qt.quantize(1.0) == 1
-
-
-def test_small_tables_group_portions():
-    tables, _ = small_instance(5)
-    quant = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
-    key = (3, 0, 15, 7)
-    small = build_small_tables(quant, key)
-    qt = quant.tables
-    for j in range(4):
-        np.testing.assert_array_equal(
-            small.tables[j], qt[j][key[j] * 16 : (key[j] + 1) * 16]
-        )
-    for j in range(4, 8):
-        np.testing.assert_array_equal(
-            small.tables[j], qt[j].reshape(16, 16).min(axis=1)
-        )
-
-
-def test_lower_bound_zero_tables():
-    small = build_small_tables(
-        quantized(LookupTables(np.zeros((8, 256), dtype=np.float32)), 0.0, 1.0),
-        (0, 0, 0, 0),
-    )
-    assert lower_bound(small, pack_code(CODE_BYTES)) == 0
-
-
-def test_lower_bound_soundness_exhaustive():
-    # soundness oracle: lb <= quantize(adc) for every code, several instances
+def test_quantized_distances_k256_floor_sum_oracle():
+    # The bound from 65,536-entry pair tables over the stored codes equals
+    # the per-component floor sum and never exceeds s (D - M); the r-th
+    # distance of a small prefix sets the scale, so some entries clamp.
     for seed in range(4):
-        tables, codelist = small_instance(seed, n=2500)
-        quant = quantize_prefix(tables, codelist.codes, init=0.1, r=10)
-        qt = quant.tables
-        mins = qt[4:8].reshape(4, 16, 16).min(axis=2)
-        for code in codelist.codes:
-            small = build_small_tables(quant, group_key(code))
-            lb = lower_bound(small, pack_code(code))
-            assert lb == scalar_lower_bound(qt, mins, code)
-            assert lb <= quant.quantize(adc_distance(tables, code))
+        rng = np.random.default_rng(seed)
+        t64 = rng.random((1, 8, 256))
+        t64[rng.random(t64.shape) < 0.2] *= 1e4
+        codes = rng.integers(0, 256, (2500, 8)).astype(np.uint8)
+        prefix = scan_distances(LookupTables(t64[0]), codes[:250])
+        q, _, s = _bound_tables(t64, float(np.sort(prefix)[9]))
+        cells = np.zeros(codes.shape[0], dtype=np.intp)
+        got = quantized_distances(codes, q, cells)
+        want, gap = floor_sum_bounds(t64, codes, cells, s)
+        assert got.dtype == np.int16
+        np.testing.assert_array_equal(got, want)
+        assert (got <= s * gap * (1 + 1e-12)).all()
+        assert 0 < (q == 32767 // 8).mean() < 1
+
+
+def test_quantized_distances_k256_zero_tables():
+    q, shifts, s = _bound_tables(np.zeros((1, 8, 256)), 0.0)
+    assert s == 0.0 and not q.any() and not shifts.any()
+    codes = np.tile(CODE_BYTES, (3, 1))
+    assert not quantized_distances(codes, q, np.zeros(3, np.intp)).any()
+
+
+def test_8bit_words_need_even_m():
+    rng = np.random.default_rng(0)
+    codes = CodeList(rng.integers(0, 256, (10, 3)).astype(np.uint8))
+    tables = LookupTables(rng.random((3, 256)).astype(np.float32))
+    with pytest.raises(ValueError, match="even m"):
+        qadc_scan([codes], [tables], 5, 3)
+    with pytest.raises(ValueError, match="even m"):
+        quantized_distances(codes.codes, np.zeros((1, 3, 256), np.int16), np.zeros(10, int))
 
 
 def test_fast_scan_equals_scan(pq88, codes88, queries):

@@ -2,7 +2,8 @@
 
 Every kernel reads packed codes in place; each property compares it with a
 scalar reference over the unpacked components, for b in 1..4 and both even
-and odd m (odd m leaves the last high nibble as padding).
+and odd m (odd m leaves the last high nibble as padding). The pruned scan's
+property also runs at b=8, where a word is two stored bytes.
 """
 
 import numpy as np
@@ -54,56 +55,61 @@ def test_scan_distances_packed_equals_scalar_adc(b, m, n, seed):
     assert got.tobytes() == want.tobytes()
 
 
-@given(widths, st.integers(1, 4), st.integers(0, 40), seeds,
+@given(st.sampled_from([4, 8]), widths, st.integers(1, 4), st.integers(0, 40), seeds,
        st.sampled_from([0.0, 0.01, 0.5, 1.0]))
-@settings(max_examples=120, deadline=None)
-def test_pair_table_qadc_equals_clamped_scalar(m, n_cells, n, seed, cap):
+@settings(max_examples=160, deadline=None)
+def test_pair_table_qadc_equals_clamped_scalar(b, m, n_cells, n, seed, cap):
     # Entries run up to cap * (BOUND_MAX // m); at cap 1 every entry may sit
-    # at that per-entry maximum, and a code's sum still fits int16.
+    # at that per-entry maximum, and a code's sum still fits int16. At b=8
+    # word j is component 2j in its low byte and 2j+1 in its high byte.
     rng = np.random.default_rng(seed)
+    m += m % 2 if b == 8 else 0
     top = int(cap * (BOUND_MAX // m))
-    q = rng.integers(0, top + 1, (n_cells, m, 16)).astype(np.int16)
+    q = rng.integers(0, top + 1, (n_cells, m, 1 << b)).astype(np.int16)
     if cap == 1.0:
         q[:, :, 0] = top
-    comps = random_components(rng, n, m, 4)
+    comps = random_components(rng, n, m, b)
     comps[: n // 2] = 0
     cells = rng.integers(0, n_cells, n)
-    got = quantized_distances(pack(comps), q, cells)
+    got = quantized_distances(pack(comps) if b == 4 else comps, q, cells)
     want = [sum(int(q[c, j, x]) for j, x in enumerate(code)) for code, c in zip(comps, cells)]
     assert got.dtype == np.int16
     np.testing.assert_array_equal(got, np.array(want, dtype=np.int64))
 
 
-def table_rows(rng, kind, m):
-    """(m, 16) float32 table entries of one list: random, tie-heavy small
+def table_rows(rng, kind, m, k):
+    """(m, k) float32 table entries of one list: random, tie-heavy small
     integers, one constant (so every code of every list is at the same
     distance and the scale's span is 0), or random with spikes 10^4 times
     larger, whose bins clamp at the per-entry maximum."""
     if kind == "ties":
-        return rng.integers(0, 3, (m, 16)).astype(np.float32)
+        return rng.integers(0, 3, (m, k)).astype(np.float32)
     if kind == "equal":
-        return np.full((m, 16), 2.5, dtype=np.float32)
-    t = rng.random((m, 16)).astype(np.float32)
+        return np.full((m, k), 2.5, dtype=np.float32)
+    t = rng.random((m, k)).astype(np.float32)
     if kind == "spikes":
-        t[rng.random((m, 16)) < 0.2] *= 1e4
+        t[rng.random((m, k)) < 0.2] *= 1e4
     return t
 
 
-@given(widths, st.lists(st.integers(0, 40), min_size=1, max_size=4),
+@given(st.sampled_from([4, 8]), widths, st.lists(st.integers(0, 40), min_size=1, max_size=4),
        st.integers(1, 60), st.integers(1, 50),
        st.sampled_from(["random", "ties", "equal", "spikes"]), seeds)
-@settings(max_examples=150, deadline=None)
-def test_qadc_scan_equals_exact_merge_over_cells(m, sizes, r, init_count, kind, seed):
-    # Exact for any list sizes (empty lists and fewer codes than r
-    # included), tables with ties, equal tables and clamped entries; each
-    # list is scored with its own tables, and ties fall to the lower id.
+@settings(max_examples=200, deadline=None)
+def test_qadc_scan_equals_exact_merge_over_cells(b, m, sizes, r, init_count, kind, seed):
+    # Exact for any list sizes (empty lists, fewer codes than r and no more
+    # than the prefix included), tables with ties, equal tables and clamped
+    # entries; each list is scored with its own tables, and ties fall to the
+    # lower id. b=8 reads the stored codes as uint16 words, so its m is even.
     rng = np.random.default_rng(seed)
+    m += m % 2 if b == 8 else 0
     ids = rng.permutation(sum(sizes)) * 3
     lists, tables, pairs = [], [], []
     for c, n in enumerate(sizes):
-        comps = random_components(rng, n, m, 4)
-        lst = CodeList(pack(comps), ids[sum(sizes[:c]) : sum(sizes[: c + 1])], m)
-        tab = LookupTables(table_rows(rng, kind, m))
+        comps = random_components(rng, n, m, b)
+        stored = pack(comps) if b == 4 else comps
+        lst = CodeList(stored, ids[sum(sizes[:c]) : sum(sizes[: c + 1])], m)
+        tab = LookupTables(table_rows(rng, kind, m, 1 << b))
         lists.append(lst)
         tables.append(tab)
         pairs += [(adc_distance(tab, code), int(i)) for code, i in zip(comps, lst.ids)]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqscan import (
-    BINS,
     CodeList,
     LookupTables,
     QuantizedTables,
@@ -20,7 +19,7 @@ from pqscan import (
 )
 from pqscan.quickadc import BOUND_MAX
 
-from conftest import pack, qadc_block, quantized
+from conftest import BINS, pack, qadc_block, quantized
 
 
 def scalar_qadc(code, qt):
