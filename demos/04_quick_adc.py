@@ -39,7 +39,7 @@ for q in queries:
     tables = compute_tables(pq, q)
     want = scan(codelist, tables, r=100)
     # one list here; an inverted index passes every visited list at once
-    nset, stats = qadc_scan([codelist], [tables], init_count=200, r=100)
+    nset, stats = qadc_scan([codelist], [tables], r=100)
     same += nset.items() == want.items()
     float_ids.append([i for _, i in want.items()])
     quick_ids.append([i for _, i in nset.items()])

@@ -7,7 +7,6 @@ import argparse
 import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,6 @@ from .ivf import (
     train_quantizer,
 )
 from .quantizer import TrainConfig, TrainError, encode, save_quantizer
-from .quickadc import DEFAULT_INIT_COUNT
 from .scan import CodeList, load_codes, save_codes
 
 BENCH_HEADER = (
@@ -149,7 +147,7 @@ def _exhaustive_search_fn(args, quant, codelist: CodeList):
     kernel = check_kernel(args.kernel, quant)
 
     def run(q):
-        nset, stats = scan_list(quant, codelist, q, args.r, kernel, args.init_count, args.r2)
+        nset, stats = scan_list(quant, codelist, q, args.r, kernel, args.r2)
         return nset.to_arrays(), stats.checked, stats.pruned
 
     return run
@@ -159,9 +157,7 @@ def _index_search_fn(args, index):
     """Returns a per-query search fn over an inverted index, as above."""
 
     def run(q):
-        found, stats = query_ivf_stats(
-            index, q, args.ma, args.r, args.kernel, args.init_count, args.r2
-        )
+        found, stats = query_ivf_stats(index, q, args.ma, args.r, args.kernel, args.r2)
         return found.to_arrays(), stats.checked, stats.pruned
 
     return run
@@ -192,17 +188,15 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _run_timed(run, queries: np.ndarray, threads: int):
+def _run_timed(run, queries: np.ndarray):
+    """(seconds, result) of each query, one at a time after a warm-up call."""
     def timed(q):
         t0 = time.perf_counter()
         out = run(q)
         return time.perf_counter() - t0, out
 
     run(queries[0])
-    if threads <= 1:
-        return [timed(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(timed, queries))
+    return [timed(q) for q in queries]
 
 
 def cmd_bench(args) -> int:
@@ -244,7 +238,7 @@ def cmd_bench(args) -> int:
         method = args.kernel
         k_col, ma_col = "", ""
 
-    outcomes = _run_timed(run, queries, args.threads)
+    outcomes = _run_timed(run, queries)
     times = np.array([t for t, _ in outcomes], dtype=np.float64)
     result_ids = np.full((queries.shape[0], r), -1, dtype=np.int64)
     pruned_total = 0
@@ -355,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ma", type=int, default=8)
     p.add_argument("--kernel", choices=KERNELS, default="adc")
     p.add_argument("--r2", type=int, default=None)
-    p.add_argument("--init-count", dest="init_count", type=int, default=DEFAULT_INIT_COUNT)
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("bench", help="time a kernel and report a CSV row")
@@ -369,12 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ma", type=int, default=8)
     p.add_argument("--r", type=int, default=100)
     p.add_argument("--r2", type=int, default=None)
-    p.add_argument("--init-count", dest="init_count", type=int, default=DEFAULT_INIT_COUNT)
     p.add_argument("--kernel", choices=KERNELS, default="adc")
     p.add_argument("--opq", action="store_true")
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=cmd_bench)
 

@@ -10,7 +10,6 @@ plain scan's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -179,13 +178,14 @@ def fast_scan(
     r: int,
 ) -> tuple[NeighborSet, ScanStats]:
     """The baseline scan's neighbor set, from ``qadc_scan`` over the grouped
-    codes with the first ceil(init*n) of them as its prefix."""
+    codes. init, the paper's prefix fraction, is only range-checked: the
+    prefix is the first r codes. It goes when fast scan does."""
     if tables.m != 8 or tables.k != 256:
         raise ValueError("fast scan requires m=8, b=8 lookup tables")
     if not 0.0 < init <= 1.0:
         raise ValueError("init must be in (0, 1]")
     codes = CodeList(grouped.reconstruct_codes(), grouped.ids)
-    return qadc_scan([codes], [tables], max(1, math.ceil(init * grouped.n)), r)
+    return qadc_scan([codes], [tables], r)
 
 
 MAGIC_GROUPED = b"PQG1"

@@ -37,7 +37,7 @@ from .quantizer import (
     train_pq,
     write_quantizer_body,
 )
-from .quickadc import DEFAULT_INIT_COUNT, qadc_scan
+from .quickadc import qadc_scan
 from .scan import (
     CodeList,
     NeighborSet,
@@ -247,7 +247,6 @@ def scan_list(
     query: np.ndarray,
     r: int,
     kernel: str,
-    init_count: int,
     r2: int | None,
 ) -> tuple[NeighborSet, ScanStats]:
     """One list's r best under a kernel that check_kernel accepted, and the
@@ -258,7 +257,7 @@ def scan_list(
         return nset, ScanStats(total=codelist.n, checked=codelist.n)
     tables = compute_tables(plain_pq(quant), query)
     if kernel in ("quick-adc", "fast-scan"):
-        return qadc_scan([codelist], [tables], init_count, r)
+        return qadc_scan([codelist], [tables], r)
     return scan(codelist, tables, r), ScanStats(total=codelist.n, checked=codelist.n)
 
 
@@ -268,12 +267,11 @@ def query_ivf(
     ma: int,
     r: int,
     kernel: str = "adc",
-    init_count: int = DEFAULT_INIT_COUNT,
     r2: int | None = None,
 ) -> NeighborSet:
     """Scan the ma nearest cells' lists against the query residuals and
     select the r best of their union."""
-    return query_ivf_stats(index, query, ma, r, kernel, init_count, r2)[0]
+    return query_ivf_stats(index, query, ma, r, kernel, r2)[0]
 
 
 def query_ivf_stats(
@@ -282,7 +280,6 @@ def query_ivf_stats(
     ma: int,
     r: int,
     kernel: str = "adc",
-    init_count: int = DEFAULT_INIT_COUNT,
     r2: int | None = None,
 ) -> tuple[NeighborSet, ScanStats]:
     """query_ivf's result and the counts summed over the visited lists (see
@@ -301,9 +298,9 @@ def query_ivf_stats(
     residuals = [query - index.coarse[cell].astype(np.float64) for cell in visited]
     if kernel == "quick-adc":
         tables = [compute_tables(index.pq, residual) for residual in residuals]
-        return qadc_scan(lists, tables, init_count, r)
+        return qadc_scan(lists, tables, r)
     parts = [(np.empty(0, np.float64), np.empty(0, np.int64))]
-    parts += [scan_list(quant, lst, residual, r, kernel, init_count, r2)[0].to_arrays()
+    parts += [scan_list(quant, lst, residual, r, kernel, r2)[0].to_arrays()
               for lst, residual in zip(lists, residuals)]
     dists, ids = (np.concatenate(column) for column in zip(*parts))
     total = sum(lst.n for lst in lists)

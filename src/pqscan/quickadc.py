@@ -14,8 +14,9 @@ Only the codes the bound cannot rule out get an exact distance, so results
 equal the plain scan's, ties included. One call scans any number of lists,
 each with its own tables (the visited cells of an inverted index):
 
-1. T0 is the r-th smallest exact distance of the first init_count codes of
-   the first non-empty list (their largest if there are fewer).
+1. T0 is the largest exact distance of the first r codes of the first
+   non-empty list (all of them if there are fewer), so at least the r-th
+   best. It only sets the scale: the results do not depend on it.
 2. Bound pass (``quantized_distances``). Each table row is shifted by its
    minimum; M_c, the sum of list c's minima, is below every distance in c.
    All lists share BINS = 32767 // m and one scale s = BINS / (T0 - min M_c),
@@ -62,7 +63,6 @@ from .scan import (
     scan_distances,
 )
 
-DEFAULT_INIT_COUNT = 200
 BOUND_MAX = np.iinfo(np.int16).max
 _U = np.finfo(np.float64).eps / 2
 _MIN_SPAN = 2.0**-989
@@ -138,7 +138,6 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
 def qadc_scan(
     lists: Sequence[CodeList],
     tables: Sequence[LookupTables],
-    init_count: int,
     r: int,
 ) -> tuple[NeighborSet, ScanStats]:
     """The r best codes by (distance, id) over every list, list i scored
@@ -150,8 +149,8 @@ def qadc_scan(
         if tab.m != lst.m or lst.codes.shape[1] != width or lst.codes.dtype != np.uint8:
             raise ValueError("quick scan requires tables matching nibble-packed 4-bit "
                              "codes or 8-bit codes of even m")
-    if init_count < 1 or r < 1:
-        raise ValueError("init_count and r must be >= 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     visited = [(lst, tab) for lst, tab in zip(lists, tables) if lst.n]
     if not visited:
         return NeighborSet(r), ScanStats()
@@ -164,11 +163,10 @@ def qadc_scan(
         raise ValueError("quick scan requires finite lookup tables")
     m = t64.shape[1]
 
-    prefix_d = scan_distances(tables[0], lists[0].codes[:init_count])
-    n_init = prefix_d.shape[0]
-    kth = min(r, n_init) - 1
-    q, shifts, s = _bound_tables(t64, np.partition(prefix_d, kth)[kth])
-    rest, rest_cells = codes[n_init:], cells[n_init:]
+    prefix_d = scan_distances(tables[0], lists[0].codes[:r])
+    n_prefix = prefix_d.shape[0]
+    q, shifts, s = _bound_tables(t64, prefix_d.max())
+    rest, rest_cells = codes[n_prefix:], cells[n_prefix:]
     lower = quantized_distances(rest, q, rest_cells) * (1.0 / s if s else 0.0)
     lower += shifts[rest_cells]
 
@@ -181,7 +179,7 @@ def qadc_scan(
         keep[seeds] = False
         later = np.flatnonzero(keep)
     dists = np.concatenate([known, _exact_distances(t64, rest[later], rest_cells[later])])
-    rows = np.concatenate([np.arange(n_init), n_init + seeds, n_init + later])
+    rows = np.concatenate([np.arange(n_prefix), n_prefix + seeds, n_prefix + later])
     best_d, best_i = _select_best(dists, ids[rows], r)
     stats = ScanStats(total=codes.shape[0], checked=dists.size, pruned=codes.shape[0] - dists.size)
     return NeighborSet.from_pairs(r, best_d, best_i), stats

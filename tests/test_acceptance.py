@@ -126,9 +126,9 @@ def test_criterion_2_lower_bound_soundness(capsys):
 def test_criterion_3_pruning_power(capsys):
     # In distribution the bound leaves about r codes beyond the prefix and
     # the seeds. Queries drawn around another seed's cluster centres are
-    # gated too: the bound does not depend on where the prefix's r-th
+    # gated too: the bound does not depend on where the prefix's largest
     # distance falls among the table entries.
-    rep = Report(capsys, "criterion 3 (pruning power, init=0.5%, r=100)")
+    rep = Report(capsys, "criterion 3 (pruning power, prefix r, r=100)")
     base, queries = in_distribution_split(100_000, 128, 16, 7, 20)
     outside = generate_synthetic(20, 128, 16, 8)
     pq, codelist, grouped = train_grouped(base, 1, 40_000, 25)
@@ -211,7 +211,7 @@ def test_criterion_5_quick_adc_recall_parity(capsys):
     for q in queries:
         tables = compute_tables(pq, q)
         want = scan(codelist, tables, 100).items()
-        got, _ = qadc_scan([codelist], [tables], 200, 100)
+        got, _ = qadc_scan([codelist], [tables], 100)
         mismatches += got.items() != want
         float_res.append([i for _, i in want])
         quant_res.append([i for _, i in got.items()])
@@ -325,7 +325,7 @@ def test_criterion_10_throughput_reported(capsys):
     pq4 = train_pq(base4[:20_000], 16, 4, cfg)
     cl4 = CodeList(encode(pq4, base4), m=16)
     base4_rate = rate(lambda q: scan(cl4, compute_tables(pq4, q), 100), q4, cl4.n)
-    qadc_rate = rate(lambda q: qadc_scan([cl4], [compute_tables(pq4, q)], 200, 100), q4, cl4.n)
+    qadc_rate = rate(lambda q: qadc_scan([cl4], [compute_tables(pq4, q)], 100), q4, cl4.n)
     ratio_fs = fs_rate / base_rate
     ratio_qa = qadc_rate / base4_rate
     detail = (f"fast-scan {fs_rate:.0f} vs scan {base_rate:.0f} Mcodes/s "

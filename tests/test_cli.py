@@ -120,14 +120,14 @@ def test_query_quick_adc_equals_adc_csv(workspace, capsys):
         code, outs[kernel], _ = run(
             capsys, "query", "--queries", str(workspace / "q.fvecs"),
             "--codes", str(codes), "--quantizer", str(quant),
-            "--r", "5", "--kernel", kernel, "--init-count", "50")
+            "--r", "5", "--kernel", kernel)
         assert code == 0
     assert len(list(csv.reader(io.StringIO(outs["adc"])))) == 1 + 8 * 5
     assert outs["quick-adc"] == outs["adc"]
 
 
 def test_query_fast_scan_equals_adc_csv(workspace, tmp_path, capsys):
-    # fast-scan reads the stored 8x8 codes; --init-count sets its prefix
+    # fast-scan reads the stored 8x8 codes; its prefix is the first r codes
     quant = tmp_path / "q88.pqz"
     codes = tmp_path / "c88.pql"
     assert main(["train", "--base", str(workspace / "base.fvecs"), "--m", "8",
@@ -135,17 +135,29 @@ def test_query_fast_scan_equals_adc_csv(workspace, tmp_path, capsys):
     assert main(["encode", "--base", str(workspace / "base.fvecs"),
                  "--quantizer", str(quant), "--out", str(codes)]) == 0
     outs = {}
-    for kernel, init_count in (("adc", "200"), ("fast-scan", "30"), ("fast-scan", "1000")):
-        code, outs[kernel, init_count], _ = run(
-            capsys, "query", "--queries", str(workspace / "q.fvecs"),
-            "--codes", str(codes), "--quantizer", str(quant),
-            "--r", "10", "--kernel", kernel, "--init-count", init_count)
-        assert code == 0
-    assert len(list(csv.reader(io.StringIO(outs["adc", "200"])))) == 1 + 8 * 10
-    assert outs["fast-scan", "30"] == outs["fast-scan", "1000"] == outs["adc", "200"]
-    with pytest.raises(SystemExit):
-        main(["query", "--queries", str(workspace / "q.fvecs"), "--codes", str(codes),
-              "--quantizer", str(quant), "--kernel", "fast-scan", "--init", "0.5"])
+    for kernel in ("adc", "fast-scan"):
+        for r in ("1", "10", "1000"):
+            code, outs[kernel, r], _ = run(
+                capsys, "query", "--queries", str(workspace / "q.fvecs"),
+                "--codes", str(codes), "--quantizer", str(quant),
+                "--r", r, "--kernel", kernel)
+            assert code == 0
+    assert len(list(csv.reader(io.StringIO(outs["adc", "10"])))) == 1 + 8 * 10
+    for r in ("1", "10", "1000"):
+        assert outs["fast-scan", r] == outs["adc", r]
+    # neither the paper's prefix fraction nor a prefix count is an option
+    base_args = ["--base", str(workspace / "base.fvecs"), "--queries",
+                 str(workspace / "q.fvecs"), "--truth", str(workspace / "t.ivecs"),
+                 "--m", "8", "--b", "8"]
+    for argv in (["query", "--queries", str(workspace / "q.fvecs"), "--codes", str(codes),
+                  "--quantizer", str(quant), "--kernel", "fast-scan", "--init", "0.5"],
+                 ["query", "--queries", str(workspace / "q.fvecs"), "--codes", str(codes),
+                  "--quantizer", str(quant), "--init-count", "5"],
+                 ["bench", *base_args, "--init-count", "5"],
+                 ["bench", *base_args, "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_fast_scan_kernel_needs_8x8(workspace, capsys):
@@ -210,7 +222,7 @@ def test_bench_quick_adc_reports_pruned_fraction(workspace, capsys, index_args):
                            "--queries", str(workspace / "q.fvecs"),
                            "--truth", str(workspace / "t.ivecs"),
                            "--m", "4", "--b", "4", "--r", "5", "--iters", "5",
-                           "--init-count", "20", "--kernel", kernel, *index_args)
+                           "--kernel", kernel, *index_args)
         assert code == 0
         rows[kernel] = dict(zip(*csv.reader(io.StringIO(out))))
     assert rows["adc"]["pruned_fraction"] == ""

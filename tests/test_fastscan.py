@@ -268,7 +268,7 @@ def test_8bit_words_need_even_m():
     codes = CodeList(rng.integers(0, 256, (10, 3)).astype(np.uint8))
     tables = LookupTables(rng.random((3, 256)).astype(np.float32))
     with pytest.raises(ValueError, match="even m"):
-        qadc_scan([codes], [tables], 5, 3)
+        qadc_scan([codes], [tables], 3)
     with pytest.raises(ValueError, match="even m"):
         quantized_distances(codes.codes, np.zeros((1, 3, 256), np.int16), np.zeros(10, int))
 

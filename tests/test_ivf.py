@@ -198,11 +198,11 @@ def test_scanned_fraction_tracks_ma(index, base, queries):
 
 def test_quick_adc_kernel_agrees_on_ids(index, queries):
     # exact: the same (distance, id) pairs as ADC, bit for bit, whatever the
-    # prefix, the number of cells or r; the counts cover the visited codes
+    # number of cells or r; the counts cover the visited codes
     for q in queries[:5]:
-        for ma, r, init_count in ((1, 10, 1), (4, 10, 50), (16, 300, 200)):
+        for ma, r in ((1, 1), (1, 10), (4, 10), (16, 1), (16, 300)):
             a = query_ivf(index, q, ma=ma, r=r, kernel="adc")
-            b, stats = query_ivf_stats(index, q, ma, r, "quick-adc", init_count)
+            b, stats = query_ivf_stats(index, q, ma, r, "quick-adc")
             assert b.items() == a.items()
             assert a.to_arrays()[0].tobytes() == b.to_arrays()[0].tobytes()
             _, adc_stats = query_ivf_stats(index, q, ma, r, "adc")
@@ -215,9 +215,9 @@ def test_quick_adc_scans_the_visited_lists_in_one_call(index, queries, monkeypat
 
     calls = []
 
-    def counted(lists, tables, init_count, r):
+    def counted(lists, tables, r):
         calls.append([lst.n for lst in lists])
-        return qadc_scan(lists, tables, init_count, r)
+        return qadc_scan(lists, tables, r)
 
     monkeypatch.setattr(ivf, "qadc_scan", counted)
     query_ivf(index, queries[0], ma=4, r=10, kernel="quick-adc")
@@ -323,7 +323,7 @@ def run_kernel(pq44, codes44, pq88, codes88, small_dpq, base):
         codes = CodeList(codes44.codes[:n], m=pq44.m)
         if kernel == "adc":
             return scan(codes, compute_tables(pq44, q), 5)
-        return qadc_scan([codes], [compute_tables(pq44, q)], 50, 5)[0]
+        return qadc_scan([codes], [compute_tables(pq44, q)], 5)[0]
 
     return run
 

@@ -113,7 +113,7 @@ def test_qadc_scan_zero_distance_first(pq44):
     y = np.concatenate([pq44.codebooks[j][0] for j in range(pq44.m)])
     codelist = CodeList.from_vectors(pq44, y)
     tables = compute_tables(pq44, y)
-    nset, stats = qadc_scan([codelist], [tables], 1, 1)
+    nset, stats = qadc_scan([codelist], [tables], 1)
     assert nset.items() == [(0.0, 0)]
     assert (stats.total, stats.checked, stats.pruned) == (1, 1, 0)
 
@@ -127,7 +127,7 @@ def exact_sort(tables, codelist, r):
 def test_qadc_scan_equals_exact_sort(pq44, codes44, queries):
     for q in queries[:4]:
         tables = compute_tables(pq44, q)
-        nset, stats = qadc_scan([codes44], [tables], 100, 10)
+        nset, stats = qadc_scan([codes44], [tables], 10)
         assert nset.items() == exact_sort(tables, codes44, 10)
         assert stats.total == codes44.n
         assert stats.checked + stats.pruned == stats.total
@@ -142,27 +142,46 @@ def test_qadc_scan_padding_neutral(pq44, blob_data):
     b = CodeList(codes[:48], m=pq44.m)
     q = blob_data[7]
     tables = compute_tables(pq44, q)
-    full, _ = qadc_scan([a], [tables], 20, 49)
-    head, _ = qadc_scan([b], [tables], 20, 48)
+    full, _ = qadc_scan([a], [tables], 49)
+    head, _ = qadc_scan([b], [tables], 48)
     assert len(full.items()) == 49  # padding lanes emitted nothing
     full_items = [p for p in full.items() if p[1] != 48]
     assert full_items[:48] == head.items()
 
 
-def test_qadc_init_count_full_matches_rth_exact(pq44, codes44, queries):
-    # a prefix of the whole list scores every code exactly
+def test_qadc_r_over_n_checks_every_code(pq44, codes44, queries):
+    # at r >= n the prefix is the whole list: every code is scored exactly
     tables = compute_tables(pq44, queries[2])
     exact = np.sort(scan_distances(tables, codes44.codes))
-    nset, stats = qadc_scan([codes44], [tables], codes44.n, 10)
-    assert nset.items()[9][0] == float(exact[9])
-    assert (stats.checked, stats.pruned) == (codes44.n, 0)
+    for r in (codes44.n, codes44.n + 7):
+        nset, stats = qadc_scan([codes44], [tables], r)
+        assert [d for d, _ in nset.items()] == exact.tolist()
+        assert (stats.checked, stats.pruned) == (codes44.n, 0)
+
+
+def test_qadc_r_1_checks_a_handful_of_codes(pq44, codes44, queries):
+    # The scale comes from the first r codes, so at r=1 the prefix is one code
+    # and only the codes whose bound reaches the best are checked: 7-47 of the
+    # 2000 here, as duplicate 4x4 codes tie. Where the first code is itself
+    # at the rows' minimum sum, the span and the scale are 0 and the bound
+    # rules nothing out.
+    assert codes44.n >= 500
+    for q in queries:
+        tables = compute_tables(pq44, q)
+        nset, stats = qadc_scan([codes44], [tables], 1)
+        assert nset.items() == exact_sort(tables, codes44, 1)
+        t0 = scan_distances(tables, codes44.codes[:1])[0]
+        if t0 - tables.tables.astype(np.float64).min(axis=1).sum() > 0:
+            assert stats.checked <= 50
+        else:
+            assert stats.checked == codes44.n
 
 
 def test_qadc_recall_close_to_float_adc(pq44, codes44, queries):
     # exact: the same ids as the float scan, so the same recall
     for q in queries:
         tables = compute_tables(pq44, q)
-        nset, _ = qadc_scan([codes44], [tables], 200, 10)
+        nset, _ = qadc_scan([codes44], [tables], 10)
         assert nset.items() == scan(codes44, tables, 10).items()
 
 
@@ -176,26 +195,24 @@ def test_qadc_scan_over_lists_equals_merged_scans(pq44, codes44, queries):
     ]
     for qi, q in enumerate(queries[:4]):
         tables = [compute_tables(pq44, q + 0.5 * i) for i in range(len(lists))]
-        for init_count in (1, 50, 2000):
-            nset, stats = qadc_scan(lists, tables, init_count, 25)
-            pairs = sorted(p for lst, t in zip(lists, tables) for p in exact_sort(t, lst, 25))
-            assert nset.items() == pairs[:25]
+        pairs = sorted(p for lst, t in zip(lists, tables) for p in exact_sort(t, lst, 2000))
+        for r in (1, 25, 2000):
+            nset, stats = qadc_scan(lists, tables, r)
+            assert nset.items() == pairs[:r]
             assert stats.total == codes44.n
 
 
 def test_qadc_scan_rejects_mismatched_inputs(pq44, codes44, queries):
     tables = compute_tables(pq44, queries[0])
     with pytest.raises(ValueError, match="one set of lookup tables per code list"):
-        qadc_scan([codes44, codes44], [tables], 10, 5)
+        qadc_scan([codes44, codes44], [tables], 5)
     narrow = CodeList(codes44.codes[:, :1], m=2)
     narrow_tables = LookupTables(tables.tables[:2])
     with pytest.raises(ValueError, match="all of one m"):
-        qadc_scan([codes44, narrow], [tables, narrow_tables], 10, 5)
+        qadc_scan([codes44, narrow], [tables, narrow_tables], 5)
     bad = tables.tables.copy()
     bad[1, 3] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        qadc_scan([codes44], [LookupTables(bad)], 10, 5)
-    with pytest.raises(ValueError, match="init_count"):
-        qadc_scan([codes44], [tables], 0, 5)
+        qadc_scan([codes44], [LookupTables(bad)], 5)
     with pytest.raises(ValueError, match="r must be"):
-        qadc_scan([codes44], [tables], 10, 0)
+        qadc_scan([codes44], [tables], 0)
