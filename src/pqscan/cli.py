@@ -34,7 +34,7 @@ from .ivf import (
     plain_pq,
     query_ivf_stats,
     save_ivf,
-    scan_list,
+    scan_lists,
     train_quantizer,
 )
 from .quantizer import TrainConfig, TrainError, encode, save_quantizer
@@ -108,13 +108,7 @@ def cmd_encode(args) -> int:
 def cmd_build_ivf(args) -> int:
     base = _read_auto(args.base)
     index = build_ivf(
-        base,
-        args.K,
-        args.m,
-        args.b,
-        cfg=_train_cfg(args),
-        use_opq=args.opq,
-        bderived=args.bderived,
+        base, args.K, args.m, args.b, _train_cfg(args), use_opq=args.opq, bderived=args.bderived
     )
     save_ivf(args.out, index)
     print(f"built ivf K={args.K} over {index.n} codes -> {args.out}")
@@ -147,7 +141,7 @@ def _exhaustive_search_fn(args, quant, codelist: CodeList):
     kernel = check_kernel(args.kernel, quant)
 
     def run(q):
-        nset, stats = scan_list(quant, codelist, q, args.r, kernel, args.r2)
+        nset, stats = scan_lists(quant, [codelist], q[None, :], args.r, kernel, args.r2)
         return nset.to_arrays(), stats.checked, stats.pruned
 
     return run
@@ -218,13 +212,7 @@ def cmd_bench(args) -> int:
         r2_used = default_r2(r) if args.r2 is None else args.r2
     if args.K:
         index = build_ivf(
-            base,
-            args.K,
-            args.m,
-            args.b,
-            cfg=cfg,
-            use_opq=args.opq,
-            bderived=args.bderived,
+            base, args.K, args.m, args.b, cfg, use_opq=args.opq, bderived=args.bderived
         )
         run = _index_search_fn(args, index)
         method = f"ivf-{args.kernel}"

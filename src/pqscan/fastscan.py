@@ -69,16 +69,12 @@ def relabel_codes(codes: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Rewrite codes produced before a centroid permutation: component j's
     old index i becomes the position of i in perm[j]."""
     codes = np.asarray(codes)
-    m, k = perm.shape
+    m = perm.shape[0]
     if codes.ndim != 2 or codes.shape[1] != m:
         raise ValueError(f"codes must have shape (n, {m})")
-    inverse = np.empty_like(perm)
-    for j in range(m):
-        inverse[j, perm[j]] = np.arange(k, dtype=np.int64)
-    out = np.empty_like(codes)
-    for j in range(m):
-        out[:, j] = inverse[j][codes[:, j].astype(np.int64)].astype(codes.dtype)
-    return out
+    # Each perm[j] is a permutation, so its argsort is its inverse.
+    inverse = np.argsort(perm, axis=1).astype(codes.dtype)
+    return np.stack([inverse[j].take(codes[:, j]) for j in range(m)], axis=1)
 
 
 @dataclass
@@ -152,23 +148,14 @@ def group_codes(codelist: CodeList) -> GroupedDatabase:
     order = np.argsort(key_val, kind="stable")
     sorted_vals = key_val[order]
     uniq, counts = np.unique(sorted_vals, return_counts=True)
-    keys = np.stack(
-        [(uniq >> 12) & 0xF, (uniq >> 8) & 0xF, (uniq >> 4) & 0xF, uniq & 0xF],
-        axis=1,
-    ).astype(np.uint8)
+    keys = ((uniq[:, None] >> np.array([12, 8, 4, 0])) & 0xF).astype(np.uint8)
     offsets = np.cumsum(counts) - counts  # exclusive prefix sum, empty for no groups
     sorted_codes = codes[order]
     packed = np.empty((codes.shape[0], PACKED_BYTES), dtype=np.uint8)
     packed[:, 0] = ((sorted_codes[:, 0] & 0x0F) << 4) | (sorted_codes[:, 1] & 0x0F)
     packed[:, 1] = ((sorted_codes[:, 2] & 0x0F) << 4) | (sorted_codes[:, 3] & 0x0F)
     packed[:, 2:6] = sorted_codes[:, 4:8]
-    return GroupedDatabase(
-        keys=keys,
-        offsets=offsets,
-        counts=counts,
-        packed=packed,
-        ids=codelist.ids[order],
-    )
+    return GroupedDatabase(keys, offsets, counts, packed, codelist.ids[order])
 
 
 def fast_scan(
@@ -220,11 +207,7 @@ def read_grouped_body(f: BinaryIO) -> GroupedDatabase:
     ids = _binio.read_array(f, "<i8", n)
     try:
         return GroupedDatabase(
-            keys=directory["key"],
-            offsets=directory["offset"],
-            counts=directory["count"],
-            packed=packed,
-            ids=ids,
+            directory["key"], directory["offset"], directory["count"], packed, ids
         )
     except ValueError as exc:
         raise _binio.FormatError(str(exc), offset=off) from None

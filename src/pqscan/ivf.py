@@ -2,8 +2,9 @@
 
 A coarse K-centroid quantizer partitions the base; each vector's residual
 (vector minus its coarse centroid) is product-quantized into the inverted
-list of that centroid. A query visits the ma nearest cells, scanning each
-list against the residual of the query with the chosen kernel.
+list of that centroid. A query visits the ma nearest cells and scans their lists
+with the chosen kernel in one scan_lists call, each list against the query's
+residual to its cell; an exhaustive search is the one-list case.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ def build_ivf(
     """Train coarse and residual quantizers, then encode every vector's
     residual into the list of its nearest coarse centroid (ties to the
     lowest index). Training uses seeded samples of the base; then one pass
-    over row chunks, spread over the CPUs, assigns the rows outside the
-    coarse sample and encodes every residual."""
+    over row chunks, spread over the CPUs, assigns the rows outside both
+    training samples and encodes every residual."""
     cfg = cfg or TrainConfig()
     check_train_options(b, use_opq, bderived)
     # float32 rows are not widened up front: each pass below widens one
@@ -140,14 +141,18 @@ def build_ivf(
         if not np.isfinite(coarse).all():
             raise ValueError("coarse centroids overflow float32")
         coarse64 = coarse.astype(np.float64)
-        train = base[_sample_rows(rng, n, 100 * (1 << b))]
-        train_res = train - coarse64[nearest(train, coarse64)]
+        train_rows = _sample_rows(rng, n, 100 * (1 << b))
+        train = base[train_rows]
+        train_cells = nearest(train, coarse64)
+        train_res = train - coarse64[train_cells]
         quant = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
         pq = plain_pq(quant)
         dpq = quant if isinstance(quant, DerivedPQ) else None
-        # kmeans' assignment of its sample to the float32 centroids it
-        # returns is what nearest gives; -1 marks the rows still to assign.
+        # kmeans assigns its sample to the float32 centroids it returns as
+        # nearest does, so rows in both samples get one cell; -1 marks the
+        # rows still to assign.
         assign = np.full(n, -1, dtype=np.int64)
+        assign[train_rows] = train_cells
         assign[coarse_rows] = sample_assign
         # Every chunk reuses these buffers; every index is in range, and
         # mode="clip" only spares take the buffering its default mode does
@@ -167,7 +172,8 @@ def build_ivf(
             np.subtract(base[lo:hi], chunk, out=chunk)
             return cells, encode(pq, chunk)
 
-        cost = assign_cost(n - coarse_rows.size, K, d) + pq.m * assign_cost(n, pq.k, pq.dsub)
+        cost = assign_cost(np.count_nonzero(assign < 0), K, d)
+        cost += pq.m * assign_cost(n, pq.k, pq.dsub)
         cells, codes = zip(*fork_map(cells_and_codes, -(-n // ENCODE_ROWS), cost))
         assign, codes = np.concatenate(cells), np.concatenate(codes)
 
@@ -241,24 +247,34 @@ def check_kernel(
     return check_kernel_shape(kernel, pq.m, pq.b, isinstance(quant, DerivedPQ), indexed)
 
 
-def scan_list(
+def scan_lists(
     quant: ProductQuantizer | DerivedPQ,
-    codelist: CodeList,
-    query: np.ndarray,
+    lists: list[CodeList],
+    queries: np.ndarray,
     r: int,
     kernel: str,
     r2: int | None,
 ) -> tuple[NeighborSet, ScanStats]:
-    """One list's r best under a kernel that check_kernel accepted, and the
-    kernel's counts: the exact distances and pruned codes of quick-adc and
-    fast-scan (both ``qadc_scan``), every code as checked for the others."""
+    """The r best codes over lists, list i scanned against row i of the
+    (len(lists), d) queries, under a kernel that check_kernel accepted, and
+    the kernel's counts: the exact distances and pruned codes of quick-adc
+    and fast-scan (both qadc_scan), every code as checked for the others. A
+    PQ kernel builds every list's tables in one compute_tables call and
+    scans them in one call; derived keeps r2 candidates per list, so it
+    searches each list, then selects."""
+    total = sum(lst.n for lst in lists)
+    stats = ScanStats(total=total, checked=total)
     if kernel == "derived":
-        nset = search_two_pass(quant, codelist, query, r, default_r2(r) if r2 is None else r2)
-        return nset, ScanStats(total=codelist.n, checked=codelist.n)
-    tables = compute_tables(plain_pq(quant), query)
+        r2 = default_r2(r) if r2 is None else r2
+        parts = [(np.empty(0), np.empty(0, np.int64))]
+        for lst, query in zip(lists, queries):
+            parts.append(search_two_pass(quant, lst, query, r, r2).to_arrays())
+        dists, ids = (np.concatenate(column) for column in zip(*parts))
+        return NeighborSet.from_pairs(r, *_select_best(dists, ids, r)), stats
+    tables = compute_tables(plain_pq(quant), queries)
     if kernel in ("quick-adc", "fast-scan"):
-        return qadc_scan([codelist], [tables], r)
-    return scan(codelist, tables, r), ScanStats(total=codelist.n, checked=codelist.n)
+        return qadc_scan(lists, tables, r)
+    return scan(lists, tables, r), stats
 
 
 def query_ivf(
@@ -282,9 +298,8 @@ def query_ivf_stats(
     kernel: str = "adc",
     r2: int | None = None,
 ) -> tuple[NeighborSet, ScanStats]:
-    """query_ivf's result and the counts summed over the visited lists (see
-    scan_list). quick-adc scans every visited list in one qadc_scan call,
-    nearest cell first; the other kernels scan each list and merge."""
+    """query_ivf's result and its counts: one scan_lists call over the
+    non-empty visited lists, nearest cell first."""
     quant = index.pq if index.dpq is None else index.dpq
     kernel = check_kernel(kernel, quant, indexed=True)
     if not 1 <= ma <= index.K:
@@ -294,18 +309,8 @@ def query_ivf_stats(
     query = _check_query(np.asarray(query, dtype=np.float64), index.d)
     cells, _ = nearest_k(query[None, :], index.coarse.astype(np.float64), ma)
     visited = [cell for cell in cells[0].tolist() if index.lists[cell].n]
-    lists = [index.lists[cell] for cell in visited]
-    residuals = [query - index.coarse[cell].astype(np.float64) for cell in visited]
-    if kernel == "quick-adc":
-        tables = [compute_tables(index.pq, residual) for residual in residuals]
-        return qadc_scan(lists, tables, r)
-    parts = [(np.empty(0, np.float64), np.empty(0, np.int64))]
-    parts += [scan_list(quant, lst, residual, r, kernel, r2)[0].to_arrays()
-              for lst, residual in zip(lists, residuals)]
-    dists, ids = (np.concatenate(column) for column in zip(*parts))
-    total = sum(lst.n for lst in lists)
-    stats = ScanStats(total=total, checked=total)
-    return NeighborSet.from_pairs(r, *_select_best(dists, ids, r)), stats
+    residuals = query - index.coarse[visited].astype(np.float64)
+    return scan_lists(quant, [index.lists[c] for c in visited], residuals, r, kernel, r2)
 
 
 MAGIC_IVF = b"IVF1"

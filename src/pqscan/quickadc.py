@@ -19,11 +19,14 @@ each with its own tables (the visited cells of an inverted index):
    best. It only sets the scale: the results do not depend on it.
 2. Bound pass (``quantized_distances``). Each table row is shifted by its
    minimum; M_c, the sum of list c's minima, is below every distance in c.
-   All lists share BINS = 32767 // m and one scale s = BINS / (T0 - min M_c),
-   or s = 0 for a span below 2^-989 (so 1 / s stays normal), and every entry
-   maps to q = min(BINS, floor((t - min) s)) in int16. A code's lower bound is
-   L = M_c + B / s, where B <= m BINS, the sum of its entries, is read one
-   word at a time from k^2-entry tables of summed entry pairs (k = 2^b).
+   All lists share BINS = 32767 // m and one scale s = BINS / span, and every
+   entry maps to q = min(BINS, floor((t - min) s)) in int16. The span is
+   T0 - min M_c, or the largest shifted entry where that is below 2^-989 (the
+   prefix takes every row minimum); s = 0 if this too is below 2^-989, so
+   1 / s stays normal. The slack below holds for any such s. A code's lower
+   bound is L = M_c + B / s, where B <= m BINS, the sum of its entries, is
+   read one word at a time from k^2-entry tables of summed entry pairs
+   (k = 2^b).
 3. Exact pass. The prefix and the seeds, the r other codes with the smallest
    L, get exact distances; T is the r-th smallest of them, so at least the
    true r-th best. Every other code with L <= T + slack gets one too, summed
@@ -58,6 +61,7 @@ from .scan import (
     LookupTables,
     NeighborSet,
     ScanStats,
+    _joined,
     # Not called here; the benchmark's tracer patches this name.
     detranspose_blocks,  # noqa: F401
     scan_distances,
@@ -106,10 +110,12 @@ def _bound_tables(t64: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray, f
     docstring defines them."""
     mins = t64.min(axis=2)
     shifts = mins.sum(axis=1)
-    bins = BOUND_MAX // t64.shape[1]
+    shifted = t64 - mins[:, :, None]
     span = t0 - shifts.min()
+    span = span if span >= _MIN_SPAN else shifted.max()
+    bins = BOUND_MAX // t64.shape[1]
     s = bins / span if span >= _MIN_SPAN else 0.0
-    q = np.minimum(np.floor((t64 - mins[:, :, None]) * s), bins).astype(np.int16)
+    q = np.minimum(np.floor(shifted * s), bins).astype(np.int16)
     return q, shifts, s
 
 
@@ -129,10 +135,6 @@ def _exact_distances(t64: np.ndarray, codes: np.ndarray, cells: np.ndarray) -> n
     for entries in t64.reshape(-1).take(flat):
         acc += entries
     return acc
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def qadc_scan(

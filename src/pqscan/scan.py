@@ -2,14 +2,15 @@
 
 Given a query, one lookup table per sub-space holds the squared distance
 from the query sub-vector to every centroid. The asymmetric distance of a
-code is the sum of m table entries; a scan keeps the r best codes.
+code is the sum of m table entries; a scan keeps the r best codes of one
+list or of several, each under its own tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -123,23 +124,30 @@ def _float32_entries(values: np.ndarray) -> np.ndarray:
 
 
 def _subspace_tables(
-    pq: ProductQuantizer, books: np.ndarray, query: np.ndarray
-) -> LookupTables:
+    pq: ProductQuantizer, books: np.ndarray, queries: np.ndarray
+) -> LookupTables | list[LookupTables]:
     """Squared distances from each rotated query sub-vector to every row of
-    books[j], computed in float64 and stored as float32."""
-    query = _check_query(query, pq.d)
-    z = pq.rotate(query[None, :])[0]
+    books[j], computed in float64 and stored as float32: one LookupTables for
+    a (d,) query, a list of n for (n, d) queries. Each sub-space takes one
+    sqdist_matrix call over all rows; each row is rotated on its own, as a
+    GEMM over all rows may round differently from one-row products."""
+    queries = np.asarray(queries)
+    single = queries.ndim != 2
+    rows = [_check_query(q, pq.d)[None, :] for q in (queries[None] if single else queries)]
+    z = np.reshape([pq.rotate(row)[0] for row in rows], (-1, pq.d))
     dsub = pq.dsub
-    out = np.empty(books.shape[:2])
+    out = np.empty((len(rows), *books.shape[:2]))
     for j in range(pq.m):
-        sub = z[j * dsub : (j + 1) * dsub]
-        out[j] = sqdist_matrix(sub[None, :], books[j].astype(np.float64))[0]
-    return LookupTables(_float32_entries(out))
+        out[:, j] = sqdist_matrix(z[:, j * dsub : (j + 1) * dsub], books[j].astype(np.float64))
+    tables = [LookupTables(t) for t in _float32_entries(out)]
+    return tables[0] if single else tables
 
 
-def compute_tables(pq: ProductQuantizer, query: np.ndarray) -> LookupTables:
-    """Squared distances from each query sub-vector to every centroid."""
-    return _subspace_tables(pq, pq.codebooks, query)
+def compute_tables(pq: ProductQuantizer, queries: np.ndarray) -> LookupTables | list[LookupTables]:
+    """Squared distances from each query sub-vector to every centroid: the
+    tables of a (d,) query, or a list of the tables of each row of (n, d)
+    queries, each equal bit for bit to its row's own call."""
+    return _subspace_tables(pq, pq.codebooks, queries)
 
 
 def scan_distances(tables: LookupTables, codes: np.ndarray) -> np.ndarray:
@@ -279,14 +287,28 @@ class ScanStats:
         return self.pruned / self.total if self.total else 0.0
 
 
-def scan(codelist: CodeList, tables: LookupTables, r: int) -> NeighborSet:
-    """Exhaustive table-lookup scan: the r best codes by (distance, id)."""
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def scan(
+    lists: CodeList | Sequence[CodeList],
+    tables: LookupTables | Sequence[LookupTables],
+    r: int,
+) -> NeighborSet:
+    """Exhaustive table-lookup scan: the r best codes by (distance, id) of a
+    code list under its tables, or over equal-length sequences of lists and
+    tables, list i scored with tables[i], in one selection over them all."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if codelist.m != tables.m:
-        raise ValueError(f"tables have m={tables.m}, code list m={codelist.m}")
-    dists = scan_distances(tables, codelist.codes)
-    best_d, best_i = _select_best(dists, codelist.ids, r)
+    if isinstance(lists, CodeList):
+        lists, tables = [lists], [tables]
+    if len(lists) != len(tables) or any(lst.m != tab.m for lst, tab in zip(lists, tables)):
+        raise ValueError("need one set of lookup tables of the list's m per code list")
+    if not lists:
+        return NeighborSet(r)
+    dists = _joined([scan_distances(tab, lst.codes) for lst, tab in zip(lists, tables)])
+    best_d, best_i = _select_best(dists, _joined([lst.ids for lst in lists]), r)
     return NeighborSet.from_pairs(r, best_d, best_i)
 
 

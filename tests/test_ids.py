@@ -22,7 +22,7 @@ from pqscan import (
     train_derived,
 )
 from pqscan._binio import index_array
-from pqscan.ivf import scan_list
+from pqscan.ivf import scan_lists
 from pqscan.scan import read_codes_body, write_codes_body
 
 BIG = 2**31  # the first id int32 cannot hold
@@ -57,9 +57,10 @@ def test_stored_ids_are_narrow_and_results_int64(codes88, pq88, pq44, codes44, q
     assert want[1].dtype == np.int64
     got = fast_scan(grouped, tables, 0.05, 10)[0].to_arrays()
     np.testing.assert_array_equal(got[1], want[1])
-    adc = scan_list(pq44, codes44, queries[0], 10, "adc", None)[0].to_arrays()
+    one = [codes44], queries[:1]
+    adc = scan_lists(pq44, *one, 10, "adc", None)[0].to_arrays()
     for kernel in ("adc", "quick-adc"):
-        dists, ids = scan_list(pq44, codes44, queries[0], 10, kernel, None)[0].to_arrays()
+        dists, ids = scan_lists(pq44, *one, 10, kernel, None)[0].to_arrays()
         assert ids.dtype == np.int64 and ids.size == 10
         np.testing.assert_array_equal(ids, adc[1])
         assert dists.tobytes() == adc[0].tobytes()

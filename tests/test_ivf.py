@@ -226,6 +226,29 @@ def test_quick_adc_scans_the_visited_lists_in_one_call(index, queries, monkeypat
     assert calls == [[n for n in sizes if n]]
 
 
+@pytest.mark.parametrize("ma", [1, 4, 16])
+@pytest.mark.parametrize("kernel, scanner", [("adc", "scan"), ("quick-adc", "qadc_scan")])
+def test_ivf_query_builds_tables_once_and_scans_once(
+    index, queries, monkeypatch, ma, kernel, scanner
+):
+    import pqscan.ivf as ivf
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("compute_tables", "scan", "qadc_scan"):
+        monkeypatch.setattr(ivf, name, counted(name, getattr(ivf, name)))
+    for q in queries[:3]:
+        calls.clear()
+        query_ivf_stats(index, q, ma, 10, kernel)
+        assert calls == ["compute_tables", scanner]
+
+
 def test_derived_kernel_matches_adc_with_max_r2(base, queries):
     idx = build_ivf(base, K=8, m=4, b=6, cfg=CFG, bderived=3)
     assert idx.dpq is not None

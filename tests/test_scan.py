@@ -7,6 +7,7 @@ from pqscan import (
     CodeList,
     LookupTables,
     NeighborSet,
+    TrainConfig,
     compute_tables,
     decode,
     detranspose_blocks,
@@ -15,6 +16,7 @@ from pqscan import (
     save_codes,
     scan,
     scan_distances,
+    train_opq,
     transpose_blocks,
 )
 from pqscan._dist import _select_best
@@ -55,6 +57,35 @@ def test_tables_match_direct_recomputation(pq44, blob_data):
         sub = q[j * dsub : (j + 1) * dsub].astype(np.float64)
         expect = ((pq44.codebooks[j].astype(np.float64) - sub) ** 2).sum(axis=1)
         np.testing.assert_allclose(tables.tables[j], expect, rtol=1e-5)
+
+
+@pytest.fixture(scope="module")
+def opq44(blob_data):
+    """A rotated 4x4 quantizer, whose tables pass every row through a GEMV."""
+    opq = train_opq(blob_data[:600], 4, 4, TrainConfig(kmeans_iters=4, opq_iters=3, seed=2))
+    assert not np.array_equal(opq.rotation, np.eye(opq.d, dtype=np.float32))
+    return opq
+
+
+@pytest.mark.parametrize("n", [0, 1, 12])
+@pytest.mark.parametrize("name", ["pq44", "opq44"])
+def test_batched_tables_equal_one_call_per_row(request, name, n, queries):
+    pq = request.getfixturevalue(name)
+    batch = compute_tables(pq, queries[:n])
+    assert isinstance(batch, list) and len(batch) == n
+    for q, tables in zip(queries[:n], batch):
+        single = compute_tables(pq, q)
+        assert tables.tables.dtype == np.float32 and tables.tables.shape == single.tables.shape
+        assert tables.tables.tobytes() == single.tables.tobytes()
+
+
+def test_batched_tables_check_every_row(pq44, queries):
+    rows = queries[:3].astype(np.float64)
+    rows[1, 2] = np.nan
+    with pytest.raises(ValueError, match="query contains non-finite values"):
+        compute_tables(pq44, rows)
+    with pytest.raises(ValueError, match="query must have shape"):
+        compute_tables(pq44, queries[:3, 1:])
 
 
 def test_adc_zero_for_representable(pq44):
@@ -113,6 +144,40 @@ def test_scan_random_instances_vs_oracle():
         ids = rng.permutation(n).astype(np.int64)
         got = scan(CodeList(codes, ids), tables, r).items()
         assert got == sorted_oracle(tables, codes, ids, r)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 80), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_scan_over_lists_is_one_selection(seed, n_lists, r, wide_ids):
+    # Each list under its own tables, then one top-r over the concatenation.
+    # Tables of a few integer values and ids from a small range give equal
+    # distances, and equal (distance, id) pairs, across lists; some lists are
+    # empty, and r often exceeds the codes held.
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(1, 5)), int(rng.integers(2, 17))
+    lists, tables = [], []
+    for _ in range(n_lists):
+        n = int(rng.integers(0, 25))
+        ids = rng.integers(0, 2**40 if wide_ids else 40, n)
+        lists.append(CodeList(rng.integers(0, k, (n, m)).astype(np.uint8), ids))
+        tables.append(LookupTables(rng.integers(0, 3, (m, k)).astype(np.float32)))
+    assert all(lst.ids.dtype == (np.int64 if wide_ids else np.int32) for lst in lists if lst.n)
+    dists = [np.empty(0)] + [scan_distances(t, lst.codes) for lst, t in zip(lists, tables)]
+    ids = [np.empty(0, np.int64)] + [lst.ids for lst in lists]
+    want_d, want_i = _select_best(np.concatenate(dists), np.concatenate(ids), r)
+    got_d, got_i = scan(lists, tables, r).to_arrays()
+    assert got_i.dtype == np.int64
+    assert got_d.tobytes() == want_d.tobytes() and got_i.tobytes() == want_i.tobytes()
+    if n_lists == 1:
+        assert scan(lists[0], tables[0], r).items() == scan(lists, tables, r).items()
+
+
+def test_scan_needs_tables_of_each_lists_m(codes44, pq44, queries):
+    tables = compute_tables(pq44, queries[0])
+    with pytest.raises(ValueError, match="per code list"):
+        scan([codes44], [tables, tables], 5)
+    with pytest.raises(ValueError, match="per code list"):
+        scan([codes44], [LookupTables(tables.tables[:3])], 5)
 
 
 # Few distinct distances and ids, so ties and repeated (even identical)
