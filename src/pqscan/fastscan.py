@@ -11,7 +11,6 @@ plain scan's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -173,53 +172,3 @@ def fast_scan(
         raise ValueError("init must be in (0, 1]")
     codes = CodeList(grouped.reconstruct_codes(), grouped.ids)
     return qadc_scan([codes], [tables], r)
-
-
-MAGIC_GROUPED = b"PQG1"
-_DIR_DTYPE = np.dtype([("key", "u1", (4,)), ("offset", "<i8"), ("count", "<i8")])
-
-
-def write_grouped_body(f: BinaryIO, grouped: GroupedDatabase) -> None:
-    _binio.write_magic(f, MAGIC_GROUPED)
-    _binio.write_i32(f, grouped.n)
-    _binio.write_i32(f, grouped.n_groups)
-    directory = np.zeros(grouped.n_groups, dtype=_DIR_DTYPE)
-    directory["key"] = grouped.keys
-    directory["offset"] = grouped.offsets
-    directory["count"] = grouped.counts
-    f.write(directory.tobytes())
-    _binio.write_array(f, grouped.packed, "u1")
-    _binio.write_array(f, grouped.ids, "<i8")
-
-
-def read_grouped_body(f: BinaryIO) -> GroupedDatabase:
-    _binio.expect_magic(f, MAGIC_GROUPED)
-    off = f.tell()
-    n = _binio.read_i32(f)
-    g = _binio.read_i32(f)
-    if n < 0 or g < 0:
-        raise _binio.FormatError(f"bad grouped header n={n} g={g}", offset=off)
-    _binio.require_bytes(
-        f, g * _DIR_DTYPE.itemsize + n * (PACKED_BYTES + 8), "grouped codes"
-    )
-    directory = _binio.read_array(f, _DIR_DTYPE, g)
-    packed = _binio.read_array(f, "u1", n * PACKED_BYTES).reshape(n, PACKED_BYTES)
-    ids = _binio.read_array(f, "<i8", n)
-    try:
-        return GroupedDatabase(
-            directory["key"], directory["offset"], directory["count"], packed, ids
-        )
-    except ValueError as exc:
-        raise _binio.FormatError(str(exc), offset=off) from None
-
-
-def save_grouped(path, grouped: GroupedDatabase) -> None:
-    with open(path, "wb") as f:
-        write_grouped_body(f, grouped)
-
-
-def load_grouped(path) -> GroupedDatabase:
-    with open(path, "rb") as f:
-        grouped = read_grouped_body(f)
-        _binio.expect_eof(f, "grouped codes")
-    return grouped

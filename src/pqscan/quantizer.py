@@ -23,7 +23,15 @@ import numpy as np
 from scipy import sparse
 
 from . import _binio
-from ._dist import SAFE_SCALE32, nearest, shortlist_slack, sqdist_matrix, sqdist_rows
+from ._dist import (
+    NARROW_K,
+    SAFE_SCALE32,
+    centroid_groups,
+    nearest,
+    shortlist_slack,
+    sqdist_matrix,
+    sqdist_rows,
+)
 from ._parallel import Team, assign_cost, fork_map, kmeans_cost, shared_array, split_cost
 
 
@@ -558,7 +566,17 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
     if rows.shape[1] != pq.d:
         raise ValueError(f"vector dimensionality {rows.shape[1]}, expected {pq.d}")
     dsub = pq.dsub
+    n = rows.shape[0]
     books = pq.codebooks.astype(np.float64)
+    # Wide codebooks are grouped once for every chunk (see _dist.nearest),
+    # tried on a sample of the rows.
+    groups = [None] * pq.m
+    if pq.k > NARROW_K:
+        probe = pq.rotate(rows[:: max(1, n // ENCODE_ROWS)])
+        groups = [
+            centroid_groups(book, probe[:, j * dsub : (j + 1) * dsub], n)
+            for j, book in enumerate(books)
+        ]
 
     # Rows are independent, so a float64 copy of one chunk at a time bounds
     # the memory whatever the input's size, and chunks can go to workers.
@@ -568,14 +586,13 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
         z = pq.rotate(chunk)
         part = np.zeros((chunk.shape[0], pq.code_width), dtype=pq.code_dtype)
         for j in range(pq.m):
-            idx = nearest(z[:, j * dsub : (j + 1) * dsub], books[j])
+            idx = nearest(z[:, j * dsub : (j + 1) * dsub], books[j], _groups=groups[j])
             if pq.b <= 4:
                 part[:, j >> 1] |= idx.astype(np.uint8) << (4 * (j & 1))
             else:
                 part[:, j] = idx
         return part
 
-    n = rows.shape[0]
     parts = fork_map(chunk_codes, -(-n // ENCODE_ROWS), pq.m * assign_cost(n, pq.k, dsub))
     out = np.concatenate(parts) if parts else np.zeros((0, pq.code_width), pq.code_dtype)
     return out[0] if single else out

@@ -366,14 +366,6 @@ def test_criterion_11_format_round_trips(tmp_path, capsys):
     ok &= np.array_equal(cback.codes, codes.codes)
     ok &= np.array_equal(cback.ids, codes.ids)
 
-    codes8 = CodeList(rng.integers(0, 256, (123, 8)).astype(np.uint8))
-    grouped = group_codes(codes8)
-    pqscan.save_grouped(tmp_path / "g.pqg", grouped)
-    gback = pqscan.load_grouped(tmp_path / "g.pqg")
-    ok &= np.array_equal(gback.packed, grouped.packed)
-    ok &= np.array_equal(gback.keys, grouped.keys)
-    ok &= np.array_equal(gback.ids, grouped.ids)
-
     idx = build_ivf(x, K=4, m=4, b=4, cfg=TrainConfig(kmeans_iters=4, seed=3))
     pqscan.save_ivf(tmp_path / "i.ivf", idx)
     iback = pqscan.load_ivf(tmp_path / "i.ivf")

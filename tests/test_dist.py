@@ -12,8 +12,11 @@ from pqscan import TrainConfig
 from pqscan import _dist
 from pqscan._dist import (
     _CHUNK_ENTRIES,
+    _GROUP_MIN_ROWS,
     _ROW_BLOCK_ENTRIES,
     NARROW_K,
+    _partition,
+    centroid_groups,
     nearest,
     nearest_k,
     sqdist_rows,
@@ -22,10 +25,19 @@ from pqscan.quantizer import _cdf_index, _kmeans_seeded, _kmeanspp_init, _mean_u
 
 
 def nearest_oracle(points, centroids):
-    """cdist sqeuclidean + argmin: the assignment nearest must reproduce."""
-    dm = cdist(np.asarray(points, np.float64), np.asarray(centroids, np.float64), "sqeuclidean")
-    idx = np.argmin(dm, axis=1)
-    return idx, dm[np.arange(dm.shape[0]), idx]
+    """cdist sqeuclidean + argmin: the assignment nearest must reproduce.
+    Rows go 256 at a time, so thousands of rows against thousands of
+    centroids stay small."""
+    points = np.asarray(points, np.float64)
+    centroids = np.asarray(centroids, np.float64)
+    idx, dist = [np.empty(0, np.int64)], [np.empty(0)]
+    # cdist itself is quiet about overflow and non-finite input.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, points.shape[0], 256):
+            dm = cdist(points[lo : lo + 256], centroids, "sqeuclidean")
+            idx.append(np.argmin(dm, axis=1))
+            dist.append(dm[np.arange(dm.shape[0]), idx[-1]])
+    return np.concatenate(idx), np.concatenate(dist)
 
 
 def kmeanspp_oracle(points, k, rng):
@@ -81,8 +93,8 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def assert_same_as_oracle(points, centroids):
-    idx = nearest(points, centroids)
+def assert_same_as_oracle(points, centroids, groups=None):
+    idx = nearest(points, centroids, _groups=groups)
     want_idx, want_dist = nearest_oracle(points, centroids)
     assert idx.dtype == np.int64
     np.testing.assert_array_equal(idx, want_idx)
@@ -187,6 +199,143 @@ def test_nearest_is_independent_of_chunking():
         x[[2, step + 3], d // 2] = -np.inf
         assert_same_as_oracle(x, c)
         assert_same_as_oracle(x.astype(np.float32), c)
+
+
+WIDE_ROWS = 3000
+
+
+@pytest.fixture
+def always_grouped(monkeypatch):
+    """Every codebook above NARROW_K is grouped, whatever the row count and
+    whatever share of it the bound keeps; the test sets _PRUNED_SHARE."""
+    monkeypatch.setattr(_dist, "_GROUP_MIN_ROWS", 0)
+    monkeypatch.setattr(_dist, "_PRUNED_SHARE", 1.0)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("share", [1.0, 0.0], ids=["pruned", "scored-in-full"])
+@pytest.mark.parametrize("kind", ["normal", "duplicates", "grid", "ulp", "offset"])
+@pytest.mark.parametrize("scale", [1e-42, 1e-20, 1.0, 1e18, 1e39, 1e150])
+@pytest.mark.parametrize("k,d", [(NARROW_K + 1, 32), (1024, 8), (4096, 2)])
+def test_wide_nearest_matches_cdist_argmin_on_thousands_of_rows(
+    always_grouped, k, d, kind, scale, share
+):
+    # The scales of test_nearest_matches_cdist_argmin: float32 scores at
+    # 1.0, float64 below and above float32's window, and at 1e18 some rows
+    # past the float32 limit, which take the full rerank. "grid" at d = 2
+    # ties each row with about k / 25 centroids. Each chunk either scores
+    # the kept groups' members (share 1) or falls back to every centroid
+    # in group order (share 0).
+    x, c = make_case(kind, WIDE_ROWS, d, k, np.random.default_rng(k + d))
+    x, c = x * scale, c * scale
+    groups = centroid_groups(c, x)
+    assert groups.rep.size > 1
+    always_grouped.setattr(_dist, "_PRUNED_SHARE", share)
+    assert_same_as_oracle(x, c, groups)
+
+
+@pytest.mark.parametrize("n", [1, 63, 700, WIDE_ROWS])
+def test_wide_nearest_with_a_grouping_built_for_other_rows(always_grouped, n):
+    # encode groups each codebook once for all its rows and passes that
+    # grouping to every chunk, whatever the chunk's size.
+    rng = np.random.default_rng(n)
+    c = make_case("duplicates", 1, 8, 1024, rng)[1]
+    groups = centroid_groups(c, rng.normal(size=(500, 8)), rows=10**6)
+    always_grouped.setattr(_dist, "_GROUP_MIN_ROWS", 10**9)
+    x = make_case("duplicates", n, 8, 1024, rng)[0]
+    assert groups.rep.size > 1 and centroid_groups(c, x) is None
+    np.testing.assert_array_equal(nearest(x, c, _groups=groups), nearest_oracle(x, c)[0])
+
+
+@pytest.mark.parametrize("k,d", [(1024, 8), (4096, 3)])
+def test_wide_nearest_non_finite_rows_match_cdist(always_grouped, k, d):
+    # NaN, inf and -inf rows among thousands: their group bounds are not
+    # finite, so they take the full rerank, as cdist's argmin does.
+    rng = np.random.default_rng(k)
+    x, c = make_case("duplicates", WIDE_ROWS, d, k, rng)
+    rows = rng.choice(WIDE_ROWS, 90, replace=False)
+    x[rows[:30], 0] = np.nan
+    x[rows[30:60]] = np.inf
+    x[rows[60:], d // 2] = -np.inf
+    assert_same_as_oracle(x, c)
+    assert_same_as_oracle(x.astype(np.float32), c)
+
+
+def test_wide_nearest_when_all_centroids_are_equal(always_grouped):
+    # One group of radius 0, up to the rounding of its mean: every row ties
+    # over all k centroids and index 0 wins.
+    rng = np.random.default_rng(3)
+    c = np.repeat(rng.normal(size=(1, 8)), 1000, axis=0)
+    x = rng.normal(size=(WIDE_ROWS, 8))
+    x[:10] = c[0]
+    groups = centroid_groups(c, x)
+    assert groups.rep.size == 1 and groups.radius[0] < 1e-12
+    assert_same_as_oracle(x, c)
+
+
+def test_wide_nearest_under_any_partition_of_the_centroids(always_grouped):
+    # nearest stays exact whatever groups it is given: duplicated centroids
+    # split across groups, groups of one, uneven sizes (k = 1000 is no
+    # multiple of the 37 groups), and groups of equal centroids (radius 0).
+    rng = np.random.default_rng(5)
+    k = 1000
+    x, c = make_case("duplicates", WIDE_ROWS, 8, k, rng)
+    c[500:700] = c[:200]
+    x[:300] = c[rng.integers(0, 200, 300)]
+    inner = rng.choice(np.arange(3, k), 34, replace=False)
+    cuts = np.unique(np.concatenate([[0, 1, 2, k], inner]))
+    groups = _partition(c, rng.permutation(k), cuts)
+    assert groups.rep.size == 37 and np.isin(1, np.diff(groups.cuts))
+    np.testing.assert_array_equal(nearest(x, c, _groups=groups), nearest_oracle(x, c)[0])
+    # 40 distinct centroids, 25 copies each, one group per distinct centroid.
+    c = np.repeat(rng.normal(size=(40, 8)), 25, axis=0)[rng.permutation(k)]
+    order = np.argsort(np.unique(c, axis=0, return_inverse=True)[1].ravel(), kind="stable")
+    groups = _partition(c, order, np.arange(0, k + 1, 25))
+    assert groups.radius.max() < 1e-12
+    np.testing.assert_array_equal(nearest(x, c, _groups=groups), nearest_oracle(x, c)[0])
+
+
+def test_centroids_are_grouped_only_where_the_bound_prunes():
+    # Clustered centroids and rows prune; isotropic ones at d = 8 keep
+    # nearly every group, and so are scored in full, as are calls below
+    # _GROUP_MIN_ROWS rows and codebooks of at most NARROW_K centroids.
+    rng = np.random.default_rng(2)
+    centres = rng.normal(0, 10, (16, 8))
+    clustered = centres[rng.integers(0, 16, 2000)] + rng.normal(size=(2000, 8))
+    c, x = clustered[:1024], clustered[1024:]
+    assert centroid_groups(c, x, rows=_GROUP_MIN_ROWS).rep.size > 1
+    assert centroid_groups(c, x, rows=_GROUP_MIN_ROWS - 1) is None
+    assert centroid_groups(c[:NARROW_K], x, rows=_GROUP_MIN_ROWS) is None
+    iso = rng.normal(size=(2000, 8))
+    assert centroid_groups(iso[:1024], iso[1024:], rows=_GROUP_MIN_ROWS) is None
+    bad = c.copy()
+    bad[5, 0] = np.inf
+    assert centroid_groups(bad, x, rows=_GROUP_MIN_ROWS) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scale=st.sampled_from([1e-150, 1e-42, 1.0, 1e18, 1e150]),
+    d=st.sampled_from([1, 3, 8, 32]),
+    groups=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_radius_bounds_every_member(scale, d, groups, seed):
+    # The bound needs R_g >= ||c - centre_g|| exactly for every member c;
+    # extended precision checks the float64 radius. The representative is
+    # a member of its group.
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(300, d)) * scale
+    c[rng.integers(0, 300, 50)] = c[rng.integers(0, 300, 50)]
+    cuts = np.unique(np.concatenate([[0, 300], rng.integers(1, 300, groups - 1)]))
+    part = _partition(c, rng.permutation(300), cuts)
+    group = np.repeat(np.arange(cuts.size - 1), np.diff(cuts))
+    diff = c[part.order].astype(np.longdouble) - part.centre[group].astype(np.longdouble)
+    exact = np.sqrt((diff * diff).sum(axis=1))
+    assert np.all(exact <= part.radius[group])
+    member_group = np.empty(300, np.int64)
+    member_group[part.order] = group
+    np.testing.assert_array_equal(member_group[part.rep], np.arange(cuts.size - 1))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])

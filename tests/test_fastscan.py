@@ -11,13 +11,11 @@ from pqscan import (
     encode,
     fast_scan,
     group_codes,
-    load_grouped,
     optimize_centroid_assignment,
     qadc_scan,
     quantized_distances,
     relabel_codes,
     same_size_kmeans,
-    save_grouped,
     scan,
     quantize,
     quantize_tables,
@@ -199,19 +197,14 @@ def test_group_codes_single_group():
     np.testing.assert_array_equal(g.keys[0], [3, 1, 2, 0])
 
 
-def test_group_codes_empty(tmp_path, pq88, queries):
-    # No codes, no groups: the directory is empty, PQG1 holds only its
-    # 12-byte header, and a fast scan finds nothing.
+def test_group_codes_empty(pq88, queries):
+    # No codes, no groups: the directory is empty and a fast scan finds
+    # nothing.
     g = group_codes(CodeList(np.zeros((0, 8), np.uint8)))
     assert (g.n, g.n_groups) == (0, 0)
     assert g.keys.shape == (0, 4) and g.offsets.shape == g.counts.shape == (0,)
-    path = tmp_path / "empty.pqg"
-    save_grouped(path, g)
-    assert path.read_bytes() == b"PQG1" + bytes(8)
-    back = load_grouped(path)
-    assert (back.n, back.n_groups) == (0, 0)
-    assert back.packed.shape == (0, 6) and back.ids.shape == (0,)
-    got, stats = fast_scan(back, compute_tables(pq88, queries[0]), 0.5, 10)
+    assert g.packed.shape == (0, 6) and g.ids.shape == (0,)
+    got, stats = fast_scan(g, compute_tables(pq88, queries[0]), 0.5, 10)
     assert got.items() == []
     assert (stats.total, stats.checked, stats.pruned) == (0, 0, 0)
 
@@ -344,15 +337,3 @@ def test_fast_scan_small_groups_still_exact(pq88, blob_data, queries):
     tables = compute_tables(pq88, queries[0])
     got, _ = fast_scan(g, tables, 0.5, 5)
     assert got.items() == scan(codelist, tables, 5).items()
-
-
-def test_grouped_file_round_trip(tmp_path, codes88):
-    g = group_codes(codes88)
-    path = tmp_path / "g.pqg"
-    save_grouped(path, g)
-    back = load_grouped(path)
-    np.testing.assert_array_equal(back.keys, g.keys)
-    np.testing.assert_array_equal(back.offsets, g.offsets)
-    np.testing.assert_array_equal(back.counts, g.counts)
-    np.testing.assert_array_equal(back.packed, g.packed)
-    np.testing.assert_array_equal(back.ids, g.ids)

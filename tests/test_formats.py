@@ -1,5 +1,5 @@
-"""PQL1 code lists, PQZ1 quantizers, PQG1 grouped codes and IVF1 indexes:
-byte layout and rejection of malformed headers before any array is read."""
+"""PQL1 code lists, PQZ1 quantizers and IVF1 indexes: byte layout and
+rejection of malformed headers before any array is read."""
 
 import io
 import struct
@@ -15,21 +15,17 @@ from pqscan import (
     FormatError,
     IvfIndex,
     ProductQuantizer,
-    group_codes,
     load_codes,
     load_derived,
-    load_grouped,
     load_ivf,
     load_quantizer,
     load_quantizer_any,
     save_codes,
     save_derived,
-    save_grouped,
     save_ivf,
     save_quantizer,
 )
 from pqscan.cli import main
-from pqscan.fastscan import read_grouped_body, write_grouped_body
 from pqscan.scan import read_codes_body, write_codes_body
 
 from conftest import pack
@@ -225,47 +221,8 @@ def test_derived_quantizer_reader_rejects_bad_extensions(tmp_path, raw):
         load_derived(path)
 
 
-def grouped_bytes():
-    """PQG1 bytes of three codes that share one group, key (0, 0, 0, 0)."""
-    comps = np.array([[1, 2, 3, 4, 50, 60, 70, 80]] * 3, dtype=np.uint8)
-    out = io.BytesIO()
-    write_grouped_body(out, group_codes(CodeList(comps)))
-    return out.getvalue()
-
-
 def patched(raw, offset, value):
     return raw[:offset] + value + raw[offset + len(value) :]
-
-
-# PQG1: magic, n at byte 4, g at byte 8, then g directory entries of
-# key (4 bytes), offset (int64) and count (int64) from byte 12.
-@pytest.mark.parametrize(
-    "change",
-    [
-        (4, struct.pack("<i", -1)),  # negative code count
-        (8, struct.pack("<i", -3)),  # negative group count
-        (8, struct.pack("<i", 10**9)),  # directory larger than the file
-        (4, struct.pack("<i", 10**6)),  # body larger than the file
-        (12, b"\x10"),  # key nibble 16
-        (16, struct.pack("<q", 1)),  # offset not the prefix sum of counts
-        (24, struct.pack("<q", 2)),  # counts do not cover n
-    ],
-    ids=["n<0", "g<0", "huge-g", "huge-n", "key-16", "offset", "count"],
-)
-def test_grouped_reader_rejects_bad_headers(tmp_path, change):
-    raw = grouped_bytes()
-    assert read_grouped_body(io.BytesIO(raw)).n == 3
-    path = tmp_path / "g.pqg"
-    path.write_bytes(patched(raw, *change))
-    with pytest.raises(FormatError):
-        load_grouped(path)
-
-
-def test_grouped_reader_checks_size_before_reading(tmp_path):
-    path = tmp_path / "g.pqg"
-    path.write_bytes(patched(grouped_bytes(), 8, struct.pack("<i", 10**9)))
-    with pytest.raises(FormatError, match="truncated grouped codes"):
-        load_grouped(path)
 
 
 def ivf_bytes(tmp_path):
@@ -297,14 +254,8 @@ def test_index_reader_rejects_bad_headers(tmp_path, mutate):
         load_ivf(path)
 
 
-# Written by the commit before ids were held as int32 in memory: PQG1 of
-# three codes in two groups with ids 5, 7 and 2^31 + 1, and IVF1 of two cells
-# over the 2x2 quantizer above with ids 4, 9 and 3.
-OLD_GROUPED = bytes.fromhex(
-    "505147310300000002000000000000000000000000000000020000000000000001000000"
-    "020000000000000001000000000000001234323c4650123509090909123405060708050000"
-    "000000000007000000000000000100008000000000"
-)
+# Written by the commit before ids were held as int32 in memory: IVF1 of
+# two cells over the 2x2 quantizer above with ids 4, 9 and 3.
 OLD_IVF = bytes.fromhex(
     "49564631020000000000000050515a3102000000020000000200000000000000000000000000"
     "803f0000004000004040000080400000a0400000c0400000e0400000003f0000c03f00002040"
@@ -313,13 +264,7 @@ OLD_IVF = bytes.fromhex(
 )
 
 
-def test_old_grouped_and_index_files_load_and_rewrite_identically(tmp_path):
-    (tmp_path / "old.pqg").write_bytes(OLD_GROUPED)
-    grouped = load_grouped(tmp_path / "old.pqg")
-    np.testing.assert_array_equal(grouped.ids, [5, 7, 2**31 + 1])
-    assert grouped.ids.dtype == np.int64 and grouped.counts.dtype == np.int32
-    save_grouped(tmp_path / "new.pqg", grouped)
-    assert (tmp_path / "new.pqg").read_bytes() == OLD_GROUPED
+def test_old_index_files_load_and_rewrite_identically(tmp_path):
     (tmp_path / "old.ivf").write_bytes(OLD_IVF)
     index = load_ivf(tmp_path / "old.ivf")
     assert [lst.ids.tolist() for lst in index.lists] == [[4, 9], [3]]
@@ -334,9 +279,8 @@ def test_old_grouped_and_index_files_load_and_rewrite_identically(tmp_path):
         (OLD_PLAIN, load_quantizer),
         (OLD_DERIVED, load_derived),
         (bytes.fromhex(OLD_FILES[0][4]), load_codes),
-        (OLD_GROUPED, load_grouped),
     ],
-    ids=["quantizer", "derived", "codes", "grouped"],
+    ids=["quantizer", "derived", "codes"],
 )
 def test_loaders_reject_a_stray_byte(tmp_path, raw, load):
     path = tmp_path / "f.bin"
@@ -366,21 +310,11 @@ def _fields_pql1(raw, p):
     return [(p + 4 * i, 4) for i in range(1, 5)]
 
 
-def _fields_pqg1(raw, p):
-    g = struct.unpack_from("<i", raw, p + 8)[0]
-    fields = [(p + 4, 4), (p + 8, 4)]
-    for i in range(g):
-        e = p + 12 + 20 * i
-        fields += [(e, 4), (e + 4, 8), (e + 12, 8)]
-    return fields
-
-
 def _fields_ivf1(raw, p):
     return [(p + 4, 4), (p + 8, 4)]
 
 
-HEADERS = {b"PQZ1": _fields_pqz1, b"PQL1": _fields_pql1, b"PQG1": _fields_pqg1,
-           b"IVF1": _fields_ivf1}
+HEADERS = {b"PQZ1": _fields_pqz1, b"PQL1": _fields_pql1, b"IVF1": _fields_ivf1}
 
 
 def header_fields(raw):
@@ -447,14 +381,13 @@ def sample_files(tmp):
                          save_quantizer_any),
         "pql1-big-ids": (written(save_code_file, big_ids, tmp), load_codes, save_code_file),
         "pql1-b10": (written(save_code_file, b10, tmp), load_codes, save_code_file),
-        "pqg1-big-ids": (OLD_GROUPED, load_grouped, save_grouped),
         "ivf1": (OLD_IVF, load_ivf, save_ivf),
         "ivf1-derived-big-ids": (written(save_ivf, derived_index, tmp), load_ivf, save_ivf),
     }
 
 
-SAMPLES = ["pqz1-rotation", "pqz1-derived", "pql1-big-ids", "pql1-b10", "pqg1-big-ids",
-           "ivf1", "ivf1-derived-big-ids"]
+SAMPLES = ["pqz1-rotation", "pqz1-derived", "pql1-big-ids", "pql1-b10", "ivf1",
+           "ivf1-derived-big-ids"]
 
 
 @pytest.mark.parametrize("name", SAMPLES)

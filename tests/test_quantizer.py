@@ -19,6 +19,7 @@ from pqscan import (
     train_pq,
 )
 
+from pqscan._dist import _GROUP_MIN_ROWS, centroid_groups
 from pqscan.quantizer import ENCODE_ROWS, _mean_update
 
 from conftest import adc_distance, unpack
@@ -158,6 +159,29 @@ def test_encode_in_row_chunks_equals_per_row(blob_data, m, b, opq):
     got = encode(pq, x)
     assert got.shape == (x.shape[0], pq.code_width) and got.dtype == pq.code_dtype
     np.testing.assert_array_equal(got, np.stack([encode(pq, row) for row in x]))
+
+
+@pytest.mark.parametrize("b", [10, 12])
+def test_wide_codebook_codes_are_the_per_subspace_cdist_argmin(b):
+    # Codebooks of 2^10 and 2^12 clustered centroids, encoded in three row
+    # chunks: encode groups each codebook once and every chunk's nearest
+    # call scores only the groups the bound keeps. Some centroids repeat
+    # and some rows sit on one, so ties go to the lower index.
+    rng = np.random.default_rng(b)
+    m, d = 2, 16
+    books = rng.normal(size=(m, 16, 1 << b, d // m)).astype(np.float32)
+    books = books[:, :, 0].repeat(1 << (b - 4), axis=1) * 3 + books[:, 0]
+    books[:, 1::7] = books[:, : books[:, 1::7].shape[1]]
+    pq = ProductQuantizer(m=m, b=b, d=d, codebooks=books)
+    n = _GROUP_MIN_ROWS + ENCODE_ROWS // 2
+    x = decode(pq, rng.integers(0, 1 << b, (n, m)).astype(np.uint16))
+    x[200:] += rng.normal(0, 0.3, x[200:].shape).astype(np.float32)
+    codes = encode(pq, x)
+    assert codes.dtype == np.uint16
+    for j in range(m):
+        sub = x[:, j * pq.dsub : (j + 1) * pq.dsub]
+        assert centroid_groups(books[j], sub) is not None
+        np.testing.assert_array_equal(codes[:, j], nearest_oracle(sub, books[j])[0])
 
 
 def test_decode_encode_of_centroid_concat(pq44):
