@@ -130,8 +130,12 @@ up to 512 evenly spaced rows, keeps more than ``_PRUNED_SHARE`` (1/4) of
 the centroids on average; isotropic codebooks of d >= 8 keep nearly all.
 A chunk whose bound keeps more than that share is also scored row-major,
 and one that would score more than ``_WIDE_CHUNK_ENTRIES`` (2^21) is
-halved. ``encode`` groups each codebook once for all its rows; other
-callers are grouped inside ``nearest``. Measured on rows and centroids of
+halved. ``encode`` groups each codebook once for all its rows. A k-means
+run (``quantizer._Shares``) groups its codebook at its first assignment,
+for the rows of all its Lloyd steps, and ``moved_groups`` keeps that
+grouping valid at each later step: the centres stay, and each radius
+grows by its members' largest move since, widened and rounded up as R_g
+is. Other callers are grouped inside ``nearest``. Measured on rows and centroids of
 ``generate_synthetic`` (16 clusters), 2-vCPU x86-64, OpenBLAS 1 thread, us
 per row, minimum of 5 runs (1 at k = 65,536), grouping given:
 
@@ -338,6 +342,24 @@ def centroid_groups(
     return groups
 
 
+def moved_groups(groups: CentroidGroups, old: np.ndarray, new: np.ndarray) -> CentroidGroups:
+    """The grouping of centroids ``old``, made valid for ``new``, the same
+    centroids moved: each radius grows by its members' largest move. The
+    centres stay, and each representative is its member at its new place."""
+    move = np.maximum.reduceat(sqdist_rows(new, old)[groups.order], groups.cuts[:-1])
+    radius = np.nextafter(groups.radius + _root_up(move, old.shape[1]), np.inf)
+    return groups._replace(radius=radius)
+
+
+def _root_up(sq: np.ndarray, d: int) -> np.ndarray:
+    """At least the exact root of each float64 ``sqdist_rows`` value sq of
+    dimension d: such a sum of d rounded squares is within gamma_(d+2) of
+    its value (terms below tiny off by tiny each), so widen, then round the
+    root up."""
+    eps, tiny = _ROUNDING[np.float64]
+    return np.nextafter(np.sqrt(sq * (1.0 + 2.0 * (d + 4) * eps) + (d + 1) * tiny), np.inf)
+
+
 def _means(c: np.ndarray, order: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """The mean of each group ``order[cuts[g]:cuts[g + 1]]`` of c."""
     return np.add.reduceat(c[order], cuts[:-1], axis=0) / np.diff(cuts)[:, None]
@@ -346,15 +368,10 @@ def _means(c: np.ndarray, order: np.ndarray, cuts: np.ndarray) -> np.ndarray:
 def _partition(c: np.ndarray, order: np.ndarray, cuts: np.ndarray) -> CentroidGroups:
     """The groups ``order[cuts[g]:cuts[g + 1]]`` of c, each with its
     members' mean as centre, a radius rounded up and a representative."""
-    d = c.shape[1]
     centre = _means(c, order, cuts)
     group = np.repeat(np.arange(cuts.size - 1), np.diff(cuts))
     dist = sqdist_rows(c[order], centre[group])
-    # A computed sum of d rounded squares is within gamma_(d+2) of its value
-    # (terms below tiny off by tiny each): widen, then round the root up.
-    eps, tiny = _ROUNDING[np.float64]
-    r2 = np.maximum.reduceat(dist, cuts[:-1]) * (1.0 + 2.0 * (d + 4) * eps) + (d + 1) * tiny
-    radius = np.nextafter(np.sqrt(r2), np.inf)
+    radius = _root_up(np.maximum.reduceat(dist, cuts[:-1]), c.shape[1])
     # The member nearest its centre, the lowest index among ties.
     rep = order[np.lexsort((order, dist, group))[cuts[:-1]]]
     return CentroidGroups(order, cuts, centre, radius, rep)

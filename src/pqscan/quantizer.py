@@ -27,6 +27,7 @@ from ._dist import (
     NARROW_K,
     SAFE_SCALE32,
     centroid_groups,
+    moved_groups,
     nearest,
     shortlist_slack,
     sqdist_matrix,
@@ -228,6 +229,8 @@ class _Shares:
         self.mu = points.mean(axis=0)
         self.closest = shared_array(n, np.float64)
         self.owner = shared_array(n, np.int64)
+        self.rows_assigned = n * iters
+        self.groups = None  # (grouping or None, the centroids it was built for)
         self._rows: dict[int, _ShareRows] = {}  # by share start, where it runs
         self.team = Team(self._work, n, split_cost(n, k, d, iters))
 
@@ -242,8 +245,18 @@ class _Shares:
         return self.team.map((step, args))
 
     def nearest(self, centroids: np.ndarray) -> np.ndarray:
-        """``nearest(points, centroids)``."""
-        return np.concatenate(self.run("assign", centroids))
+        """``nearest(points, centroids)``.
+
+        A wide codebook is grouped at the run's first call, for the rows of
+        all its Lloyd steps (``_dist.centroid_groups``); later calls widen
+        each group's radius by how far its members have moved since.
+        """
+        if self.groups is None:
+            built = centroid_groups(centroids, self.points, self.rows_assigned)
+            self.groups = (built, centroids.copy())
+        built, at = self.groups
+        groups = None if built is None else moved_groups(built, at, centroids)
+        return np.concatenate(self.run("assign", centroids, groups))
 
     def _work(self, share: range, msg) -> object:
         rows = self._rows.get(share.start)
@@ -299,8 +312,8 @@ class _ShareRows:
         self.closest[drop] = new[won]
         self.owner[drop] = c
 
-    def assign(self, centroids: np.ndarray) -> np.ndarray:
-        return nearest(self.x, centroids, _shifted=self.shifted)
+    def assign(self, centroids: np.ndarray, groups) -> np.ndarray:
+        return nearest(self.x, centroids, _shifted=self.shifted, _groups=groups)
 
 
 def _kmeanspp_init(

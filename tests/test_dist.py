@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 from pqscan import TrainConfig
-from pqscan import _dist
+from pqscan import _dist, quantizer
 from pqscan._dist import (
     _CHUNK_ENTRIES,
     _GROUP_MIN_ROWS,
@@ -17,6 +17,7 @@ from pqscan._dist import (
     NARROW_K,
     _partition,
     centroid_groups,
+    moved_groups,
     nearest,
     nearest_k,
     sqdist_rows,
@@ -330,12 +331,19 @@ def test_group_radius_bounds_every_member(scale, d, groups, seed):
     cuts = np.unique(np.concatenate([[0, 300], rng.integers(1, 300, groups - 1)]))
     part = _partition(c, rng.permutation(300), cuts)
     group = np.repeat(np.arange(cuts.size - 1), np.diff(cuts))
-    diff = c[part.order].astype(np.longdouble) - part.centre[group].astype(np.longdouble)
-    exact = np.sqrt((diff * diff).sum(axis=1))
-    assert np.all(exact <= part.radius[group])
+
+    def assert_radii_hold(groups, cents):
+        diff = cents[groups.order].astype(np.longdouble) - groups.centre[group]
+        exact = np.sqrt((diff * diff).sum(axis=1))
+        assert np.all(exact <= groups.radius[group])
+
+    assert_radii_hold(part, c)
     member_group = np.empty(300, np.int64)
     member_group[part.order] = group
     np.testing.assert_array_equal(member_group[part.rep], np.arange(cuts.size - 1))
+    # The same centroids after a Lloyd step: the centres stay, the radii grow.
+    moved = c + rng.normal(size=c.shape) * scale * rng.choice([0.0, 1e-9, 0.1], size=(300, 1))
+    assert_radii_hold(moved_groups(part, c, moved), moved)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
@@ -468,6 +476,40 @@ def test_kmeans_seeded_matches_cdist_lloyd(kind, n, d, k, seed):
     want = kmeans_seeded_oracle(points, k, cfg.kmeans_iters, np.random.SeedSequence(seed))
     assert got.dtype == np.float32
     np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n,d,k,iters", [(3000, 4, 512, 6), (2100, 2, 300, 8)])
+def test_kmeans_seeded_on_wide_codebooks_matches_cdist_lloyd(monkeypatch, seed, n, d, k, iters):
+    # Enough Lloyd steps over clustered points that the run groups its
+    # codebook once and each later step prunes with radii grown by how far
+    # the centroids moved. Some points repeat, so assignments tie.
+    rng = np.random.default_rng(seed)
+    points = rng.normal(0, 20, (24, d))[rng.integers(0, 24, n)] + rng.normal(size=(n, d))
+    points[: n // 10] = points[n // 10 : 2 * (n // 10)]
+    assert n * iters >= _GROUP_MIN_ROWS
+    moves = []
+    monkeypatch.setattr(quantizer, "moved_groups", lambda *a: moves.append(1) or moved_groups(*a))
+    cfg = TrainConfig(kmeans_iters=iters, seed=seed)
+    got = _kmeans_seeded(points, k, cfg, np.random.SeedSequence(seed))
+    want = kmeans_seeded_oracle(points, k, cfg.kmeans_iters, np.random.SeedSequence(seed))
+    assert moves
+    np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+
+def test_kmeans_grouping_follows_centroids_moved_in_place():
+    # The empty-cluster repair moves centroids in place between Lloyd
+    # steps; the grouping a run keeps must see those moves too.
+    rng = np.random.default_rng(9)
+    points = rng.normal(0, 20, (24, 2))[rng.integers(0, 24, 3000)] + rng.normal(size=(3000, 2))
+    centroids = points[rng.choice(3000, 512, replace=False)].copy()
+    with quantizer._Shares(points, 512, 8) as shares:
+        for step in range(2):
+            if step:
+                centroids[::4] = points[rng.choice(3000, 128, replace=False)]
+            want = nearest_oracle(points, centroids)[0]
+            np.testing.assert_array_equal(shares.nearest(centroids), want)
+            assert shares.groups[0] is not None
 
 
 @pytest.mark.parametrize("kind", ["normal", "duplicates", "grid", "offset"])
