@@ -324,7 +324,7 @@ def centroid_groups(
     rows = len(points) if rows is None else rows
     if k <= NARROW_K or rows < _GROUP_MIN_ROWS or not np.isfinite(c).all():
         return None
-    count = min(NARROW_K, round(_GROUPS_PER_ROOT * np.sqrt(k)))
+    count = min(NARROW_K, round(_GROUPS_PER_ROOT * k**0.5))
     centre = c[np.linspace(0, k - 1, count).astype(np.int64)]
     for _ in range(_GROUP_STEPS):
         owner = nearest(c, centre)
