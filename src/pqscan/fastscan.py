@@ -1,11 +1,13 @@
-"""Grouped 8x8 codes and the fast scan over them.
+"""The 8x8 fast scan and the grouped layout it reads.
 
-PQ Fast Scan (André, Kermarrec & Le Scouarnec, VLDB 2015) stores 8x8 codes
-grouped by the high nibbles of their first four components and packed to 6
-bytes. Its scan is the one exact pruned kernel of ``quickadc``, which reads
-8x8 codes as four 16-bit words: ``fast_scan`` rebuilds the (n, 8) codes of a
-grouped database and makes one ``qadc_scan`` call, so its results equal the
-plain scan's.
+PQ Fast Scan (André, Kermarrec & Le Scouarnec, VLDB 2015) groups 8x8 codes
+by the high nibbles of their first four components, which saves 2 bytes per
+code once groups are large. At 100,000 codes the directory of about 43,800
+groups costs more than it saves, so ``group_codes`` keeps the paper's layout
+with zero key nibbles: one group over the stored (n, 8) codes and ids,
+shared rather than copied. ``fast_scan`` makes one ``qadc_scan`` call over
+those codes, read as four 16-bit words, so its results equal the plain
+scan's.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .scan import (
     # Not called here; the benchmark's tracer patches this name.
     scan_distances,  # noqa: F401
 )
-
-GROUP_NIBBLES = 4
-PACKED_BYTES = 6
 
 
 def assignment_permutation(
@@ -78,12 +77,12 @@ def relabel_codes(codes: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GroupedDatabase:
-    """Codes bucketed by the high nibbles of components 0-3.
+    """8x8 codes as the paper's grouped layout with zero key nibbles.
 
-    keys (G, 4) uint8 ascending; offsets/counts (G,) index into the packed
-    rows; packed (n, 6) uint8 holds the low nibbles of components 0-3 in two
-    bytes plus components 4-7 verbatim; ids (n,). offsets, counts and ids
-    are int32 when their values fit, else int64 (``_binio.index_array``).
+    keys (G, 0) uint8; offsets/counts (G,) index into the packed rows, one
+    group over every row (none when there are no rows); packed (n, 8) uint8
+    holds the stored codes; ids (n,). offsets, counts and ids are int32 when
+    their values fit, else int64 (``_binio.index_array``).
     """
 
     keys: np.ndarray
@@ -99,17 +98,11 @@ class GroupedDatabase:
         self.packed = np.ascontiguousarray(self.packed, dtype=np.uint8)
         self.ids = _binio.index_array(self.ids)
         g = self.keys.shape[0]
-        if self.keys.ndim != 2 or self.keys.shape[1] != GROUP_NIBBLES:
-            raise ValueError("keys must have shape (G, 4)")
-        if np.any(self.keys >= 16):
-            raise ValueError("group key nibbles must be < 16")
-        if self.offsets.shape != (g,) or self.counts.shape != (g,):
-            raise ValueError("directory arrays must match key count")
+        if self.keys.shape != (g, 0) or self.offsets.shape != (g,) or self.counts.shape != (g,):
+            raise ValueError("directory must be (G, 0) keys, (G,) offsets and counts")
         n = self.packed.shape[0]
-        if self.packed.ndim != 2 or self.packed.shape[1] != PACKED_BYTES:
-            raise ValueError("packed codes must have shape (n, 6)")
-        if self.ids.shape != (n,):
-            raise ValueError("ids length must match packed codes")
+        if self.packed.shape != (n, 8) or self.ids.shape != (n,):
+            raise ValueError("packed codes must have shape (n, 8), ids (n,)")
         if int(self.counts.sum()) != n:
             raise ValueError("group counts do not cover the code rows")
         expected = np.cumsum(self.counts) - self.counts
@@ -125,36 +118,20 @@ class GroupedDatabase:
         return self.keys.shape[0]
 
     def reconstruct_codes(self) -> np.ndarray:
-        """The original (n, 8) uint8 codes, in grouped storage order."""
-        highs = np.repeat(self.keys, self.counts, axis=0)
-        codes = np.empty((self.n, 8), dtype=np.uint8)
-        codes[:, 0] = (highs[:, 0] << 4) | (self.packed[:, 0] >> 4)
-        codes[:, 1] = (highs[:, 1] << 4) | (self.packed[:, 0] & 0x0F)
-        codes[:, 2] = (highs[:, 2] << 4) | (self.packed[:, 1] >> 4)
-        codes[:, 3] = (highs[:, 3] << 4) | (self.packed[:, 1] & 0x0F)
-        codes[:, 4:8] = self.packed[:, 2:6]
-        return codes
+        """The (n, 8) uint8 codes: the stored array itself."""
+        return self.packed
 
 
 def group_codes(codelist: CodeList) -> GroupedDatabase:
-    """Bucket codes by high nibbles of components 0-3, keys ascending,
-    original order preserved within each group."""
+    """The stored codes and ids as they are, shared rather than copied, in
+    one group (none for an empty list)."""
     codes = codelist.codes
     if codes.shape[1] != 8 or codes.dtype != np.dtype(np.uint8):
         raise ValueError("grouping requires 8-component uint8 codes (m=8, b=8)")
-    highs = (codes[:, :GROUP_NIBBLES] >> 4).astype(np.uint32)
-    key_val = (highs[:, 0] << 12) | (highs[:, 1] << 8) | (highs[:, 2] << 4) | highs[:, 3]
-    order = np.argsort(key_val, kind="stable")
-    sorted_vals = key_val[order]
-    uniq, counts = np.unique(sorted_vals, return_counts=True)
-    keys = ((uniq[:, None] >> np.array([12, 8, 4, 0])) & 0xF).astype(np.uint8)
-    offsets = np.cumsum(counts) - counts  # exclusive prefix sum, empty for no groups
-    sorted_codes = codes[order]
-    packed = np.empty((codes.shape[0], PACKED_BYTES), dtype=np.uint8)
-    packed[:, 0] = ((sorted_codes[:, 0] & 0x0F) << 4) | (sorted_codes[:, 1] & 0x0F)
-    packed[:, 1] = ((sorted_codes[:, 2] & 0x0F) << 4) | (sorted_codes[:, 3] & 0x0F)
-    packed[:, 2:6] = sorted_codes[:, 4:8]
-    return GroupedDatabase(keys, offsets, counts, packed, codelist.ids[order])
+    groups = 1 if codelist.n else 0
+    return GroupedDatabase(
+        np.zeros((groups, 0), np.uint8), [0] * groups, [codelist.n] * groups, codes, codelist.ids
+    )
 
 
 def fast_scan(
@@ -163,7 +140,7 @@ def fast_scan(
     init: float,
     r: int,
 ) -> tuple[NeighborSet, ScanStats]:
-    """The baseline scan's neighbor set, from ``qadc_scan`` over the grouped
+    """The baseline scan's neighbor set, from ``qadc_scan`` over the stored
     codes. init, the paper's prefix fraction, is only range-checked: the
     prefix is the first r codes. It goes when fast scan does."""
     if tables.m != 8 or tables.k != 256:

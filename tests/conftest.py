@@ -70,31 +70,6 @@ def qadc_block(block, qt):
     return acc
 
 
-# -- the paper's per-group form of fast scan, one code at a time --------------
-
-
-def pack_code(code):
-    """6-byte packed form of one 8-component code (group key dropped): the
-    low nibbles of components 0-3 in two bytes, components 4-7 verbatim."""
-    code = np.asarray(code, dtype=np.uint8)
-    out = np.empty(6, dtype=np.uint8)
-    out[0] = ((code[0] & 0x0F) << 4) | (code[1] & 0x0F)
-    out[1] = ((code[2] & 0x0F) << 4) | (code[3] & 0x0F)
-    out[2:6] = code[4:8]
-    return out
-
-
-def group_key(code):
-    """High nibbles of components 0-3."""
-    code = np.asarray(code, dtype=np.uint8)
-    return tuple(int(code[j]) >> 4 for j in range(4))
-
-
-def ungroup(grouped):
-    """A grouped database's codes and ids, in grouped storage order."""
-    return CodeList(grouped.reconstruct_codes(), grouped.ids)
-
-
 # -- the bound pass of qadc_scan, one component at a time ---------------------
 
 

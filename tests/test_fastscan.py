@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pqscan import (
     CodeList,
+    GroupedDatabase,
     LookupTables,
     assignment_permutation,
     compute_tables,
@@ -23,27 +24,9 @@ from pqscan import (
 )
 from pqscan.quickadc import _bound_tables
 
-from conftest import (
-    BINS,
-    floor_sum_bounds,
-    group_key,
-    pack_code,
-    quantized,
-    ungroup,
-)
+from conftest import BINS, floor_sum_bounds, quantized
 
 CODE_BYTES = np.array([0x3F, 0x11, 0x21, 0x00, 0xAB, 0xCD, 0xEF, 0x07], dtype=np.uint8)
-
-
-def unpack_code(packed):
-    """Inverse of pack_code, written independently."""
-    out = np.empty(8, dtype=np.uint8)
-    out[0] = packed[0] >> 4
-    out[1] = packed[0] & 0x0F
-    out[2] = packed[1] >> 4
-    out[3] = packed[1] & 0x0F
-    out[4:8] = packed[2:6]
-    return out
 
 
 def small_instance(seed, n=400):
@@ -163,38 +146,26 @@ def test_relabel_codes_round_trips_decode(pq88, blob_data):
     )
 
 
-# -- grouping and packing ----------------------------------------------------
+# -- the one-group layout ----------------------------------------------------
 
 
-def test_group_key_paper_example():
-    assert group_key(CODE_BYTES) == (3, 1, 2, 0)
+def test_group_codes_shares_the_stored_codes(codes88):
+    # No copy and no reorder: the stored codes and ids, in their order.
+    g = group_codes(codes88)
+    assert g.packed is codes88.codes and g.ids is codes88.ids
+    assert g.reconstruct_codes() is g.packed
+    permuted = CodeList(codes88.codes[::-1], np.arange(codes88.n)[::-1] + 5)
+    g = group_codes(permuted)
+    assert np.shares_memory(g.packed, permuted.codes)
+    np.testing.assert_array_equal(g.reconstruct_codes(), permuted.codes)
+    np.testing.assert_array_equal(g.ids, permuted.ids)
 
 
-def test_pack_code_layout():
-    packed = pack_code(CODE_BYTES)
-    assert packed.shape == (6,)
-    assert packed[0] == 0xF1  # low nibbles of 0x3f, 0x11
-    assert packed[1] == 0x10  # low nibbles of 0x21, 0x00
-    np.testing.assert_array_equal(packed[2:6], CODE_BYTES[4:8])
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_pack_unpack_low_nibbles(seed):
-    rng = np.random.default_rng(seed)
-    code = rng.integers(0, 256, 8).astype(np.uint8)
-    packed = pack_code(code)
-    back = unpack_code(packed)
-    np.testing.assert_array_equal(back[:4], code[:4] & 0x0F)
-    np.testing.assert_array_equal(back[4:], code[4:])
-
-
-def test_group_codes_single_group():
-    codes = np.tile(CODE_BYTES, (7, 1))
-    g = group_codes(CodeList(codes))
-    assert g.n_groups == 1
-    assert g.counts[0] == 7
-    np.testing.assert_array_equal(g.keys[0], [3, 1, 2, 0])
+def test_group_codes_one_group(codes88):
+    g = group_codes(codes88)
+    assert (g.n, g.n_groups) == (codes88.n, 1)
+    assert g.keys.shape == (1, 0) and g.keys.dtype == np.uint8
+    assert g.offsets.tolist() == [0] and g.counts.tolist() == [codes88.n]
 
 
 def test_group_codes_empty(pq88, queries):
@@ -202,28 +173,21 @@ def test_group_codes_empty(pq88, queries):
     # nothing.
     g = group_codes(CodeList(np.zeros((0, 8), np.uint8)))
     assert (g.n, g.n_groups) == (0, 0)
-    assert g.keys.shape == (0, 4) and g.offsets.shape == g.counts.shape == (0,)
-    assert g.packed.shape == (0, 6) and g.ids.shape == (0,)
+    assert g.keys.shape == (0, 0) and g.offsets.shape == g.counts.shape == (0,)
+    assert g.packed.shape == (0, 8) and g.ids.shape == (0,)
     got, stats = fast_scan(g, compute_tables(pq88, queries[0]), 0.5, 10)
     assert got.items() == []
     assert (stats.total, stats.checked, stats.pruned) == (0, 0, 0)
 
 
-def test_group_codes_multiset_round_trip(codes88):
+def test_grouped_database_rejects_a_bad_directory(codes88):
     g = group_codes(codes88)
-    back = ungroup(g)
-    order = np.argsort(back.ids)
-    np.testing.assert_array_equal(back.codes[order], codes88.codes)
-    np.testing.assert_array_equal(back.ids[order], codes88.ids)
-    # keys ascending and counts consistent
-    assert g.counts.sum() == codes88.n
-    merged = (
-        (g.keys[:, 0].astype(np.int64) << 12)
-        | (g.keys[:, 1].astype(np.int64) << 8)
-        | (g.keys[:, 2].astype(np.int64) << 4)
-        | g.keys[:, 3].astype(np.int64)
-    )
-    assert (np.diff(merged) > 0).all()
+    with pytest.raises(ValueError, match="directory"):
+        GroupedDatabase(np.zeros((1, 4), np.uint8), g.offsets, g.counts, g.packed, g.ids)
+    with pytest.raises(ValueError, match="cover"):
+        GroupedDatabase(g.keys, g.offsets, g.counts - 1, g.packed, g.ids)
+    with pytest.raises(ValueError, match=r"\(n, 8\)"):
+        GroupedDatabase(g.keys, g.offsets, g.counts, g.packed[:, :6], g.ids)
 
 
 # -- the 8-bit bound pass ----------------------------------------------------
@@ -330,7 +294,7 @@ def test_fast_scan_edges(seed, n, distinct, density, data):
 
 
 def test_fast_scan_small_groups_still_exact(pq88, blob_data, queries):
-    # groups far below 50 codes: correctness must hold regardless
+    # one group far below 50 codes: correctness must hold regardless
     codelist = CodeList(encode(pq88, blob_data[:40]))
     g = group_codes(codelist)
     assert (g.counts < 50).all()

@@ -50,8 +50,9 @@ def test_index_array_narrows_only_when_every_value_fits(values, dtype):
 def test_stored_ids_are_narrow_and_results_int64(codes88, pq88, pq44, codes44, queries):
     assert codes88.ids.dtype == np.int32
     grouped = group_codes(codes88)
-    for arr in (grouped.ids, grouped.offsets, grouped.counts):
-        assert arr.dtype == np.int32
+    # the stored ids as they are; the one-group directory is int32
+    assert grouped.ids is codes88.ids
+    assert grouped.offsets.dtype == grouped.counts.dtype == np.int32
     tables = compute_tables(pq88, queries[0])
     want = scan(codes88, tables, 10).to_arrays()
     assert want[1].dtype == np.int64
@@ -87,7 +88,8 @@ def test_large_ids_keep_int64_scan_and_round_trip(codes88, pq88, queries):
     small = scan(codes88, tables, 20).items()
     assert [i for _, i in got] == [int(ids[i]) for _, i in small]
     grouped = group_codes(big)
-    assert grouped.ids.dtype == np.int64 and grouped.offsets.dtype == np.int32
+    assert grouped.ids is big.ids and grouped.ids.dtype == np.int64
+    assert grouped.offsets.dtype == grouped.counts.dtype == np.int32
     assert fast_scan(grouped, tables, 0.005, 20)[0].items() == got
     out = io.BytesIO()
     write_codes_body(out, big, 8)

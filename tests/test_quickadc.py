@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pqscan import (
     scan_distances,
     transpose_blocks,
 )
+from pqscan import quickadc
 from pqscan.quickadc import BOUND_MAX
 
 from conftest import BINS, pack, qadc_block, quantized
@@ -212,3 +214,53 @@ def test_qadc_scan_rejects_mismatched_inputs(pq44, codes44, queries):
         qadc_scan([codes44], [LookupTables(bad)], 5)
     with pytest.raises(ValueError, match="r must be"):
         qadc_scan([codes44], [tables], 0)
+
+
+def scan_with_bounds(lists, tables, r):
+    """qadc_scan's result and the int16 bounds of its bound pass."""
+    seen = []
+    real = quickadc.quantized_distances
+
+    def record(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(quickadc, "quantized_distances", record):
+        nset, stats = qadc_scan(lists, tables, r)
+    return nset, stats, seen
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(4, 4), (6, 4), (4, 8), (8, 8)]),
+    st.integers(1, 400),
+    st.sampled_from([1, 5, 30]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_list_equals_the_same_codes_split_in_two(seed, shape, n, r, integer_tables, data):
+    # The one-list path (no per-code cells, the scalar shift of cell 0) gives
+    # the items of the multi-list path over the same codes in two lists under
+    # the same tables. Where both take the same first r codes as the prefix,
+    # the bounds, and so the checked codes, are the same too.
+    m, b = shape
+    rng = np.random.default_rng(seed)
+    comps = rng.integers(0, 1 << b, (n, m)).astype(np.uint8)
+    codes = pack(comps) if b == 4 else comps
+    ids = rng.permutation(n)
+    if integer_tables:
+        entries = rng.integers(0, 4, (m, 1 << b))
+    else:
+        entries = rng.random((m, 1 << b))
+    tables = LookupTables(entries.astype(np.float32))
+    split = data.draw(st.integers(0, n), label="split")
+    whole = CodeList(codes, ids, m)
+    parts = [CodeList(codes[:split], ids[:split], m), CodeList(codes[split:], ids[split:], m)]
+    one, one_stats, one_bounds = scan_with_bounds([whole], [tables], r)
+    two, two_stats, two_bounds = scan_with_bounds(parts, [tables, tables], r)
+    assert one.items() == two.items() == exact_sort(tables, whole, r)
+    if split == 0 or split >= min(r, n):
+        assert len(one_bounds) == len(two_bounds) == 1
+        assert one_bounds[0].tobytes() == two_bounds[0].tobytes()
+        assert (one_stats.checked, one_stats.pruned) == (two_stats.checked, two_stats.pruned)
