@@ -168,6 +168,19 @@ def test_group_codes_one_group(codes88):
     assert g.offsets.tolist() == [0] and g.counts.tolist() == [codes88.n]
 
 
+def test_group_codes_single_group(pq88, queries):
+    # Seven copies of one code make one group of seven; every distance ties,
+    # so the fast scan keeps the lowest ids whatever their stored order.
+    codes = np.tile(CODE_BYTES, (7, 1))
+    g = group_codes(CodeList(codes, np.arange(7)[::-1] + 10))
+    assert g.n_groups == 1
+    assert g.counts[0] == 7
+    assert g.keys[0].shape == (0,)
+    got, stats = fast_scan(g, compute_tables(pq88, queries[0]), 0.5, 3)
+    assert [i for _, i in got.items()] == [10, 11, 12]
+    assert stats.total == 7
+
+
 def test_group_codes_empty(pq88, queries):
     # No codes, no groups: the directory is empty and a fast scan finds
     # nothing.
