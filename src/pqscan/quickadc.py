@@ -80,14 +80,12 @@ def _stored_width(m: int, k: int) -> int:
     return m if k == 256 and m % 2 == 0 else -1
 
 
-def quantized_distances(
-    codes: np.ndarray, q: np.ndarray, cells: np.ndarray | None = None
-) -> np.ndarray:
+def quantized_distances(codes: np.ndarray, q: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """int16 bounds of stored codes: row i sums its m entries of q[cells[i]],
-    for (C, m, k) int16 entries q whose m-entry sums fit int16; cells may be
-    None when C = 1. At k=16 the codes are nibble-packed (n, ceil(m/2)), at
-    k=256 (n, m) uint8 of even m. Each stored word is one lookup, at
-    cell * k^2 + word, in tables of summed entry pairs."""
+    for (C, m, k) int16 entries q whose m-entry sums fit int16. At k=16 the
+    codes are nibble-packed (n, ceil(m/2)), at k=256 (n, m) uint8 of even m.
+    Each stored word is one lookup, at cell * k^2 + word, in tables of summed
+    entry pairs."""
     codes, q = np.ascontiguousarray(codes), np.asarray(q, dtype=np.int16)
     n_cells, m, k = q.shape
     width = (m + 1) // 2
@@ -100,11 +98,11 @@ def quantized_distances(
     pairs = q[:, 1::2, :, None] + q[:, 0::2, None, :]
     pairs = np.ascontiguousarray(pairs.transpose(1, 0, 2, 3)).reshape(width, -1)
     words = codes if k == 16 else codes.view("<u2")
-    # One cell reads the word columns as they are: no offset, no copy.
-    offsets = np.asarray(cells, dtype=np.intp) * (k * k) if n_cells > 1 else None
+    offsets = np.asarray(cells, dtype=np.intp) * (k * k) if n_cells > 1 else 0
     acc = np.zeros(codes.shape[0], dtype=np.int16)
     for j in range(width):
-        acc += pairs[j].take(words[:, j] if offsets is None else words[:, j] + offsets)
+        # One cell takes the word column as it is: adding 0 would copy it.
+        acc += pairs[j].take(words[:, j] if n_cells == 1 else words[:, j] + offsets)
     return acc
 
 
@@ -122,10 +120,9 @@ def _bound_tables(t64: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray, f
     return q, shifts, s
 
 
-def _exact_distances(t64: np.ndarray, codes: np.ndarray, cells: np.ndarray | int) -> np.ndarray:
+def _exact_distances(t64: np.ndarray, codes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """scan_distances of each row of stored codes under its cell's tables
-    t64[cell], bit for bit: the same float64 entries added to 0 in order.
-    cells is one cell per row, or the scalar 0 for one set of tables."""
+    t64[cell], bit for bit: the same float64 entries added to 0 in order."""
     _, m, k = t64.shape
     if k == 16:
         flat = np.empty((2 * codes.shape[1], codes.shape[0]), dtype=np.intp)
@@ -163,6 +160,7 @@ def qadc_scan(
     lists, tables = zip(*visited)
     codes = _joined([lst.codes for lst in lists])
     ids = _joined([lst.ids for lst in lists])
+    cells = np.repeat(np.arange(len(lists)), [lst.n for lst in lists])
     t64 = np.stack([tab.tables for tab in tables]).astype(np.float64)
     if not np.isfinite(t64).all():
         raise ValueError("quick scan requires finite lookup tables")
@@ -171,26 +169,19 @@ def qadc_scan(
     prefix_d = scan_distances(tables[0], lists[0].codes[:r])
     n_prefix = prefix_d.shape[0]
     q, shifts, s = _bound_tables(t64, prefix_d.max())
-    rest = codes[n_prefix:]
-    # One list reads cell 0 throughout: no per-code cells and no gather.
-    rest_cells = None
-    if len(lists) > 1:
-        rest_cells = np.repeat(np.arange(len(lists)), [lst.n for lst in lists])[n_prefix:]
+    rest, rest_cells = codes[n_prefix:], cells[n_prefix:]
     lower = quantized_distances(rest, q, rest_cells) * (1.0 / s if s else 0.0)
-    lower += shifts[0] if rest_cells is None else shifts[rest_cells]
-
-    def exact(rows):
-        return _exact_distances(t64, rest[rows], 0 if rest_cells is None else rest_cells[rows])
+    lower += shifts[rest_cells]
 
     seeds = np.argpartition(lower, r - 1)[:r] if lower.size > r else np.arange(lower.size)
-    known = np.concatenate([prefix_d, exact(seeds)])
+    known = np.concatenate([prefix_d, _exact_distances(t64, rest[seeds], rest_cells[seeds])])
     later = np.empty(0, dtype=np.intp)
     if lower.size > r:
         t = np.partition(known, r - 1)[r - 1]
         keep = lower <= t + 4 * (m + 8) * _U * (m * np.abs(t64).max() + abs(t))
         keep[seeds] = False
         later = np.flatnonzero(keep)
-    dists = np.concatenate([known, exact(later)])
+    dists = np.concatenate([known, _exact_distances(t64, rest[later], rest_cells[later])])
     rows = np.concatenate([np.arange(n_prefix), n_prefix + seeds, n_prefix + later])
     best_d, best_i = _select_best(dists, ids[rows], r)
     stats = ScanStats(total=codes.shape[0], checked=dists.size, pruned=codes.shape[0] - dists.size)

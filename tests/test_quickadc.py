@@ -240,10 +240,10 @@ def scan_with_bounds(lists, tables, r):
 )
 @settings(max_examples=60, deadline=None)
 def test_one_list_equals_the_same_codes_split_in_two(seed, shape, n, r, integer_tables, data):
-    # The one-list path (no per-code cells, the scalar shift of cell 0) gives
-    # the items of the multi-list path over the same codes in two lists under
-    # the same tables. Where both take the same first r codes as the prefix,
-    # the bounds, and so the checked codes, are the same too.
+    # One list, whose bound pass takes the word columns with no cell offset,
+    # gives the items of the same codes in two lists under the same tables.
+    # Where both take the same first r codes as the prefix, the bounds, and
+    # so the checked codes, are the same too.
     m, b = shape
     rng = np.random.default_rng(seed)
     comps = rng.integers(0, 1 << b, (n, m)).astype(np.uint8)
