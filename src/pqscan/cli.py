@@ -203,7 +203,7 @@ def cmd_bench(args) -> int:
     if not args.truth:
         raise ValueError("recall reporting requires --truth")
     truth = _load_truth(args.truth, queries.shape[0])
-    check_kernel_shape(args.kernel, args.m, args.b, args.bderived is not None, bool(args.K))
+    check_kernel_shape(args.kernel, args.m, args.b, args.bderived is not None)
     cfg = _train_cfg(args)
     rng = np.random.default_rng(args.seed)
     r = args.r
@@ -245,7 +245,7 @@ def cmd_bench(args) -> int:
     median_ms = float(np.median(times) * 1e3)
     mcodes = codes_total / float(times.sum()) / 1e6
     pruned_col = ""
-    if args.kernel in ("fast-scan", "quick-adc"):
+    if args.kernel == "quick-adc":
         pruned_col = f"{pruned_total / max(1, codes_total):.4f}"
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_HEADER)

@@ -35,10 +35,8 @@ from .scan import (
     CodeList,
     LookupTables,
     NeighborSet,
-    QuantizedTables,
     _float32_entries,
     _subspace_tables,
-    quantize_tables,
     scan_distances,
 )
 
@@ -145,33 +143,43 @@ def compute_compact_tables(dpq: DerivedPQ, query: np.ndarray) -> LookupTables:
 
 def quantize_compact_tables(
     compact: LookupTables, db: CodeList, r2: int
-) -> QuantizedTables:
-    """Quantize derived tables to CBINS bins (quantize_tables); the prefix is
-    the first r2 codes, scanned via the float tables, so qmax is the largest
-    of their distances."""
+) -> np.ndarray:
+    """The (m, 2^bbar) uint8 bins of the derived tables over [qmin, qmax]:
+    qmin is the smallest entry, qmax the largest distance of the first r2
+    codes under the float tables, never below qmin. An entry at or above
+    qmax takes bin CBINS, any other floor((t - qmin) * CBINS / span) clipped
+    to [0, CBINS - 1]; all bins are 0 when the span is 0."""
     if r2 < 1:
         raise ValueError("r2 must be >= 1")
     head = code_components(db.codes[:r2], compact.m)
     low = (head.astype(np.int64) & (compact.k - 1)).astype(np.uint16)
-    return quantize_tables(compact, scan_distances(compact, low), r2, CBINS)
+    prefix_d = scan_distances(compact, low)
+    qmin = float(compact.tables.min())
+    qmax = max(float(prefix_d.max()), qmin) if prefix_d.size else qmin
+    span = qmax - qmin
+    if not span > 0.0:
+        return np.zeros(compact.tables.shape, dtype=np.uint8)
+    t = compact.tables.astype(np.float64)
+    bins = np.clip(np.floor((t - qmin) * (CBINS / span)), 0, CBINS - 1)
+    return np.where(t >= qmax, CBINS, bins).astype(np.uint8)
 
 
-def adc_low_bits(qt: QuantizedTables, codes: np.ndarray) -> np.ndarray:
-    """Approximate distances: saturating (at qt.bins) sums of quantized
-    derived table entries addressed by the low bbar bits of each full
+def adc_low_bits(bins: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Approximate distances: sums, saturating at CBINS, of the (m, 2^bbar)
+    derived-table bins addressed by the low bbar bits of each full
     sub-index. Codes are one component per column or nibble-packed.
 
-    The sum is exact in an accumulator wide enough for m * qt.bins and
+    The sum is exact in an accumulator wide enough for m * CBINS and
     clamped once; entries are non-negative, so that equals clamping every
     step."""
     codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] not in (qt.m, (qt.m + 1) // 2):
-        raise ValueError(f"codes must have shape (n, {qt.m}) or packed")
-    mask = qt.k - 1
-    acc = np.zeros(codes.shape[0], dtype=np.min_scalar_type(qt.m * qt.bins))
-    for j, col in enumerate(code_columns(codes, qt.m)):
-        acc += qt.tables[j].take(col & mask)
-    return np.minimum(acc, qt.bins).astype(np.uint8)
+    m, k = bins.shape
+    if codes.ndim != 2 or codes.shape[1] not in (m, (m + 1) // 2):
+        raise ValueError(f"codes must have shape (n, {m}) or packed")
+    acc = np.zeros(codes.shape[0], dtype=np.min_scalar_type(m * CBINS))
+    for j, col in enumerate(code_columns(codes, m)):
+        acc += bins[j].take(col & (k - 1))
+    return np.minimum(acc, CBINS).astype(np.uint8)
 
 
 @dataclass
@@ -192,29 +200,27 @@ class Candidates:
         return self.ids[lo:hi].tolist()
 
 
-def scan_candidates(
-    db: CodeList, qt: QuantizedTables, r2: int
-) -> Candidates:
+def scan_candidates(db: CodeList, bins: np.ndarray, r2: int) -> Candidates:
     """First pass: bin every code's approximate distance and keep the codes
     a capped bucket store admits.
 
-    The store takes codes in storage order. Bins below qt.bins hold codes by
-    quantized distance; the top bin (at-or-above qmax) admits codes only
-    while fewer than r2 are held. Once r2 are held, the running bound is the
-    bin of the r2-th smallest held distance and anything above it is
-    refused; at the end, codes held above the final bound are dropped. A
-    code below the top bin and at or below the final bound is always
-    admitted (the running bound only tightens toward it), and anything above
-    it is dropped regardless of when it was seen, so the survivors are
-    computed in bulk.
+    bins are quantize_compact_tables'. The store takes codes in storage
+    order. Bins below CBINS hold codes by quantized distance; the top bin
+    (at-or-above qmax) admits codes only while fewer than r2 are held. Once
+    r2 are held, the running bound is the bin of the r2-th smallest held
+    distance and anything above it is refused; at the end, codes held above
+    the final bound are dropped. A code below the top bin and at or below
+    the final bound is always admitted (the running bound only tightens
+    toward it), and anything above it is dropped regardless of when it was
+    seen, so the survivors are computed in bulk.
     """
     if r2 < 1:
         raise ValueError("r2 must be >= 1")
-    d = adc_low_bits(qt, db.codes)
-    smalls = d < qt.bins
+    d = adc_low_bits(bins, db.codes)
+    smalls = d < CBINS
     count_small = int(np.count_nonzero(smalls))
     if count_small >= r2:
-        hist = np.bincount(d[smalls], minlength=qt.bins)
+        hist = np.bincount(d[smalls], minlength=CBINS)
         bound = int(np.argmax(np.cumsum(hist) >= r2))
         sel = d <= bound
     else:
@@ -293,8 +299,7 @@ def search_two_pass(
 ) -> NeighborSet:
     """Quantized derived-table candidate scan, then lazy full-table rerank."""
     compact = compute_compact_tables(dpq, query)
-    qt = quantize_compact_tables(compact, db, r2)
-    cand = scan_candidates(db, qt, r2)
+    cand = scan_candidates(db, quantize_compact_tables(compact, db, r2), r2)
     return rerank(db, cand, dpq.pq, query, r)
 
 

@@ -8,7 +8,11 @@ with zero key nibbles: one group over the stored (n, 8) codes and ids,
 shared rather than copied. ``fast_scan`` makes one ``qadc_scan`` call over
 those codes, read as four 16-bit words, so its results equal the plain
 scan's.
-"""
+
+The library, IVF and the CLI reach that kernel as ``quick-adc``.
+``fast_scan``, ``group_codes`` and the relabelling are kept only as the
+entry points of the benchmark's flat-8x8 workload, until it calls
+``qadc_scan`` itself (ROADMAP item 1)."""
 
 from __future__ import annotations
 

@@ -38,7 +38,7 @@ from .quantizer import (
     train_pq,
     write_quantizer_body,
 )
-from .quickadc import qadc_scan
+from .quickadc import _stored_width, qadc_scan
 from .scan import (
     CodeList,
     NeighborSet,
@@ -52,7 +52,7 @@ from .scan import (
 )
 
 # Every scan kernel by name; check_kernel_shape holds what each one requires.
-KERNELS = ("adc", "fast-scan", "quick-adc", "derived")
+KERNELS = ("adc", "quick-adc", "derived")
 DEFAULT_R2_SMALL = 9000
 DEFAULT_R2_LARGE = 120000
 
@@ -219,32 +219,24 @@ def check_train_options(b: int, use_opq: bool, bderived: int | None) -> None:
         check_derived_bits(b, bderived)
 
 
-def check_kernel_shape(
-    kernel: str, m: int, b: int, derived: bool, indexed: bool = False
-) -> str:
+def check_kernel_shape(kernel: str, m: int, b: int, derived: bool) -> str:
     """The kernel's canonical name, once a quantizer of m b-bit components,
-    derived or not, under an inverted index if indexed, is known to support
-    it. Needs no trained quantizer, so callers can check before training."""
+    derived or not, is known to support it, flat or under an inverted index.
+    Needs no trained quantizer, so callers can check before training."""
     kernel = kernel.replace("_", "-")
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}")
-    if kernel == "fast-scan" and indexed:
-        raise ValueError("fast-scan is not available under an inverted index")
-    if kernel == "fast-scan" and (m, b) != (8, 8):
-        raise ValueError("fast-scan requires m=8, b=8")
-    if kernel == "quick-adc" and b != 4:
-        raise ValueError("quick-adc kernel requires b=4")
+    if kernel == "quick-adc" and _stored_width(m, 1 << b) < 0:
+        raise ValueError("quick-adc kernel requires b=4, or b=8 with even m")
     if kernel == "derived" and not derived:
         raise ValueError("derived kernel needs a derived quantizer")
     return kernel
 
 
-def check_kernel(
-    kernel: str, quant: ProductQuantizer | DerivedPQ, indexed: bool = False
-) -> str:
+def check_kernel(kernel: str, quant: ProductQuantizer | DerivedPQ) -> str:
     """check_kernel_shape for the trained quant."""
     pq = plain_pq(quant)
-    return check_kernel_shape(kernel, pq.m, pq.b, isinstance(quant, DerivedPQ), indexed)
+    return check_kernel_shape(kernel, pq.m, pq.b, isinstance(quant, DerivedPQ))
 
 
 def scan_lists(
@@ -258,10 +250,10 @@ def scan_lists(
     """The r best codes over lists, list i scanned against row i of the
     (len(lists), d) queries, under a kernel that check_kernel accepted, and
     the kernel's counts: the exact distances and pruned codes of quick-adc
-    and fast-scan (both qadc_scan), every code as checked for the others. A
-    PQ kernel builds every list's tables in one compute_tables call and
-    scans them in one call; derived keeps r2 candidates per list, so it
-    searches each list, then selects."""
+    (qadc_scan), every code as checked for the others. A PQ kernel builds
+    every list's tables in one compute_tables call and scans them in one
+    call; derived keeps r2 candidates per list, so it searches each list,
+    then selects."""
     total = sum(lst.n for lst in lists)
     stats = ScanStats(total=total, checked=total)
     if kernel == "derived":
@@ -272,7 +264,7 @@ def scan_lists(
         dists, ids = (np.concatenate(column) for column in zip(*parts))
         return NeighborSet.from_pairs(r, *_select_best(dists, ids, r)), stats
     tables = compute_tables(plain_pq(quant), queries)
-    if kernel in ("quick-adc", "fast-scan"):
+    if kernel == "quick-adc":
         return qadc_scan(lists, tables, r)
     return scan(lists, tables, r), stats
 
@@ -301,7 +293,7 @@ def query_ivf_stats(
     """query_ivf's result and its counts: one scan_lists call over the
     non-empty visited lists, nearest cell first."""
     quant = index.pq if index.dpq is None else index.dpq
-    kernel = check_kernel(kernel, quant, indexed=True)
+    kernel = check_kernel(kernel, quant)
     if not 1 <= ma <= index.K:
         raise ValueError(f"ma must be in [1, {index.K}]")
     if r < 1:

@@ -8,7 +8,6 @@ list or of several, each under its own tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
@@ -47,68 +46,6 @@ class LookupTables:
     @property
     def nbytes(self) -> int:
         return self.tables.nbytes
-
-
-@dataclass
-class QuantizedTables:
-    """Lookup tables mapped to uint8 bins over [qmin, qmax] by quantize,
-    shape (m, 2^b). A kernel sums entries with saturation at bins, so the sum
-    never exceeds the quantized true distance."""
-
-    tables: np.ndarray
-    qmin: float
-    qmax: float
-    bins: int
-
-    def __post_init__(self):
-        self.tables = np.ascontiguousarray(self.tables, dtype=np.uint8)
-        if self.tables.ndim != 2:
-            raise ValueError("quantized tables must be 2-D (m, 2^b)")
-        if np.any(self.tables > self.bins):
-            raise ValueError(f"quantized entries must be <= {self.bins}")
-        if not (math.isfinite(self.qmin) and self.qmin <= self.qmax < math.inf):
-            raise ValueError("quantization bounds must be finite with qmin <= qmax")
-
-    @property
-    def m(self) -> int:
-        return self.tables.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.tables.shape[1]
-
-    def quantize(self, values) -> np.ndarray | int:
-        return quantize(values, self.qmin, self.qmax, self.bins)
-
-
-def quantize(values, qmin: float, qmax: float, bins: int) -> np.ndarray | int:
-    """Map distances to [0, bins]: bins at or above qmax, else a floor-scaled
-    bin clamped to [0, bins - 1]; all 0 when qmax == qmin. Monotone
-    non-decreasing."""
-    v = np.asarray(values, dtype=np.float64)
-    span = qmax - qmin
-    if span > 0.0:
-        out = np.clip(np.floor((v - qmin) * (bins / span)), 0, bins - 1)
-        out = np.where(v >= qmax, bins, out).astype(np.uint8)
-    else:
-        out = np.zeros(v.shape, dtype=np.uint8)
-    return int(out[()]) if out.ndim == 0 else out
-
-
-def quantize_tables(
-    tables: LookupTables, prefix_d: np.ndarray, r: int, bins: int
-) -> QuantizedTables:
-    """Quantize tables to bins over [qmin, qmax]. qmin is the smallest table
-    entry; qmax is the r-th smallest of the exact distances prefix_d of a
-    scanned prefix (the largest when it holds fewer than r, qmin when it is
-    empty), never below qmin."""
-    qmin = qmax = float(tables.tables.min())
-    if prefix_d.shape[0] > r:
-        qmax = float(np.partition(prefix_d, r - 1)[r - 1])
-    elif prefix_d.shape[0]:
-        qmax = float(prefix_d.max())
-    qmax = max(qmax, qmin)
-    return QuantizedTables(quantize(tables.tables, qmin, qmax, bins), qmin, qmax, bins)
 
 
 _F32_MAX = float(np.finfo(np.float32).max)

@@ -1,25 +1,9 @@
 import numpy as np
 import pytest
 
-from pqscan import (
-    CodeList,
-    QuantizedTables,
-    TrainConfig,
-    encode,
-    generate_synthetic,
-    quantize,
-    train_pq,
-)
+from pqscan import CodeList, TrainConfig, encode, generate_synthetic, train_pq
 
 FAST_CFG = TrainConfig(kmeans_iters=10, seed=3)
-
-# The 127-bin range of the uint8 table-quantization tests.
-BINS = 127
-
-
-def quantized(tables, qmin, qmax, bins=BINS):
-    """LookupTables quantized over a given range rather than a prefix's."""
-    return QuantizedTables(quantize(tables.tables, qmin, qmax, bins), qmin, qmax, bins)
 
 
 def pack(components):
@@ -52,21 +36,6 @@ def adc_distance(tables, code):
     acc = 0.0
     for j, c in enumerate(code):
         acc += float(tables.tables[j, int(c)])
-    return acc
-
-
-def qadc_block(block, qt):
-    """Reference quantized distances of one block of 16 codes from
-    transpose_blocks: row j carries components 2j (low nibble) and 2j+1
-    (high nibble) of all 16 codes; each lookup is added with saturation at
-    qt.bins. Returns 16 int16 distances."""
-    block = np.asarray(block, dtype=np.uint8)
-    t = qt.tables
-    assert t.shape[0] % 2 == 0 and block.shape == (t.shape[0] // 2, 16)
-    acc = np.zeros(16, dtype=np.int16)
-    for j in range(block.shape[0]):
-        acc = np.minimum(acc + t[2 * j][block[j] & 0x0F], qt.bins)
-        acc = np.minimum(acc + t[2 * j + 1][block[j] >> 4], qt.bins)
     return acc
 
 
@@ -103,7 +72,7 @@ def pq44(blob_data):
 
 @pytest.fixture(scope="session")
 def pq88(blob_data):
-    """8x8 quantizer for fast-scan shaped tests (m=8, b=8)."""
+    """8x8 quantizer for tests of 8-bit codes (m=8, b=8)."""
     return train_pq(blob_data[:1600], 8, 8, FAST_CFG)
 
 

@@ -18,6 +18,9 @@ from pqscan.cli import BENCH_HEADER, main
 from pqscan.ivf import KERNELS
 
 
+QUICK_ADC_SHAPES = "quick-adc kernel requires b=4, or b=8 with even m"
+
+
 def run(capsys, *argv):
     capsys.readouterr()  # drop output from any earlier main() calls
     code = main(list(argv))
@@ -126,8 +129,9 @@ def test_query_quick_adc_equals_adc_csv(workspace, capsys):
     assert outs["quick-adc"] == outs["adc"]
 
 
-def test_query_fast_scan_equals_adc_csv(workspace, tmp_path, capsys):
-    # fast-scan reads the stored 8x8 codes; its prefix is the first r codes
+def test_query_8x8_quick_adc_equals_adc_csv(workspace, tmp_path, capsys):
+    # quick-adc reads the stored 8x8 codes as 16-bit words; its prefix is
+    # the first r codes
     quant = tmp_path / "q88.pqz"
     codes = tmp_path / "c88.pql"
     assert main(["train", "--base", str(workspace / "base.fvecs"), "--m", "8",
@@ -135,7 +139,7 @@ def test_query_fast_scan_equals_adc_csv(workspace, tmp_path, capsys):
     assert main(["encode", "--base", str(workspace / "base.fvecs"),
                  "--quantizer", str(quant), "--out", str(codes)]) == 0
     outs = {}
-    for kernel in ("adc", "fast-scan"):
+    for kernel in ("adc", "quick-adc"):
         for r in ("1", "10", "1000"):
             code, outs[kernel, r], _ = run(
                 capsys, "query", "--queries", str(workspace / "q.fvecs"),
@@ -144,13 +148,13 @@ def test_query_fast_scan_equals_adc_csv(workspace, tmp_path, capsys):
             assert code == 0
     assert len(list(csv.reader(io.StringIO(outs["adc", "10"])))) == 1 + 8 * 10
     for r in ("1", "10", "1000"):
-        assert outs["fast-scan", r] == outs["adc", r]
+        assert outs["quick-adc", r] == outs["adc", r]
     # neither the paper's prefix fraction nor a prefix count is an option
     base_args = ["--base", str(workspace / "base.fvecs"), "--queries",
                  str(workspace / "q.fvecs"), "--truth", str(workspace / "t.ivecs"),
                  "--m", "8", "--b", "8"]
     for argv in (["query", "--queries", str(workspace / "q.fvecs"), "--codes", str(codes),
-                  "--quantizer", str(quant), "--kernel", "fast-scan", "--init", "0.5"],
+                  "--quantizer", str(quant), "--kernel", "quick-adc", "--init", "0.5"],
                  ["query", "--queries", str(workspace / "q.fvecs"), "--codes", str(codes),
                   "--quantizer", str(quant), "--init-count", "5"],
                  ["bench", *base_args, "--init-count", "5"],
@@ -160,14 +164,11 @@ def test_query_fast_scan_equals_adc_csv(workspace, tmp_path, capsys):
         assert exc.value.code == 2
 
 
-def test_fast_scan_kernel_needs_8x8(workspace, capsys):
-    quant = workspace / "q.pqz"
-    codes = workspace / "c.pql"
-    code, _, err = run(capsys, "query", "--queries", str(workspace / "q.fvecs"),
-                       "--codes", str(codes), "--quantizer", str(quant),
-                       "--kernel", "fast-scan")
-    assert code == 1
-    assert err
+def test_query_quick_adc_rejects_6bit_codes(workspace, kernel_files, capsys):
+    quant, codes = kernel_files["derived"]  # m=4, b=6
+    got = run(capsys, "query", "--queries", str(workspace / "q.fvecs"),
+              "--codes", str(codes), "--quantizer", str(quant), "--kernel", "quick-adc")
+    assert got == (1, "", f"error: {QUICK_ADC_SHAPES}\n")
 
 
 def test_bench_adc_row(workspace, capsys, tmp_path):
@@ -191,7 +192,7 @@ def test_bench_adc_row(workspace, capsys, tmp_path):
     assert compact[1][0] == "adc"
 
 
-def test_bench_fast_scan_recall_equals_adc(tmp_path, capsys):
+def test_bench_8x8_quick_adc_recall_equals_adc(tmp_path, capsys):
     base = tmp_path / "b.fvecs"
     queries = tmp_path / "q.fvecs"
     truth = tmp_path / "t.ivecs"
@@ -202,7 +203,7 @@ def test_bench_fast_scan_recall_equals_adc(tmp_path, capsys):
     assert main(["ground-truth", "--base", str(base), "--queries", str(queries),
                  "--k", "10", "--out", str(truth)]) == 0
     recalls = {}
-    for kernel in ("adc", "fast-scan"):
+    for kernel in ("adc", "quick-adc"):
         code, out, _ = run(capsys, "bench", "--base", str(base),
                            "--queries", str(queries), "--truth", str(truth),
                            "--m", "8", "--b", "8", "--r", "10", "--iters", "4",
@@ -210,8 +211,8 @@ def test_bench_fast_scan_recall_equals_adc(tmp_path, capsys):
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         recalls[kernel] = dict(zip(rows[0], rows[1]))
-    assert recalls["adc"]["recall"] == recalls["fast-scan"]["recall"]
-    assert float(recalls["fast-scan"]["pruned_fraction"]) >= 0.0
+    assert recalls["adc"]["recall"] == recalls["quick-adc"]["recall"]
+    assert float(recalls["quick-adc"]["pruned_fraction"]) >= 0.0
 
 
 @pytest.mark.parametrize("index_args", [[], ["--K", "4", "--ma", "2"]])
@@ -297,15 +298,33 @@ def test_build_ivf_and_query(workspace, tmp_path, capsys):
     assert len(rows) == 1 + 8 * 3
 
 
-def test_query_index_rejects_fast_scan(workspace, tmp_path, capsys):
+def test_query_8x8_index_quick_adc_equals_adc_csv(workspace, tmp_path, capsys):
     index = tmp_path / "x.ivf"
     assert main(["build-ivf", "--base", str(workspace / "base.fvecs"),
-                 "--K", "4", "--m", "4", "--b", "4", "--iters", "4",
+                 "--K", "4", "--m", "8", "--b", "8", "--iters", "4",
                  "--out", str(index)]) == 0
-    code, _, err = run(capsys, "query", "--queries", str(workspace / "q.fvecs"),
-                       "--index", str(index), "--kernel", "fast-scan")
-    assert code == 1
-    assert err
+    outs = {}
+    for kernel in ("adc", "quick-adc"):
+        for r in ("1", "10", "100"):
+            code, outs[kernel, r], _ = run(
+                capsys, "query", "--queries", str(workspace / "q.fvecs"),
+                "--index", str(index), "--ma", "2", "--r", r, "--kernel", kernel)
+            assert code == 0
+    assert len(list(csv.reader(io.StringIO(outs["adc", "100"])))) == 1 + 8 * 100
+    for r in ("1", "10", "100"):
+        assert outs["quick-adc", r] == outs["adc", r]
+
+
+def test_fast_scan_kernel_name_is_a_usage_error(workspace, tmp_path):
+    # quick-adc is the one name of the pruned kernel, 4- and 8-bit alike
+    for argv in (["query", "--queries", str(workspace / "q.fvecs"),
+                  "--index", str(tmp_path / "x.ivf")],
+                 ["bench", "--base", str(workspace / "base.fvecs"),
+                  "--queries", str(workspace / "q.fvecs"),
+                  "--truth", str(workspace / "t.ivecs"), "--m", "8", "--b", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kernel", "fast-scan"])
+        assert exc.value.code == 2
 
 
 def test_missing_file_is_exit_1(capsys, tmp_path):
@@ -335,7 +354,6 @@ def test_ground_truth_matches_library(workspace):
 # train arguments of a quantizer each query kernel accepts
 KERNEL_QUANTIZERS = {
     "adc": ["--m", "4", "--b", "4"],
-    "fast-scan": ["--m", "8", "--b", "8"],
     "quick-adc": ["--m", "4", "--b", "4"],
     "derived": ["--m", "4", "--b", "6", "--bderived", "3"],
 }
@@ -410,12 +428,12 @@ def no_training(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--m", "8", "--b", "8", "--K", "8", "--kernel", "fast-scan"],
-     "fast-scan is not available under an inverted index"),
+    (["--m", "3", "--b", "8", "--kernel", "quick-adc"], QUICK_ADC_SHAPES),
+    (["--m", "3", "--b", "8", "--K", "8", "--kernel", "quick-adc"], QUICK_ADC_SHAPES),
     (["--m", "4", "--b", "4", "--kernel", "derived"], "derived kernel needs a derived quantizer"),
     (["--m", "4", "--b", "4", "--K", "8", "--kernel", "derived"],
      "derived kernel needs a derived quantizer"),
-    (["--m", "4", "--b", "6", "--kernel", "quick-adc"], "quick-adc kernel requires b=4"),
+    (["--m", "4", "--b", "6", "--kernel", "quick-adc"], QUICK_ADC_SHAPES),
     (["--m", "4", "--b", "4", "--bderived", "3", "--opq", "--K", "8", "--kernel", "derived"],
      "derived quantizers do not support a rotation"),
 ])

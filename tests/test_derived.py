@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqscan import (
     CBINS,
     CodeList,
+    DerivedPQ,
     LazyTables,
-    QuantizedTables,
+    LookupTables,
+    ProductQuantizer,
     TrainConfig,
     adc_low_bits,
     build_derived_quantizers,
@@ -16,7 +18,6 @@ from pqscan import (
     encode,
     load_derived,
     load_quantizer_any,
-    quantize,
     quantize_compact_tables,
     rerank,
     save_derived,
@@ -26,6 +27,8 @@ from pqscan import (
     search_two_pass,
     train_derived,
 )
+
+from conftest import pack
 
 CFG = TrainConfig(kmeans_iters=10, seed=6)
 
@@ -128,6 +131,39 @@ def eager_rerank_oracle(db, cand, pq, query, r, r2):
     return pairs[:r]
 
 
+def reference_bins(tables, comps, r2):
+    """The derived first pass's (m, kbar) table bins by the rule of the
+    generic table quantizer it once called: qmin is the smallest entry; qmax
+    the largest distance of the first r2 codes' low bits (summed in order),
+    qmin when there are none, never below qmin; then every entry maps to
+    CBINS at or above qmax, else to its floor-scaled bin clipped to
+    [0, CBINS - 1], and all to 0 when qmax == qmin."""
+    m, kbar = tables.shape
+    prefix = []
+    for code in comps[:r2]:
+        acc = 0.0
+        for j in range(m):
+            acc += float(tables[j, int(code[j]) & (kbar - 1)])
+        prefix.append(acc)
+    qmin = float(tables.min())
+    qmax = max(max(prefix), qmin) if prefix else qmin
+    v = tables.astype(np.float64)
+    span = qmax - qmin
+    if span > 0.0:
+        out = np.clip(np.floor((v - qmin) * (CBINS / span)), 0, CBINS - 1)
+        return np.where(v >= qmax, CBINS, out).astype(np.uint8)
+    return np.zeros(v.shape, dtype=np.uint8)
+
+
+def reference_low_bits(bins, comps):
+    """Each code's bin sum over its low bits, capped at CBINS."""
+    kbar = bins.shape[1]
+    return [
+        min(sum(int(bins[j, int(c) & (kbar - 1)]) for j, c in enumerate(code)), CBINS)
+        for code in comps
+    ]
+
+
 # -- derived codebook construction -------------------------------------------
 
 
@@ -212,43 +248,48 @@ def test_compact_tables_match_recomputation(dpq, blob_data):
         np.testing.assert_allclose(t.tables[j], expect, rtol=1e-5)
 
 
-def test_quantize_255_endpoints():
-    assert quantize(1.0, 1.0, 9.0, CBINS) == 0
-    assert quantize(9.0, 1.0, 9.0, CBINS) == 255
-    assert quantize(100.0, 1.0, 9.0, CBINS) == 255
-    vals = quantize(np.linspace(0, 0.999, 50), 0.0, 1.0, CBINS)
-    assert (np.diff(vals.astype(np.int64)) >= 0).all()
+def test_compact_bins_endpoints():
+    # m=1, one code of entry 9: qmin 1, qmax 9
+    tables = LookupTables(np.array([[1.0, 9.0, 100.0, 5.0]], dtype=np.float32))
+    bins = quantize_compact_tables(tables, CodeList(np.array([[1]], np.uint8)), 1)
+    assert bins.tolist() == [[0, CBINS, CBINS, 127]]
+    ramp = np.append(np.linspace(0, 0.999, 63), 1.0).astype(np.float32)[None, :]
+    bins = quantize_compact_tables(LookupTables(ramp), CodeList(np.array([[63]], np.uint8)), 1)
+    assert (np.diff(bins[0].astype(np.int64)) >= 0).all()
+    assert bins[0, :63].max() < CBINS == bins[0, 63]
 
 
 def test_quantized_compact_qmax_rule(dpq, dcodes, queries):
     compact = compute_compact_tables(dpq, queries[0])
-    qt = quantize_compact_tables(compact, dcodes, r2=150)
+    bins = quantize_compact_tables(compact, dcodes, r2=150)
     low = (dcodes.codes[:150] & (dpq.kbar - 1)).astype(np.uint16)
-    expect = float(scan_distances(compact, low).max())
-    assert qt.qmax == expect
+    qmax = float(scan_distances(compact, low).max())
+    np.testing.assert_array_equal(bins == CBINS, compact.tables >= qmax)
+    np.testing.assert_array_equal(bins, reference_bins(compact.tables, dcodes.codes, 150))
 
 
 def test_quantized_distance_below_255_except_maximal(dpq, dcodes, queries):
-    # qmax drawn from the full list: only argmax distances may reach bin 255
+    # qmax drawn from the full list: no code below the largest distance
+    # reaches the top bin
     compact = compute_compact_tables(dpq, queries[1])
-    qt = quantize_compact_tables(compact, dcodes, r2=dcodes.n)
+    bins = quantize_compact_tables(compact, dcodes, r2=dcodes.n)
     low = (dcodes.codes & (dpq.kbar - 1)).astype(np.uint16)
     dists = scan_distances(compact, low)
-    bins = qt.quantize(dists)
-    np.testing.assert_array_equal(bins == 255, dists == dists.max())
+    first = adc_low_bits(bins, dcodes.codes)
+    assert (first[dists < dists.max()] < CBINS).all()
 
 
 def test_adc_low_bits_saturation_order_consistent(dpq, dcodes, queries):
     compact = compute_compact_tables(dpq, queries[2])
-    qt = quantize_compact_tables(compact, dcodes, r2=100)
-    bins = adc_low_bits(qt, dcodes.codes)
-    assert bins.max() <= 255
+    bins = quantize_compact_tables(compact, dcodes, r2=100)
+    first = adc_low_bits(bins, dcodes.codes)
+    assert first.max() <= 255
     low = (dcodes.codes & (dpq.kbar - 1)).astype(np.int64)
     raw = np.zeros(dcodes.n, dtype=np.int64)
     for j in range(dpq.pq.m):
-        raw += qt.tables[j].astype(np.int64)[low[:, j]]
+        raw += bins[j].astype(np.int64)[low[:, j]]
     below = raw < 255
-    np.testing.assert_array_equal(bins[below], raw[below])
+    np.testing.assert_array_equal(first[below], raw[below])
 
 
 # -- capped buckets ----------------------------------------------------------
@@ -293,16 +334,14 @@ def test_scan_candidates_equals_sequential(dpq, dcodes, queries):
     for q in queries[:6]:
         compact = compute_compact_tables(dpq, q)
         for r2 in (7, 64, 300, dcodes.n):
-            qt = quantize_compact_tables(compact, dcodes, r2)
-            got = scan_candidates(dcodes, qt, r2)
-            bins = adc_low_bits(qt, dcodes.codes)
-            assert_same_buckets(got, sequential_buckets(r2, bins, dcodes.ids))
+            bins = quantize_compact_tables(compact, dcodes, r2)
+            got = scan_candidates(dcodes, bins, r2)
+            first = adc_low_bits(bins, dcodes.codes)
+            assert_same_buckets(got, sequential_buckets(r2, first, dcodes.ids))
 
 
 # m=1 with table arange(256): every code's bin is its own value
-IDENTITY_BINS = QuantizedTables(
-    np.arange(CBINS + 1, dtype=np.uint8)[None, :], qmin=0.0, qmax=1.0, bins=CBINS
-)
+IDENTITY_BINS = np.arange(CBINS + 1, dtype=np.uint8)[None, :]
 
 
 @given(st.data())
@@ -327,9 +366,8 @@ def test_adc_low_bits_saturates_past_uint16_sums():
     tables = np.zeros((m, 2), dtype=np.uint8)
     tables[:, 0] = 255
     tables[5, 1] = 200
-    qt = QuantizedTables(tables, qmin=0.0, qmax=1.0, bins=CBINS)
     codes = np.array([[0] * m, [1] * m], dtype=np.uint8)
-    assert adc_low_bits(qt, codes).tolist() == [255, 200]
+    assert adc_low_bits(tables, codes).tolist() == [255, 200]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 40))
@@ -375,8 +413,7 @@ def test_rerank_matches_eager_oracle(dpq, dcodes, queries, ids):
         db = CodeList(dcodes.codes[perm], perm.astype(np.int64) + 2**31 + 5)
     for q in queries[:4]:
         compact = compute_compact_tables(dpq, q)
-        qt = quantize_compact_tables(compact, db, 200)
-        cand = scan_candidates(db, qt, 200)
+        cand = scan_candidates(db, quantize_compact_tables(compact, db, 200), 200)
         lazy = LazyTables(dpq.pq, q)
         got = rerank(db, cand, dpq.pq, q, 10, lazy=lazy)
         assert got.items() == eager_rerank_oracle(db, cand, dpq.pq, q, 10, 200)
@@ -411,9 +448,9 @@ def test_two_pass_recall_not_below_first_pass(dpq, dcodes, blob_data, queries):
         nset = search_two_pass(dpq, dcodes, q, 10, r2)
         two.append([i for _, i in nset.items()])
         compact = compute_compact_tables(dpq, q)
-        qt = quantize_compact_tables(compact, dcodes, r2)
-        bins = adc_low_bits(qt, dcodes.codes).astype(np.float64)
-        order = np.lexsort((dcodes.ids, bins))[:10]
+        bins = quantize_compact_tables(compact, dcodes, r2)
+        first = adc_low_bits(bins, dcodes.codes).astype(np.float64)
+        order = np.lexsort((dcodes.ids, first))[:10]
         one.append(dcodes.ids[order].tolist())
     r_two = recall_at_r(np.array(two), truth, 10)
     r_one = recall_at_r(np.array(one), truth, 10)
@@ -435,6 +472,56 @@ def test_recall_non_decreasing_in_r2(dpq, dcodes, blob_data, queries):
         assert hi >= lo - 0.01  # statistical noise band
 
 
+# Small integer coordinates give exact, often tied table entries; at m=1
+# the prefix distance is itself an entry, so entries sit exactly at qmax.
+@given(
+    m=st.integers(1, 4),
+    bits=st.sampled_from([(4, 2), (6, 3), (5, 1)]),
+    n=st.integers(0, 60),
+    r2=st.integers(1, 80),
+    r=st.integers(1, 10),
+    flat=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, bits=(6, 3), n=30, r2=5, r=3, flat=True, seed=1)  # span 0
+@example(m=2, bits=(6, 3), n=0, r2=5, r=3, flat=False, seed=2)  # an empty list
+@example(m=3, bits=(6, 3), n=12, r2=50, r=5, flat=False, seed=3)  # r2 > n
+@example(m=1, bits=(6, 3), n=40, r2=10, r=5, flat=False, seed=4)  # entries at qmax
+@example(m=3, bits=(4, 2), n=50, r2=20, r=5, flat=False, seed=5)  # nibble-packed
+@settings(max_examples=150, deadline=None)
+def test_first_pass_matches_the_generic_quantizer_rule(m, bits, n, r2, r, flat, seed):
+    b, bbar = bits
+    rng = np.random.default_rng(seed)
+    derived = rng.integers(-2, 3, (m, 1 << bbar, 2))
+    if flat:
+        derived[:] = derived[:, :1]
+    books = rng.integers(-3, 4, (m, 1 << b, 2))
+    dpq = DerivedPQ(ProductQuantizer(m=m, b=b, d=2 * m, codebooks=books), bbar, derived)
+    comps = rng.integers(0, 1 << b, (n, m)).astype(np.uint8)
+    ids = rng.permutation(n) + 2**31 + 5
+    db = CodeList(pack(comps) if b <= 4 else comps, ids, m)
+    q = rng.integers(-3, 4, 2 * m).astype(np.float64)
+
+    compact = compute_compact_tables(dpq, q)
+    bins = quantize_compact_tables(compact, db, r2)
+    assert bins.dtype == np.uint8
+    np.testing.assert_array_equal(bins, reference_bins(compact.tables, comps, r2))
+
+    cand = scan_candidates(db, bins, r2)
+    ref = sequential_buckets(r2, reference_low_bits(bins, comps), ids)
+    assert_same_buckets(cand, ref)
+
+    tables = compute_tables(dpq.pq, q)
+    pos = {int(i): p for p, i in enumerate(ids)}
+    pairs = []
+    for ident in (i for v in range(CBINS + 1) for i in ref.bucket(v)):
+        acc = 0.0
+        for j, c in enumerate(comps[pos[ident]]):
+            acc += float(tables.tables[j, int(c)])
+        pairs.append((acc, ident))
+    assert search_two_pass(dpq, db, q, r, r2).items() == sorted(pairs)[:r]
+
+
 # -- persistence -------------------------------------------------------------
 
 
@@ -448,7 +535,7 @@ def test_derived_round_trip(tmp_path, dpq):
 
 
 def test_load_quantizer_any_discriminates(tmp_path, dpq, pq44):
-    from pqscan import DerivedPQ, ProductQuantizer, save_quantizer
+    from pqscan import save_quantizer
 
     p1 = tmp_path / "plain.pqz"
     p2 = tmp_path / "derived.pqz"

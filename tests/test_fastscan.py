@@ -18,75 +18,13 @@ from pqscan import (
     relabel_codes,
     same_size_kmeans,
     scan,
-    quantize,
-    quantize_tables,
     scan_distances,
 )
 from pqscan.quickadc import _bound_tables
 
-from conftest import BINS, floor_sum_bounds, quantized
+from conftest import floor_sum_bounds
 
 CODE_BYTES = np.array([0x3F, 0x11, 0x21, 0x00, 0xAB, 0xCD, 0xEF, 0x07], dtype=np.uint8)
-
-
-def small_instance(seed, n=400):
-    rng = np.random.default_rng(seed)
-    tables = LookupTables(rng.random((8, 256)).astype(np.float32) * 10)
-    codes = rng.integers(0, 256, (n, 8)).astype(np.uint8)
-    return tables, CodeList(codes)
-
-
-# -- quantization ------------------------------------------------------------
-
-
-def test_quantize_at_qmin_is_zero():
-    assert quantize(2.0, 2.0, 10.0, BINS) == 0
-    row = np.full(16, 2.0, dtype=np.float32)
-    np.testing.assert_array_equal(
-        quantize(row, 2.0, 10.0, BINS), np.zeros(16, dtype=np.uint8)
-    )
-
-
-def test_quantize_saturates_at_qmax():
-    assert quantize(8.0, 0.0, 8.0, BINS) == 127
-    assert quantize(100.0, 0.0, 8.0, BINS) == 127
-    assert quantize(7.9999, 0.0, 8.0, BINS) == 126
-
-
-@given(st.floats(0, 1e6), st.floats(0, 1e6), st.floats(1e-3, 1e6))
-@settings(max_examples=100, deadline=None)
-def test_quantize_monotone(v1, v2, span):
-    lo, hi = sorted((v1, v2))
-    assert quantize(lo, 0.0, span, BINS) <= quantize(hi, 0.0, span, BINS)
-
-
-def test_quant_params_r1_first_code_is_nn():
-    tables, codelist = small_instance(0, n=50)
-    dists = scan_distances(tables, codelist.codes)
-    best = float(dists.min())
-    order = np.argsort(dists, kind="stable")
-    reordered = CodeList(codelist.codes[order])  # true NN first
-    p = quantize_tables(tables, scan_distances(tables, reordered.codes[:1]), 1, BINS)
-    assert p.qmax == best
-    assert p.qmin == float(tables.tables.min())
-
-
-def test_quant_params_rth_of_prefix():
-    tables, codelist = small_instance(1, n=200)
-    prefix = scan_distances(tables, codelist.codes[:100])
-    p = quantize_tables(tables, prefix, 10, BINS)
-    assert p.qmax == float(np.sort(prefix)[9])
-
-
-def test_quant_params_fewer_than_r_uses_largest():
-    tables, codelist = small_instance(2, n=20)
-    prefix = scan_distances(tables, codelist.codes[:5])
-    p = quantize_tables(tables, prefix, 50, BINS)
-    assert p.qmax == float(prefix.max())
-    # An empty prefix (an empty code list) leaves the range at qmin.
-    p = quantize_tables(tables, prefix[:0], 50, BINS)
-    assert p.qmax == p.qmin == float(tables.tables.min())
-    assert not p.tables.any()
 
 
 # -- centroid assignment -----------------------------------------------------
@@ -122,15 +60,14 @@ def test_assignment_clusters_become_blocks():
 
 
 def test_optimize_assignment_idempotent_min_tables(pq88, queries):
-    # the quantized minima of the 16-entry portions of tables 4-7 match up
-    # to block order
+    # the minima of the 16-entry portions of tables 4-7 match up to block
+    # order
     once = optimize_centroid_assignment(pq88)
     twice = optimize_centroid_assignment(once)
     mins = []
     for pq in (once, twice):
         tables = compute_tables(pq, queries[0])
-        qt = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
-        mins.append(np.sort(qt.tables[4:8].reshape(4, 16, 16).min(axis=2), 1))
+        mins.append(np.sort(tables.tables[4:8].reshape(4, 16, 16).min(axis=2), 1))
     np.testing.assert_array_equal(mins[0], mins[1])
 
 

@@ -210,6 +210,29 @@ def test_quick_adc_kernel_agrees_on_ids(index, queries):
             assert stats.checked + stats.pruned == stats.total
 
 
+@pytest.fixture(scope="module")
+def index88(base):
+    """8x8 index whose last 500 rows repeat the first 500: equal codes in
+    one list, so distances tie."""
+    return build_ivf(np.concatenate([base, base[:500]]), K=8, m=8, b=8, cfg=CFG)
+
+
+def test_quick_adc_on_8bit_lists_equals_adc(index88, queries):
+    # quick-adc reads 8x8 lists as 16-bit words; ties resolve to the lower
+    # id, as in ADC, and the distances match bit for bit
+    tied = False
+    for q in queries:
+        for ma in (1, 3, 8):
+            for r in (1, 10, 100):
+                a = query_ivf(index88, q, ma=ma, r=r, kernel="adc")
+                b = query_ivf(index88, q, ma=ma, r=r, kernel="quick-adc")
+                assert b.items() == a.items()
+                dists = a.to_arrays()[0]
+                assert b.to_arrays()[0].tobytes() == dists.tobytes()
+                tied |= bool((np.diff(dists) == 0).any())
+    assert tied
+
+
 def test_quick_adc_scans_the_visited_lists_in_one_call(index, queries, monkeypatch):
     import pqscan.ivf as ivf
 
@@ -324,11 +347,15 @@ def test_query_entry_points_reject_non_finite(index, small_dpq, base, entry, bad
         QUERY_ENTRY_POINTS[entry](index, small_dpq, q)
 
 
-KERNELS = ["adc", "fast-scan", "quick-adc", "derived"]
+KERNELS = ["adc", "quick-adc", "derived"]
 
 
 def test_kernels_match_the_library():
     assert tuple(KERNELS) == LIBRARY_KERNELS
+
+
+# Every registry kernel, plus the flat 8x8 entry point fast_scan.
+RUNNERS = [*KERNELS, "fast_scan"]
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +365,7 @@ def run_kernel(pq44, codes44, pq88, codes88, small_dpq, base):
     dcodes = CodeList(encode(small_dpq.pq, base))
 
     def run(kernel, q, n):
-        if kernel == "fast-scan":
+        if kernel == "fast_scan":
             grouped = group_codes(CodeList(codes88.codes[:n]))
             return fast_scan(grouped, compute_tables(pq88, q), 0.05, 5)[0]
         if kernel == "derived":
@@ -352,7 +379,7 @@ def run_kernel(pq44, codes44, pq88, codes88, small_dpq, base):
 
 
 @pytest.mark.parametrize("scale", [1e20, 1e200])
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", RUNNERS)
 def test_kernels_reject_tables_that_overflow_float32(run_kernel, base, kernel, scale):
     # A finite query this far out has squared distances past float32; every
     # kernel raises the same error before a cast can warn or give inf.
@@ -369,7 +396,7 @@ def test_lazy_tables_reject_entries_that_overflow_float32(small_dpq, scale):
     assert lazy.computed == 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", RUNNERS)
 def test_kernels_return_nothing_for_an_empty_code_list(run_kernel, base, kernel):
     assert len(run_kernel(kernel, base[3], 0)) == 0
 

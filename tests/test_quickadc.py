@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,103 +8,28 @@ from hypothesis import strategies as st
 from pqscan import (
     CodeList,
     LookupTables,
-    QuantizedTables,
     compute_tables,
     encode,
     qadc_scan,
     quantized_distances,
     scan,
     scan_distances,
-    transpose_blocks,
 )
 from pqscan import quickadc
 from pqscan.quickadc import BOUND_MAX
 
-from conftest import BINS, pack, qadc_block, quantized
+from conftest import pack
 
 
-def scalar_qadc(code, qt):
-    """Clamped scalar accumulator, independent of the block kernel."""
-    acc = 0
-    for j, c in enumerate(code):
-        acc = min(acc + int(qt.tables[j][c]), 127)
-    return acc
-
-
-def random_qt(rng, m):
-    tables = rng.integers(0, 128, (m, 16)).astype(np.uint8)
-    return QuantizedTables(tables, 0.0, 127.0, BINS)
-
-
-# -- table quantization ------------------------------------------------------
-
-
-def test_quantized_tables_bounds(pq44, queries):
-    tables = compute_tables(pq44, queries[0])
-    qt = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
-    assert qt.tables.shape == (4, 16)
-    assert qt.tables.max() <= 127
-    row_mins = tables.tables.min(axis=1)
-    assert qt.tables[np.argmin(row_mins)].min() == 0
-
-
-def test_quantized_tables_row_all_qmin():
-    t = np.zeros((2, 16), dtype=np.float32)
-    t[1] += 5.0
-    from pqscan import LookupTables
-
-    qt = quantized(LookupTables(t), 0.0, 5.0)
-    np.testing.assert_array_equal(qt.tables[0], np.zeros(16, dtype=np.uint8))
-    np.testing.assert_array_equal(qt.tables[1], np.full(16, 127, dtype=np.uint8))
-
-
-def test_quantized_tables_monotone_rows(pq44, queries):
-    tables = compute_tables(pq44, queries[1])
-    qt = quantized(tables, float(tables.tables.min()), float(tables.tables.max()))
-    for j in range(4):
-        order = np.argsort(tables.tables[j], kind="stable")
-        q_sorted = qt.tables[j][order].astype(np.int64)
-        assert (np.diff(q_sorted) >= 0).all()
-
-
-# -- kernel equivalence ------------------------------------------------------
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))
-@settings(max_examples=80, deadline=None)
-def test_qadc_block_equals_scalar(seed, m):
-    rng = np.random.default_rng(seed)
-    qt = random_qt(rng, m)
-    codes = rng.integers(0, 16, (16, m)).astype(np.uint8)
-    tlist = transpose_blocks(CodeList(pack(codes), m=m), 4)
-    out = qadc_block(tlist.blocks[0], qt)
-    expect = np.array([scalar_qadc(c, qt) for c in codes], dtype=np.uint8)
-    np.testing.assert_array_equal(out, expect)
-
-
-def test_qadc_block_saturates():
-    qt = QuantizedTables(np.full((2, 16), 127, dtype=np.uint8), 0.0, 1.0, BINS)
-    codes = np.zeros((16, 2), dtype=np.uint8)
-    tlist = transpose_blocks(CodeList(pack(codes), m=2), 4)
-    np.testing.assert_array_equal(
-        qadc_block(tlist.blocks[0], qt), np.full(16, 127, dtype=np.uint8)
-    )
-
-
-def test_quantized_distances_match_blocks():
-    # int16 entries at most BOUND_MAX // m: no sum reaches the oracle's cap
+def test_quantized_distances_match_component_sums():
+    # int16 entries at most BOUND_MAX // m: no sum overflows int16; odd m
+    # leaves the last high nibble as padding
     rng = np.random.default_rng(4)
-    m = 6
-    entries = rng.integers(0, BOUND_MAX // m + 1, (m, 16)).astype(np.int16)
-    codes = pack(rng.integers(0, 16, (53, m)))
-    tlist = transpose_blocks(CodeList(codes, m=m), 4)
-    flat = quantized_distances(codes, entries[None], np.zeros(codes.shape[0], int))
-    wide = SimpleNamespace(tables=entries, bins=BOUND_MAX)
-    for blk in range(tlist.n_blocks):
-        v = tlist.block_validity(blk)
-        np.testing.assert_array_equal(
-            qadc_block(tlist.blocks[blk], wide)[:v], flat[blk * 16 : blk * 16 + v]
-        )
+    for m in (5, 6):
+        entries = rng.integers(0, BOUND_MAX // m + 1, (m, 16)).astype(np.int16)
+        comps = rng.integers(0, 16, (53, m))
+        got = quantized_distances(pack(comps), entries[None], np.zeros(53, int))
+        np.testing.assert_array_equal(got, entries[np.arange(m), comps].sum(axis=1))
 
 
 # -- full scan ---------------------------------------------------------------
