@@ -359,6 +359,12 @@ KERNEL_QUANTIZERS = {
 }
 
 
+# query cases: kernel name -> kernel, plus quick-adc over 8-bit codes of
+# even m, with their train arguments
+QUERY_KERNELS = {**{k: k for k in KERNEL_QUANTIZERS}, "quick-adc-8x8": "quick-adc"}
+QUERY_QUANTIZERS = {**KERNEL_QUANTIZERS, "quick-adc-8x8": ["--m", "8", "--b", "8"]}
+
+
 def test_kernel_quantizers_cover_every_kernel():
     assert tuple(KERNEL_QUANTIZERS) == KERNELS
 
@@ -376,40 +382,42 @@ def test_bench_rejects_a_rotation_with_derived_codebooks(workspace, capsys, inde
 
 @pytest.fixture(scope="module")
 def kernel_files(workspace):
-    """kernel -> (quantizer path, path of the base encoded with it)."""
+    """query case -> (quantizer path, path of the base encoded with it)."""
     files = {}
-    for kernel, args in KERNEL_QUANTIZERS.items():
-        quant, codes = workspace / f"{kernel}.pqz", workspace / f"{kernel}.pql"
+    for case, args in QUERY_QUANTIZERS.items():
+        quant, codes = workspace / f"{case}.pqz", workspace / f"{case}.pql"
         assert main(["train", "--base", str(workspace / "base.fvecs"), "--iters", "3",
                      *args, "--out", str(quant)]) == 0
         assert main(["encode", "--base", str(workspace / "base.fvecs"),
                      "--quantizer", str(quant), "--out", str(codes)]) == 0
-        files[kernel] = quant, codes
+        files[case] = quant, codes
     return files
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_QUANTIZERS))
+@pytest.mark.parametrize("case", sorted(QUERY_KERNELS))
 def test_query_empty_code_file_prints_only_the_header(
-    workspace, kernel_files, kernel, tmp_path, capsys
+    workspace, kernel_files, case, tmp_path, capsys
 ):
-    quant = kernel_files[kernel][0]
+    quant = kernel_files[case][0]
     loaded = load_quantizer_any(quant)
     pq = loaded.pq if isinstance(loaded, DerivedPQ) else loaded
     codes = tmp_path / "empty.pql"
     save_codes(codes, CodeList(np.zeros((0, pq.code_width), pq.code_dtype), m=pq.m), pq.b)
     got = run(capsys, "query", "--queries", str(workspace / "q.fvecs"),
-              "--codes", str(codes), "--quantizer", str(quant), "--kernel", kernel)
+              "--codes", str(codes), "--quantizer", str(quant),
+              "--kernel", QUERY_KERNELS[case])
     assert got == (0, "query,rank,id,distance\n", "")
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_QUANTIZERS))
-def test_query_overflowing_tables_is_exit_1(kernel_files, kernel, tmp_path, capsys):
+@pytest.mark.parametrize("case", sorted(QUERY_KERNELS))
+def test_query_overflowing_tables_is_exit_1(kernel_files, case, tmp_path, capsys):
     # finite float32 queries whose squared distances overflow float32
     queries = tmp_path / "far.fvecs"
     write_vecs(queries, np.full((2, 16), 1e20, dtype=np.float32), "fvecs")
-    quant, codes = kernel_files[kernel]
+    quant, codes = kernel_files[case]
     code, out, err = run(capsys, "query", "--queries", str(queries), "--codes",
-                         str(codes), "--quantizer", str(quant), "--kernel", kernel)
+                         str(codes), "--quantizer", str(quant),
+                         "--kernel", QUERY_KERNELS[case])
     assert (code, out) == (1, "")
     assert err == "error: lookup table entries overflow float32\n"
 

@@ -259,6 +259,55 @@ def test_compact_bins_endpoints():
     assert bins[0, :63].max() < CBINS == bins[0, 63]
 
 
+def test_compact_bins_zero_at_qmin(dpq, dcodes, queries):
+    for q in queries[:3]:
+        compact = compute_compact_tables(dpq, q)
+        bins = quantize_compact_tables(compact, dcodes, r2=100)
+        assert not bins[compact.tables == compact.tables.min()].any()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_compact_bins_monotone_in_entries(seed, m, r2):
+    rng = np.random.default_rng(seed)
+    tables = LookupTables((rng.random((m, 8)) * 10).astype(np.float32))
+    db = CodeList(rng.integers(0, 8, (30, m)).astype(np.uint8))
+    bins = quantize_compact_tables(tables, db, r2)
+    order = np.argsort(tables.tables, axis=None, kind="stable")
+    assert (np.diff(bins.ravel()[order].astype(np.int64)) >= 0).all()
+
+
+def test_compact_bins_qmax_is_the_first_code_at_r2_1(dpq, dcodes, queries):
+    compact = compute_compact_tables(dpq, queries[3])
+    bins = quantize_compact_tables(compact, dcodes, r2=1)
+    low = (dcodes.codes[:1] & (dpq.kbar - 1)).astype(np.uint16)
+    first = float(scan_distances(compact, low)[0])
+    np.testing.assert_array_equal(bins == CBINS, compact.tables >= first)
+
+
+def test_compact_bins_read_only_the_first_r2_codes(dpq, dcodes, queries):
+    compact = compute_compact_tables(dpq, queries[4])
+    bins = quantize_compact_tables(compact, dcodes, r2=50)
+    rest = np.random.default_rng(5).integers(0, 1 << dpq.pq.b, dcodes.codes[50:].shape)
+    changed = CodeList(np.concatenate([dcodes.codes[:50], rest.astype(dcodes.codes.dtype)]))
+    np.testing.assert_array_equal(quantize_compact_tables(compact, changed, r2=50), bins)
+    # past the end of the list, r2 reads the whole list
+    np.testing.assert_array_equal(
+        quantize_compact_tables(compact, dcodes, r2=dcodes.n + 50),
+        quantize_compact_tables(compact, dcodes, r2=dcodes.n),
+    )
+
+
+def test_compact_bins_of_an_empty_list_are_zero(dpq, queries):
+    compact = compute_compact_tables(dpq, queries[0])
+    empty = CodeList(np.zeros((0, dpq.pq.m), dtype=np.uint8))
+    bins = quantize_compact_tables(compact, empty, r2=10)
+    assert bins.shape == compact.tables.shape and bins.dtype == np.uint8
+    assert not bins.any()
+    with pytest.raises(ValueError, match="r2 must be >= 1"):
+        quantize_compact_tables(compact, empty, r2=0)
+
+
 def test_quantized_compact_qmax_rule(dpq, dcodes, queries):
     compact = compute_compact_tables(dpq, queries[0])
     bins = quantize_compact_tables(compact, dcodes, r2=150)

@@ -6,6 +6,7 @@ from pqscan import (
     CodeList,
     LazyTables,
     NeighborSet,
+    ProductQuantizer,
     TrainConfig,
     build_ivf,
     compute_compact_tables,
@@ -28,7 +29,7 @@ from pqscan import (
 )
 from pqscan._dist import nearest, nearest_k
 from pqscan.ivf import KERNELS as LIBRARY_KERNELS
-from pqscan.ivf import query_ivf_stats
+from pqscan.ivf import check_kernel_shape, query_ivf_stats, scan_lists
 from pqscan.quantizer import ENCODE_ROWS
 
 CFG = TrainConfig(kmeans_iters=8, seed=4)
@@ -231,6 +232,35 @@ def test_quick_adc_on_8bit_lists_equals_adc(index88, queries):
                 assert b.to_arrays()[0].tobytes() == dists.tobytes()
                 tied |= bool((np.diff(dists) == 0).any())
     assert tied
+
+
+# (m, b, whether qadc_scan reads the codes): 4-bit codes at any m, 8-bit
+# codes at even m, nothing else
+QADC_SHAPES = [(1, 4, True), (3, 4, True), (4, 4, True), (2, 8, True), (6, 8, True),
+               (1, 8, False), (3, 8, False), (4, 6, False), (5, 5, False)]
+
+
+@pytest.mark.parametrize("m, b, reads", QADC_SHAPES)
+def test_quick_adc_accepts_exactly_the_shapes_qadc_scan_reads(m, b, reads):
+    # small integer centroids and vectors: exact, often tied distances
+    rng = np.random.default_rng(16 * m + b)
+    books = rng.integers(-3, 4, (m, 1 << b, 2))
+    pq = ProductQuantizer(m=m, b=b, d=2 * m, codebooks=books)
+    codes = encode(pq, rng.integers(-3, 4, (300, 2 * m)).astype(np.float32))
+    lists = [CodeList(codes[:170], np.arange(170), m),
+             CodeList(codes[170:], np.arange(170, 300), m)]
+    queries = rng.integers(-3, 4, (2, 2 * m)).astype(np.float64)
+    if not reads:
+        with pytest.raises(ValueError, match="quick-adc kernel requires"):
+            check_kernel_shape("quick-adc", m, b, False)
+        with pytest.raises(ValueError, match="quick scan requires"):
+            qadc_scan(lists, [compute_tables(pq, q) for q in queries], 10)
+        return
+    assert check_kernel_shape("quick-adc", m, b, False) == "quick-adc"
+    for r in (1, 10, 100):
+        got, _ = scan_lists(pq, lists, queries, r, "quick-adc", None)
+        want, _ = scan_lists(pq, lists, queries, r, "adc", None)
+        assert got.items() == want.items()
 
 
 def test_quick_adc_scans_the_visited_lists_in_one_call(index, queries, monkeypatch):
