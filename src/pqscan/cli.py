@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from ._binio import FormatError
-from ._dist import nearest_k
 from .data import (
     GroundTruth,
     exact_knn,
@@ -137,24 +136,14 @@ def _load_truth(path: str, n_queries: int) -> GroundTruth:
 
 
 def _exhaustive_search_fn(args, quant, codelist: CodeList):
-    """Returns a per-query search fn -> ((D, I), checked, pruned)."""
+    """Returns a per-query search fn -> (NeighborSet, ScanStats)."""
     kernel = check_kernel(args.kernel, quant)
-
-    def run(q):
-        nset, stats = scan_lists(quant, [codelist], q[None, :], args.r, kernel, args.r2)
-        return nset.to_arrays(), stats.checked, stats.pruned
-
-    return run
+    return lambda q: scan_lists(quant, [codelist], q[None, :], args.r, kernel, args.r2)
 
 
 def _index_search_fn(args, index):
     """Returns a per-query search fn over an inverted index, as above."""
-
-    def run(q):
-        found, stats = query_ivf_stats(index, q, args.ma, args.r, args.kernel, args.r2)
-        return found.to_arrays(), stats.checked, stats.pruned
-
-    return run
+    return lambda q: query_ivf_stats(index, q, args.ma, args.r, args.kernel, args.r2)
 
 
 def cmd_query(args) -> int:
@@ -173,7 +162,7 @@ def cmd_query(args) -> int:
                 f"codes are {codelist.m}x{b} but the quantizer is {pq.m}x{pq.b}"
             )
         run = _exhaustive_search_fn(args, quant, codelist)
-    results = [run(q)[0] for q in queries]
+    results = [run(q)[0].to_arrays() for q in queries]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("query", "rank", "id", "distance"))
     for qi, (dists, ids) in enumerate(results):
@@ -200,8 +189,6 @@ def cmd_bench(args) -> int:
     queries = _read_auto(args.queries).astype(np.float64)
     if queries.shape[0] == 0:
         raise ValueError("empty query set")
-    if not args.truth:
-        raise ValueError("recall reporting requires --truth")
     truth = _load_truth(args.truth, queries.shape[0])
     check_kernel_shape(args.kernel, args.m, args.b, args.bderived is not None)
     cfg = _train_cfg(args)
@@ -210,7 +197,7 @@ def cmd_bench(args) -> int:
     r2_used = ""
     if args.kernel == "derived":
         r2_used = default_r2(r) if args.r2 is None else args.r2
-    if args.K:
+    if args.K is not None:
         index = build_ivf(
             base, args.K, args.m, args.b, cfg, use_opq=args.opq, bderived=args.bderived
         )
@@ -231,15 +218,11 @@ def cmd_bench(args) -> int:
     result_ids = np.full((queries.shape[0], r), -1, dtype=np.int64)
     pruned_total = 0
     codes_total = 0
-    for qi, (_, ((_, ids), checked, pruned)) in enumerate(outcomes):
+    for qi, (_, (found, stats)) in enumerate(outcomes):
+        ids = found.to_arrays()[1]
         result_ids[qi, : ids.shape[0]] = ids
-        codes_total += checked + pruned
-        pruned_total += pruned
-    if args.K:
-        # Codes in the visited lists, counted outside the timed region.
-        cells, _ = nearest_k(queries, index.coarse.astype(np.float64), args.ma)
-        list_sizes = np.array([lst.n for lst in index.lists])
-        codes_total = int(list_sizes[cells].sum())
+        codes_total += stats.total
+        pruned_total += stats.pruned
     recall = recall_at_r(result_ids, truth, r)
     mean_ms = float(times.mean() * 1e3)
     median_ms = float(np.median(times) * 1e3)

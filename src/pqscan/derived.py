@@ -3,8 +3,10 @@
 A b-bit codebook is reordered so the low b-bar bits of every centroid index
 name the cluster of a coarser derived codebook (property P1). Stored codes
 then serve two table resolutions: a cheap quantized first pass over the
-derived tables keeps the candidates of capped distance buckets, sorted by
-bucket, and a second pass reranks them with lazily computed full-resolution
+derived tables keeps, sorted by bucket, the codes at or below the bucket of
+the r2-th smallest quantized distance, or, when fewer than r2 lie below the
+top bucket, all of those plus the top-bucket codes among the first r2
+stored; a second pass reranks them with lazily computed full-resolution
 tables.
 """
 
@@ -201,39 +203,27 @@ class Candidates:
 
 
 def scan_candidates(db: CodeList, bins: np.ndarray, r2: int) -> Candidates:
-    """First pass: bin every code's approximate distance and keep the codes
-    a capped bucket store admits.
+    """First pass: bin every code's approximate distance and keep the
+    candidates of the capped bucket store, sorted stably by bin.
 
-    bins are quantize_compact_tables'. The store takes codes in storage
-    order. Bins below CBINS hold codes by quantized distance; the top bin
-    (at-or-above qmax) admits codes only while fewer than r2 are held. Once
-    r2 are held, the running bound is the bin of the r2-th smallest held
-    distance and anything above it is refused; at the end, codes held above
-    the final bound are dropped. A code below the top bin and at or below
-    the final bound is always admitted (the running bound only tightens
-    toward it), and anything above it is dropped regardless of when it was
-    seen, so the survivors are computed in bulk.
+    bins are quantize_compact_tables'. Bins below CBINS hold codes by
+    quantized distance; the top bin (at or above qmax) is capped by storage
+    position. When at least r2 codes lie below the top bin, the kept codes
+    are those at or below the bin of the r2-th smallest. Otherwise every code
+    below the top bin is kept, and a top-bin code only among the first r2
+    codes in storage order: a store filled in that order holds fewer than r2
+    codes just before position p exactly when p < r2.
     """
     if r2 < 1:
         raise ValueError("r2 must be >= 1")
     d = adc_low_bits(bins, db.codes)
-    smalls = d < CBINS
-    count_small = int(np.count_nonzero(smalls))
-    if count_small >= r2:
-        hist = np.bincount(d[smalls], minlength=CBINS)
-        bound = int(np.argmax(np.cumsum(hist) >= r2))
-        sel = d <= bound
+    keep = d < CBINS
+    if np.count_nonzero(keep) >= r2:
+        hist = np.bincount(d[keep], minlength=CBINS)
+        keep = d <= int(np.argmax(np.cumsum(hist) >= r2))
     else:
-        sel = smalls.copy()
-        pos255 = np.flatnonzero(~smalls)
-        if pos255.size:
-            smalls_before = np.cumsum(smalls)[pos255]
-            viol = np.flatnonzero(
-                smalls_before + np.arange(pos255.size, dtype=np.int64) >= r2
-            )
-            take = int(viol[0]) if viol.size else pos255.size
-            sel[pos255[:take]] = True
-    pick = np.flatnonzero(sel)
+        keep[:r2] = True
+    pick = np.flatnonzero(keep)
     positions = pick[np.argsort(d[pick], kind="stable")]
     return Candidates(d[positions], positions, db.ids[positions])
 

@@ -125,6 +125,8 @@ def build_ivf(
         raise ValueError("base must be 2-D")
     _require_finite(base, "base vectors")
     n, d = base.shape
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if n < K or n < (1 << b):
         raise ValueError(f"{n} vectors cannot train K={K}, b={b}")
     ids = _binio.index_array(np.arange(n) if ids is None else ids)

@@ -162,8 +162,6 @@ def qadc_scan(
     ids = _joined([lst.ids for lst in lists])
     cells = np.repeat(np.arange(len(lists)), [lst.n for lst in lists])
     t64 = np.stack([tab.tables for tab in tables]).astype(np.float64)
-    if not np.isfinite(t64).all():
-        raise ValueError("quick scan requires finite lookup tables")
     m = t64.shape[1]
 
     prefix_d = scan_distances(tables[0], lists[0].codes[:r])

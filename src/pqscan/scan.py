@@ -26,7 +26,8 @@ from .quantizer import (
 
 @dataclass
 class LookupTables:
-    """Per-sub-space squared distances, shape (m, 2^b) float32."""
+    """Per-sub-space squared distances, shape (m, 2^b) float32, all finite,
+    so every kernel ranks the same finite sums."""
 
     tables: np.ndarray
 
@@ -34,6 +35,8 @@ class LookupTables:
         self.tables = np.ascontiguousarray(self.tables, dtype=np.float32)
         if self.tables.ndim != 2:
             raise ValueError("tables must be 2-D (m, 2^b)")
+        if not np.isfinite(self.tables).all():
+            raise ValueError("lookup table entries must be finite")
 
     @property
     def m(self) -> int:

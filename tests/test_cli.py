@@ -1,5 +1,7 @@
 import csv
 import io
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,26 +265,44 @@ def test_bench_ivf_row(workspace, capsys):
 
 
 def test_bench_ivf_counts_visited_codes_outside_timed_queries(workspace, capsys, monkeypatch):
-    # The coarse lookup that counts visited codes runs once, for all queries
-    # together, not inside each timed query.
+    # The bench's only coarse lookups are the queries' own, one per query
+    # plus the warm-up, and the codes it counts are the sizes of the lists
+    # those lookups visited, as each query's ScanStats reports them.
     import pqscan.cli as cli
+    from pqscan import ivf
 
-    calls = []
+    built, cells = [], []
 
     def counting_nearest_k(points, centroids, k):
-        calls.append(np.asarray(points).shape[0])
-        return nearest_k(points, centroids, k)
+        found = nearest_k(points, centroids, k)
+        if built:  # a lookup after the build
+            cells.append(found[0])
+        return found
 
-    monkeypatch.setattr(cli, "nearest_k", counting_nearest_k)
+    def kept_build_ivf(*args, **kwargs):
+        built.append(ivf.build_ivf(*args, **kwargs))
+        return built[-1]
+
+    # Every query takes 2^-20 s exactly, so mcodes_per_s shows the count.
+    ticks = iter(range(1000))
+    clock = SimpleNamespace(perf_counter=lambda: next(ticks) * 2.0**-20)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pqscan" and hasattr(module, "nearest_k"):
+            monkeypatch.setattr(module, "nearest_k", counting_nearest_k)
+    monkeypatch.setattr(cli, "build_ivf", kept_build_ivf)
+    monkeypatch.setattr(cli, "time", clock)
     code, out, _ = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
                        "--queries", str(workspace / "q.fvecs"),
                        "--truth", str(workspace / "t.ivecs"),
                        "--m", "4", "--b", "4", "--K", "8", "--ma", "4",
                        "--r", "10", "--iters", "5", "--kernel", "adc")
     assert code == 0
-    assert calls == [8]
+    assert [c.shape for c in cells] == [(1, 4)] * (1 + 8)
+    sizes = np.array([lst.n for lst in built[0].lists])
+    visited = int(sum(sizes[c].sum() for c in cells[1:]))
     row = dict(zip(*csv.reader(io.StringIO(out))))
-    assert float(row["mcodes_per_s"]) > 0.0
+    assert row["mcodes_per_s"] == f"{visited / (8 * 2.0**-20) / 1e6:.2f}"
+    assert row["mean_ms"] == f"{2.0**-20 * 1e3:.3f}"
 
 
 def test_build_ivf_and_query(workspace, tmp_path, capsys):
@@ -444,6 +464,8 @@ def no_training(monkeypatch):
     (["--m", "4", "--b", "6", "--kernel", "quick-adc"], QUICK_ADC_SHAPES),
     (["--m", "4", "--b", "4", "--bderived", "3", "--opq", "--K", "8", "--kernel", "derived"],
      "derived quantizers do not support a rotation"),
+    (["--m", "4", "--b", "4", "--K", "0"], "K must be >= 1, got 0"),
+    (["--m", "4", "--b", "4", "--K", "-1"], "K must be >= 1, got -1"),
 ])
 def test_bench_rejects_bad_flags_before_training(workspace, capsys, no_training, argv, message):
     code, out, err = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),

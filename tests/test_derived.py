@@ -409,6 +409,49 @@ def test_scan_candidates_equals_sequential_on_any_bin_stream(data):
     assert_same_buckets(got, sequential_buckets(r2, bins, ids))
 
 
+def emulated_candidates(d, ids, r2):
+    """(bins, positions, ids) of the capped store emulated in bulk, as
+    scan_candidates once computed it: with fewer than r2 codes below the top
+    bin, a top-bin code is admitted while the small codes before it plus the
+    top-bin codes admitted before it number fewer than r2."""
+    d = np.asarray(d, dtype=np.uint8)
+    smalls = d < CBINS
+    if np.count_nonzero(smalls) >= r2:
+        hist = np.bincount(d[smalls], minlength=CBINS)
+        sel = d <= int(np.argmax(np.cumsum(hist) >= r2))
+    else:
+        sel = smalls.copy()
+        pos255 = np.flatnonzero(~smalls)
+        if pos255.size:
+            smalls_before = np.cumsum(smalls)[pos255]
+            viol = np.flatnonzero(
+                smalls_before + np.arange(pos255.size, dtype=np.int64) >= r2
+            )
+            take = int(viol[0]) if viol.size else pos255.size
+            sel[pos255[:take]] = True
+    pick = np.flatnonzero(sel)
+    positions = pick[np.argsort(d[pick], kind="stable")]
+    return d[positions], positions, np.asarray(ids)[positions]
+
+
+@given(
+    bins=st.lists(st.one_of(st.integers(0, CBINS - 1), st.just(CBINS)), max_size=150),
+    r2=st.integers(1, 160),
+)
+@example(bins=[], r2=3)  # an empty list
+@example(bins=[7, CBINS, 0, CBINS], r2=50)  # r2 > n
+@example(bins=[CBINS] * 12, r2=5)  # every code in the top bin
+@example(bins=[CBINS, 2, CBINS, CBINS, 1, CBINS, CBINS], r2=4)  # top bin past r2
+@settings(max_examples=300, deadline=None)
+def test_scan_candidates_match_the_emulated_store(bins, r2):
+    ids = np.arange(len(bins))[::-1] + 2**31 + 5
+    db = CodeList(np.array(bins, dtype=np.uint8).reshape(-1, 1), ids)
+    got = scan_candidates(db, IDENTITY_BINS, r2)
+    want = emulated_candidates(bins, ids, r2)
+    for got_column, want_column in zip((got.bins, got.positions, got.ids), want):
+        assert got_column.tolist() == want_column.tolist()
+
+
 def test_adc_low_bits_saturates_past_uint16_sums():
     # m * 255 = 65790 overflows a 16-bit accumulator
     m = 258

@@ -5,6 +5,7 @@ from scipy.spatial.distance import cdist
 from pqscan import (
     CodeList,
     LazyTables,
+    LookupTables,
     NeighborSet,
     ProductQuantizer,
     TrainConfig,
@@ -24,6 +25,7 @@ from pqscan import (
     recall_at_r,
     save_ivf,
     scan,
+    scan_distances,
     search_two_pass,
     train_derived,
 )
@@ -416,6 +418,33 @@ def test_kernels_reject_tables_that_overflow_float32(run_kernel, base, kernel, s
     assert len(run_kernel(kernel, base[3], 100)) == 5
     with pytest.raises(ValueError, match="lookup table entries overflow float32"):
         run_kernel(kernel, np.full(base.shape[1], scale), 100)
+
+
+TABLE_KERNELS = {
+    "scan": lambda codes, tables: scan(codes, tables, 5),
+    "scan_distances": lambda codes, tables: scan_distances(tables, codes.codes),
+    "qadc_scan": lambda codes, tables: qadc_scan([codes], [tables], 5),
+    "fast_scan": lambda codes, tables: fast_scan(group_codes(codes), tables, 0.05, 5),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kernel", sorted(TABLE_KERNELS))
+def test_kernels_share_one_non_finite_table_rule(pq88, codes88, base, kernel, bad):
+    # Every kernel reads LookupTables, which refuse a non-finite entry, so
+    # none of them ranks codes on one or raises its own error.
+    entries = compute_tables(pq88, base[3]).tables.copy()
+    run = TABLE_KERNELS[kernel]
+    run(codes88, LookupTables(entries))
+    entries[2, 7] = bad
+    with pytest.raises(ValueError, match="^lookup table entries must be finite$"):
+        run(codes88, LookupTables(entries))
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_build_ivf_rejects_K_below_1_before_training(base, no_coarse_kmeans, K):
+    with pytest.raises(ValueError, match=rf"^K must be >= 1, got {K}$"):
+        build_ivf(base, K=K, m=4, b=4, cfg=CFG)
 
 
 @pytest.mark.parametrize("scale", [1e20, 1e200])
