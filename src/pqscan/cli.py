@@ -28,6 +28,7 @@ from .ivf import (
     build_ivf,
     check_kernel,
     check_kernel_shape,
+    check_search_args,
     default_r2,
     load_ivf,
     plain_pq,
@@ -149,6 +150,7 @@ def _index_search_fn(args, index):
 def cmd_query(args) -> int:
     queries = _read_auto(args.queries).astype(np.float64)
     # validate inputs and build the search closure before any output
+    check_search_args(args.r, args.r2)
     if args.index:
         run = _index_search_fn(args, load_ivf(args.index))
     else:
@@ -191,6 +193,7 @@ def cmd_bench(args) -> int:
         raise ValueError("empty query set")
     truth = _load_truth(args.truth, queries.shape[0])
     check_kernel_shape(args.kernel, args.m, args.b, args.bderived is not None)
+    check_search_args(args.r, args.r2, args.K, args.ma)
     cfg = _train_cfg(args)
     rng = np.random.default_rng(args.seed)
     r = args.r

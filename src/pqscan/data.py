@@ -21,6 +21,7 @@ import numpy as np
 
 from ._binio import FormatError
 from ._dist import nearest_k
+from .quantizer import _require_finite
 
 _ELEM = {"fvecs": ("<f4", 4), "bvecs": ("u1", 1), "ivecs": ("<i4", 4)}
 
@@ -136,6 +137,8 @@ def exact_knn(base: np.ndarray, queries: np.ndarray, k: int) -> GroundTruth:
         raise ValueError("base and queries must be 2-D with equal dimensionality")
     if k > base.shape[0]:
         raise ValueError(f"k={k} exceeds base size {base.shape[0]}")
+    _require_finite(base, "base vectors")
+    _require_finite(queries, "queries")
     ids, dist = nearest_k(queries, base, k)
     return GroundTruth(ids=ids, distances=dist)
 

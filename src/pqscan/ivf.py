@@ -29,7 +29,6 @@ from .quantizer import (
     ProductQuantizer,
     TrainConfig,
     _check_query,
-    _checked_rows,
     _require_finite,
     encode,
     kmeans,
@@ -133,51 +132,37 @@ def build_ivf(
     if ids.shape != (n,):
         raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
     rng = np.random.default_rng(cfg.seed)
-    # Every row below is a checked base row or its residual, so the callees
-    # skip their own checks.
-    with _checked_rows():
-        coarse_rows = _sample_rows(rng, n, max(K, 100 * K))
-        coarse, sample_assign = kmeans(base[coarse_rows], K, cfg)
-        # A float64 residual of a finite row and a finite float32 centroid
-        # is finite, so only the centroids' cast can overflow.
-        if not np.isfinite(coarse).all():
-            raise ValueError("coarse centroids overflow float32")
-        coarse64 = coarse.astype(np.float64)
-        train_rows = _sample_rows(rng, n, 100 * (1 << b))
-        train = base[train_rows]
-        train_cells = nearest(train, coarse64)
-        train_res = train - coarse64[train_cells]
-        quant = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
-        pq = plain_pq(quant)
-        dpq = quant if isinstance(quant, DerivedPQ) else None
-        # kmeans assigns its sample to the float32 centroids it returns as
-        # nearest does, so rows in both samples get one cell; -1 marks the
-        # rows still to assign.
-        assign = np.full(n, -1, dtype=np.int64)
-        assign[train_rows] = train_cells
-        assign[coarse_rows] = sample_assign
-        # Every chunk reuses these buffers; every index is in range, and
-        # mode="clip" only spares take the buffering its default mode does
-        # before writing to out.
-        rows = np.empty((min(ENCODE_ROWS, n), d), dtype=base.dtype)
-        res = np.empty((min(ENCODE_ROWS, n), d))
+    coarse_rows = _sample_rows(rng, n, max(K, 100 * K))
+    coarse, sample_assign = kmeans(base[coarse_rows], K, cfg)
+    # Means of finite rows can still overflow the float32 cast.
+    if not np.isfinite(coarse).all():
+        raise ValueError("coarse centroids overflow float32")
+    coarse64 = coarse.astype(np.float64)
+    train_rows = _sample_rows(rng, n, 100 * (1 << b))
+    train = base[train_rows]
+    train_cells = nearest(train, coarse64)
+    train_res = train - coarse64[train_cells]
+    quant = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
+    pq = plain_pq(quant)
+    dpq = quant if isinstance(quant, DerivedPQ) else None
+    # kmeans assigns its sample to the float32 centroids it returns as
+    # nearest does, so rows in both samples get one cell; -1 marks the
+    # rows still to assign.
+    assign = np.full(n, -1, dtype=np.int64)
+    assign[train_rows] = train_cells
+    assign[coarse_rows] = sample_assign
 
-        def cells_and_codes(i):
-            lo, hi = i * ENCODE_ROWS, min((i + 1) * ENCODE_ROWS, n)
-            cells = assign[lo:hi]
-            other = np.flatnonzero(cells < 0)
-            cells[other] = nearest(
-                np.take(base[lo:hi], other, axis=0, out=rows[: other.size], mode="clip"),
-                coarse64,
-            )
-            chunk = np.take(coarse64, cells, axis=0, out=res[: hi - lo], mode="clip")
-            np.subtract(base[lo:hi], chunk, out=chunk)
-            return cells, encode(pq, chunk)
+    def cells_and_codes(i):
+        lo, hi = i * ENCODE_ROWS, min((i + 1) * ENCODE_ROWS, n)
+        rows, cells = base[lo:hi], assign[lo:hi]
+        other = np.flatnonzero(cells < 0)
+        cells[other] = nearest(rows[other], coarse64)
+        return cells, encode(pq, rows - coarse64[cells])
 
-        cost = assign_cost(np.count_nonzero(assign < 0), K, d)
-        cost += pq.m * assign_cost(n, pq.k, pq.dsub)
-        cells, codes = zip(*fork_map(cells_and_codes, -(-n // ENCODE_ROWS), cost))
-        assign, codes = np.concatenate(cells), np.concatenate(codes)
+    cost = assign_cost(np.count_nonzero(assign < 0), K, d)
+    cost += pq.m * assign_cost(n, pq.k, pq.dsub)
+    cells, codes = zip(*fork_map(cells_and_codes, -(-n // ENCODE_ROWS), cost))
+    assign, codes = np.concatenate(cells), np.concatenate(codes)
 
     # A stable sort keeps each cell's rows in base order.
     order = np.argsort(assign, kind="stable")
@@ -271,6 +256,20 @@ def scan_lists(
     return scan(lists, tables, r), stats
 
 
+def check_search_args(r: int, r2: int | None = None, K: int | None = None, ma: int = 1) -> None:
+    """Reject r, r2 when given, and K and ma when K is given, as a search
+    would. Needs no index, so callers can check before building one."""
+    if K is not None:
+        if K < 1:
+            raise ValueError(f"K must be >= 1, got {K}")
+        if not 1 <= ma <= K:
+            raise ValueError(f"ma must be in [1, {K}]")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if r2 is not None and r2 < 1:
+        raise ValueError("r2 must be >= 1")
+
+
 def query_ivf(
     index: IvfIndex,
     query: np.ndarray,
@@ -296,10 +295,7 @@ def query_ivf_stats(
     non-empty visited lists, nearest cell first."""
     quant = index.pq if index.dpq is None else index.dpq
     kernel = check_kernel(kernel, quant)
-    if not 1 <= ma <= index.K:
-        raise ValueError(f"ma must be in [1, {index.K}]")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    check_search_args(r, r2, index.K, ma)
     query = _check_query(np.asarray(query, dtype=np.float64), index.d)
     cells, _ = nearest_k(query[None, :], index.coarse.astype(np.float64), ma)
     visited = [cell for cell in cells[0].tolist() if index.lists[cell].n]

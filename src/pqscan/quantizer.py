@@ -14,8 +14,7 @@ which tells the two layouts apart by the width of the array.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
@@ -170,25 +169,9 @@ def _seed_for(seed: int, lane: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(lane,))
 
 
-# True while a build passes on rows it has already checked for non-finite
-# values (see _checked_rows).
-_ROWS_CHECKED: ContextVar[bool] = ContextVar("rows_checked", default=False)
-
-
 def _require_finite(x: np.ndarray, what: str) -> None:
-    if not _ROWS_CHECKED.get() and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} contain non-finite values")
-
-
-@contextmanager
-def _checked_rows() -> Iterator[None]:
-    """Skip _require_finite inside: the caller vouches that every row it
-    passes on is finite."""
-    token = _ROWS_CHECKED.set(True)
-    try:
-        yield
-    finally:
-        _ROWS_CHECKED.reset(token)
 
 
 def _cdf_index(cdf: np.ndarray, u: float) -> int:

@@ -371,6 +371,22 @@ def test_ground_truth_matches_library(workspace):
     np.testing.assert_array_equal(truth_ids, expect.ids.astype(np.int32))
 
 
+@pytest.mark.parametrize("side", ["base", "queries"])
+def test_ground_truth_rejects_non_finite_rows(workspace, tmp_path, capsys, side):
+    paths = {"base": workspace / "base.fvecs", "queries": workspace / "q.fvecs"}
+    rows = read_vecs(paths[side], "fvecs")
+    rows[1] = np.nan
+    paths[side] = tmp_path / f"{side}.fvecs"
+    write_vecs(paths[side], rows, "fvecs")
+    out = tmp_path / "t.ivecs"
+    code, stdout, err = run(capsys, "ground-truth", "--base", str(paths["base"]),
+                            "--queries", str(paths["queries"]), "--k", "10",
+                            "--out", str(out))
+    what = "base vectors" if side == "base" else "queries"
+    assert (code, stdout, err) == (1, "", f"error: {what} contain non-finite values\n")
+    assert not out.exists()
+
+
 # train arguments of a quantizer each query kernel accepts
 KERNEL_QUANTIZERS = {
     "adc": ["--m", "4", "--b", "4"],
@@ -442,6 +458,14 @@ def test_query_overflowing_tables_is_exit_1(kernel_files, case, tmp_path, capsys
     assert err == "error: lookup table entries overflow float32\n"
 
 
+@pytest.mark.parametrize("flag, message", [("--r", "r must be >= 1"), ("--r2", "r2 must be >= 1")])
+def test_query_rejects_bad_r_before_output(workspace, kernel_files, capsys, flag, message):
+    quant, codes = kernel_files["adc"]
+    got = run(capsys, "query", "--queries", str(workspace / "q.fvecs"), "--codes",
+              str(codes), "--quantizer", str(quant), flag, "0")
+    assert got == (1, "", f"error: {message}\n")
+
+
 @pytest.fixture
 def no_training(monkeypatch):
     """Fail the test if any k-means starts."""
@@ -466,6 +490,12 @@ def no_training(monkeypatch):
      "derived quantizers do not support a rotation"),
     (["--m", "4", "--b", "4", "--K", "0"], "K must be >= 1, got 0"),
     (["--m", "4", "--b", "4", "--K", "-1"], "K must be >= 1, got -1"),
+    (["--m", "4", "--b", "4", "--K", "8", "--ma", "0"], "ma must be in [1, 8]"),
+    (["--m", "4", "--b", "4", "--K", "8", "--ma", "9"], "ma must be in [1, 8]"),
+    (["--m", "4", "--b", "4", "--r", "0"], "r must be >= 1"),
+    (["--m", "4", "--b", "4", "--K", "8", "--r", "0"], "r must be >= 1"),
+    (["--m", "4", "--b", "4", "--bderived", "2", "--kernel", "derived", "--r2", "0"],
+     "r2 must be >= 1"),
 ])
 def test_bench_rejects_bad_flags_before_training(workspace, capsys, no_training, argv, message):
     code, out, err = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),

@@ -121,6 +121,25 @@ def test_exact_knn_permutation_consistent():
     np.testing.assert_array_equal(perm[t2.ids], t1.ids)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side, message", [
+    ("base", "base vectors contain non-finite values"),
+    ("queries", "queries contain non-finite values"),
+])
+def test_exact_knn_rejects_non_finite(side, message, bad, monkeypatch):
+    rng = np.random.default_rng(5)
+    rows = {"base": rng.normal(size=(50, 8)), "queries": rng.normal(size=(4, 8))}
+    exact_knn(rows["base"], rows["queries"], 3)  # finite input is accepted
+    rows[side][2, 5] = bad
+
+    def distanced(*args):
+        raise AssertionError("distances computed")
+
+    monkeypatch.setattr("pqscan.data.nearest_k", distanced)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        exact_knn(rows["base"], rows["queries"], 3)
+
+
 def test_recall_perfect():
     truth = GroundTruth(
         ids=np.array([[7, 1], [7, 2]]), distances=np.zeros((2, 2))

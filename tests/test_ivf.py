@@ -534,19 +534,25 @@ def test_build_ivf_assigns_and_encodes_in_one_pass(base, monkeypatch):
     assert set(range(n)) - coarse_rows <= set(reached)
 
 
-def test_build_ivf_checks_each_value_once(base, monkeypatch):
-    # The base is checked for non-finite values once; its sample, the
-    # training residuals and the encoded residuals are not checked again.
-    isfinite, seen = np.isfinite, []
+def test_build_ivf_checks_the_whole_base_first(base, monkeypatch):
+    # The first finiteness check covers the whole base, before any k-means.
+    from pqscan import ivf
+
+    isfinite, kmeans, events = np.isfinite, ivf.kmeans, []
 
     def counted(x, *args, **kwargs):
-        seen.append(np.size(x))
+        events.append(np.size(x))
         return isfinite(x, *args, **kwargs)
 
+    def started(*args, **kwargs):
+        events.append("kmeans")
+        return kmeans(*args, **kwargs)
+
     monkeypatch.setattr(np, "isfinite", counted)
-    idx = build_ivf(base, K=8, m=4, b=4, cfg=CFG)
-    others = idx.coarse.size + idx.pq.codebooks.size
-    assert base.size <= sum(seen) <= base.size + others
+    monkeypatch.setattr(ivf, "kmeans", started)
+    build_ivf(base, K=8, m=4, b=4, cfg=CFG)
+    assert events[0] == base.size
+    assert "kmeans" in events[1:]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the float32 casts overflow
