@@ -18,7 +18,6 @@ from .data import (
     generate_synthetic,
     read_vecs,
     recall_at_r,
-    write_recall_csv,
     write_vecs,
 )
 from .derived import DerivedPQ, load_quantizer_any, save_derived
@@ -251,11 +250,6 @@ def cmd_bench(args) -> int:
             pruned_col,
         )
     )
-    if args.csv:
-        write_recall_csv(
-            args.csv,
-            [(method, args.m, args.b, r, f"{recall:.4f}", f"{mean_ms:.3f}")],
-        )
     return 0
 
 
@@ -266,6 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared by several commands, declared once so their defaults agree.
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--base", required=True)
+    training.add_argument("--m", type=int, required=True)
+    training.add_argument("--b", type=int, required=True)
+    training.add_argument("--bderived", type=int, default=None)
+    training.add_argument("--opq", action="store_true")
+    training.add_argument("--iters", type=int, default=25)
+    training.add_argument("--seed", type=int, default=0)
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--queries", required=True)
+    search.add_argument("--ma", type=int, default=8)
+    search.add_argument("--kernel", choices=KERNELS, default="adc")
+    search.add_argument("--r2", type=int, default=None)
+
     p = sub.add_parser("generate", help="write a synthetic fvecs/bvecs dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -275,16 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("fvecs", "bvecs"), default="fvecs")
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("train", help="train a (derived/optimized) product quantizer")
-    p.add_argument("--base", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--bderived", type=int, default=None)
-    p.add_argument("--opq", action="store_true")
+    p = sub.add_parser("train", parents=[training],
+                       help="train a (derived/optimized) product quantizer")
     p.add_argument("--sample", type=int, default=0, help="training rows (0 = all)")
-    p.add_argument("--iters", type=int, default=25)
     p.add_argument("--opq-iters", dest="opq_iters", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
@@ -294,15 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_encode)
 
-    p = sub.add_parser("build-ivf", help="build an inverted index")
-    p.add_argument("--base", required=True)
+    p = sub.add_parser("build-ivf", parents=[training], help="build an inverted index")
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--bderived", type=int, default=None)
-    p.add_argument("--opq", action="store_true")
-    p.add_argument("--iters", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_ivf)
 
@@ -314,33 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distances-out", dest="distances_out", default=None)
     p.set_defaults(fn=cmd_ground_truth)
 
-    p = sub.add_parser("query", help="search and print id,distance rows")
-    p.add_argument("--queries", required=True)
+    p = sub.add_parser("query", parents=[search], help="search and print id,distance rows")
     p.add_argument("--index", default=None)
     p.add_argument("--codes", default=None)
     p.add_argument("--quantizer", default=None)
     p.add_argument("--r", type=int, default=10)
-    p.add_argument("--ma", type=int, default=8)
-    p.add_argument("--kernel", choices=KERNELS, default="adc")
-    p.add_argument("--r2", type=int, default=None)
     p.set_defaults(fn=cmd_query)
 
-    p = sub.add_parser("bench", help="time a kernel and report a CSV row")
-    p.add_argument("--base", required=True)
-    p.add_argument("--queries", required=True)
+    p = sub.add_parser("bench", parents=[training, search],
+                       help="time a kernel and report a CSV row")
     p.add_argument("--truth", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--bderived", type=int, default=None)
     p.add_argument("--K", type=int, default=None)
-    p.add_argument("--ma", type=int, default=8)
     p.add_argument("--r", type=int, default=100)
-    p.add_argument("--r2", type=int, default=None)
-    p.add_argument("--kernel", choices=KERNELS, default="adc")
-    p.add_argument("--opq", action="store_true")
-    p.add_argument("--iters", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", default=None)
     p.set_defaults(fn=cmd_bench)
 
     return parser

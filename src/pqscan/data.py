@@ -12,10 +12,9 @@ All records within one file share the same dimension.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,20 +156,3 @@ def recall_at_r(results: Sequence[Sequence[int]] | np.ndarray, truth: GroundTrut
         if truth.ids[q, 0] in res[:R]:
             hits += 1
     return hits / max(truth.n_queries, 1)
-
-
-RECALL_CSV_HEADER = ("method", "m", "b", "r", "recall", "ms_per_query")
-
-
-def write_recall_csv(path_or_file, rows: Iterable[tuple]) -> None:
-    """Write a recall table: method,m,b,r,recall,ms_per_query."""
-    own = isinstance(path_or_file, (str, os.PathLike))
-    f = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        w = csv.writer(f)
-        w.writerow(RECALL_CSV_HEADER)
-        for row in rows:
-            w.writerow(row)
-    finally:
-        if own:
-            f.close()

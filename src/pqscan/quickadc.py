@@ -182,5 +182,4 @@ def qadc_scan(
     dists = np.concatenate([known, _exact_distances(t64, rest[later], rest_cells[later])])
     rows = np.concatenate([np.arange(n_prefix), n_prefix + seeds, n_prefix + later])
     best_d, best_i = _select_best(dists, ids[rows], r)
-    stats = ScanStats(total=codes.shape[0], checked=dists.size, pruned=codes.shape[0] - dists.size)
-    return NeighborSet.from_pairs(r, best_d, best_i), stats
+    return NeighborSet.from_pairs(r, best_d, best_i), ScanStats(codes.shape[0], dists.size)

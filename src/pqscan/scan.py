@@ -92,16 +92,20 @@ def compute_tables(pq: ProductQuantizer, queries: np.ndarray) -> LookupTables | 
 
 def scan_distances(tables: LookupTables, codes: np.ndarray) -> np.ndarray:
     """ADC distance of every row of codes: the sum of its m table entries.
-    Rows are one component per column or nibble-packed.
+    uint8 codes under tables of at most 16 entries are nibble-packed, (n,
+    ceil(m/2)), as every 4-bit list is stored; other codes, uint16 among
+    them, hold one component per column.
 
     Accumulates in float64 with a fixed left-to-right sub-space order, so
     each result equals the scalar sum taken in sub-space order exactly.
     """
     codes = np.asarray(codes)
     m = tables.m
-    widths = (m, (m + 1) // 2) if tables.k <= 16 else (m,)
-    if codes.ndim != 2 or codes.shape[1] not in widths:
-        raise ValueError(f"codes must have shape (n, w), w in {widths}")
+    packed = tables.k <= 16 and codes.dtype == np.uint8
+    width = (m + 1) // 2 if packed else m
+    if codes.ndim != 2 or codes.shape[1] != width:
+        raise ValueError(f"codes must have shape (n, {width}) for m={m}"
+                         + (", nibble-packed" if packed else ""))
     t64 = tables.tables.astype(np.float64)
     acc = np.zeros(codes.shape[0], dtype=np.float64)
     for j, col in enumerate(code_columns(codes, m)):
@@ -216,11 +220,15 @@ class CodeList:
 
 @dataclass
 class ScanStats:
-    """Pruning outcome counts: checked = exact distances computed."""
+    """Pruning outcome counts: checked = exact distances computed, pruned =
+    the rest."""
 
     total: int = 0
     checked: int = 0
-    pruned: int = 0
+
+    @property
+    def pruned(self) -> int:
+        return self.total - self.checked
 
     @property
     def pruned_fraction(self) -> float:

@@ -16,7 +16,7 @@ from pqscan import (
     write_vecs,
 )
 from pqscan._dist import nearest_k
-from pqscan.cli import BENCH_HEADER, main
+from pqscan.cli import BENCH_HEADER, build_parser, main
 from pqscan.ivf import KERNELS
 
 
@@ -173,25 +173,20 @@ def test_query_quick_adc_rejects_6bit_codes(workspace, kernel_files, capsys):
     assert got == (1, "", f"error: {QUICK_ADC_SHAPES}\n")
 
 
-def test_bench_adc_row(workspace, capsys, tmp_path):
-    csv_path = tmp_path / "out.csv"
+def test_bench_adc_row(workspace, capsys):
     code, out, _ = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
                        "--queries", str(workspace / "q.fvecs"),
                        "--truth", str(workspace / "t.ivecs"),
                        "--m", "4", "--b", "4", "--r", "10", "--iters", "6",
-                       "--kernel", "adc", "--csv", str(csv_path))
+                       "--kernel", "adc")
     assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == list(BENCH_HEADER)
-    row = dict(zip(rows[0], rows[1]))
+    # one table: the header row and one result row, nothing else
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0] == ",".join(BENCH_HEADER)
+    row = dict(zip(*csv.reader(lines)))
     assert row["method"] == "adc"
     assert 0.0 <= float(row["recall"]) <= 1.0
     assert float(row["mean_ms"]) > 0
-    # compact csv written alongside
-    with open(csv_path) as f:
-        compact = list(csv.reader(f))
-    assert compact[0] == ["method", "m", "b", "r", "recall", "ms_per_query"]
-    assert compact[1][0] == "adc"
 
 
 def test_bench_8x8_quick_adc_recall_equals_adc(tmp_path, capsys):
@@ -237,17 +232,47 @@ def test_bench_empty_base_is_error(tmp_path, capsys):
     base = tmp_path / "empty.fvecs"
     queries = tmp_path / "q.fvecs"
     truth = tmp_path / "t.ivecs"
-    csv_path = tmp_path / "out.csv"
     assert main(["generate", "--out", str(base), "--n", "0", "--d", "8"]) == 0
     assert main(["generate", "--out", str(queries), "--n", "2", "--d", "8"]) == 0
     with open(truth, "wb") as f:
         f.write(b"")
     code, out, err = run(capsys, "bench", "--base", str(base),
                          "--queries", str(queries), "--truth", str(truth),
-                         "--m", "4", "--b", "4", "--csv", str(csv_path))
+                         "--m", "4", "--b", "4")
     assert code == 1
     assert err
-    assert not csv_path.exists()  # no partial CSV on error
+    assert out == ""  # no partial table on error
+
+
+def test_shared_flags_parse_to_the_same_defaults_and_requirements():
+    # The training flags of train, build-ivf and bench, and the search flags
+    # of query and bench, are each declared once, so they cannot drift apart.
+    parser = build_parser()
+    training = ["--base", "x.fvecs", "--m", "4", "--b", "4"]
+    search = ["--queries", "q.fvecs"]
+    argv = {
+        "train": ["train", *training, "--out", "o"],
+        "build-ivf": ["build-ivf", *training, "--K", "4", "--out", "o"],
+        "query": ["query", *search],
+        "bench": ["bench", *training, *search, "--truth", "t"],
+    }
+    parsed = {command: parser.parse_args(args) for command, args in argv.items()}
+    want_training = dict(base="x.fvecs", m=4, b=4, bderived=None, opq=False, iters=25, seed=0)
+    want_search = dict(queries="q.fvecs", ma=8, kernel="adc", r2=None)
+    for command, want in [("train", want_training), ("build-ivf", want_training),
+                          ("bench", want_training), ("query", want_search),
+                          ("bench", want_search)]:
+        assert {key: getattr(parsed[command], key) for key in want} == want
+    # the per-command flags keep their own defaults
+    assert (parsed["query"].r, parsed["bench"].r, parsed["bench"].K) == (10, 100, None)
+    assert (parsed["train"].sample, parsed["train"].opq_iters) == (0, 50)
+    for command, required in [("train", training), ("build-ivf", training),
+                              ("bench", training), ("query", search), ("bench", search)]:
+        for flag in required[::2]:
+            i = argv[command].index(flag)
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv[command][:i] + argv[command][i + 2:])
+            assert exc.value.code == 2
 
 
 def test_bench_ivf_row(workspace, capsys):

@@ -18,13 +18,13 @@ from pqscan import (
     ProductQuantizer,
     TrainConfig,
     build_ivf,
-    compute_tables,
     decode,
     encode,
     generate_synthetic,
     qadc_scan,
     quantized_distances,
     query_ivf,
+    save_codes,
     scan,
     scan_distances,
     search_two_pass,
@@ -168,6 +168,20 @@ def test_packed_list_needs_its_true_m():
         qadc_scan([unpacked], [tables], 5)
 
 
+def test_unpacked_4bit_list_is_refused_by_scan_qadc_scan_and_save_codes(tmp_path):
+    # One stored layout per bit width: uint8 codes under 16-entry tables are
+    # nibble-packed everywhere, so one component per byte is refused alike.
+    rng = np.random.default_rng(3)
+    unpacked = CodeList(random_components(rng, 50, 4, 4))
+    tables = LookupTables(rng.random((4, 16)).astype(np.float32))
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        scan(unpacked, tables, 5)
+    with pytest.raises(ValueError, match="nibble-packed"):
+        qadc_scan([unpacked], [tables], 5)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        save_codes(tmp_path / "codes.pql", unpacked, 4)
+
+
 def test_ivf_lists_store_packed_codes_and_quick_adc_takes_odd_m():
     base = generate_synthetic(1200, 15, 8, seed=4)
     index = build_ivf(base, K=4, m=5, b=4, cfg=TrainConfig(kmeans_iters=4, seed=2))
@@ -177,12 +191,6 @@ def test_ivf_lists_store_packed_codes_and_quick_adc_takes_odd_m():
     q = base[7]
     got = query_ivf(index, q, ma=2, r=10, kernel="quick-adc").items()
     assert len(got) == 10 and got == query_ivf(index, q, ma=2, r=10).items()
-    for lst in index.lists:
-        tables = compute_tables(index.pq, q - index.coarse[0])
-        np.testing.assert_array_equal(
-            scan_distances(tables, lst.codes),
-            scan_distances(tables, unpack(lst.codes, 5)),
-        )
 
 
 def test_two_pass_reads_packed_derived_codes():

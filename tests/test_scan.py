@@ -142,7 +142,7 @@ def test_scan_random_instances_vs_oracle():
         tables = LookupTables(rng.random((m, k)).astype(np.float32))
         codes = rng.integers(0, k, (n, m)).astype(np.uint8)
         ids = rng.permutation(n).astype(np.int64)
-        got = scan(CodeList(codes, ids), tables, r).items()
+        got = scan(CodeList(pack(codes), ids, m), tables, r).items()
         assert got == sorted_oracle(tables, codes, ids, r)
 
 
@@ -159,7 +159,7 @@ def test_scan_over_lists_is_one_selection(seed, n_lists, r, wide_ids):
     for _ in range(n_lists):
         n = int(rng.integers(0, 25))
         ids = rng.integers(0, 2**40 if wide_ids else 40, n)
-        lists.append(CodeList(rng.integers(0, k, (n, m)).astype(np.uint8), ids))
+        lists.append(CodeList(pack(rng.integers(0, k, (n, m))), ids, m))
         tables.append(LookupTables(rng.integers(0, 3, (m, k)).astype(np.float32)))
     assert all(lst.ids.dtype == (np.int64 if wide_ids else np.int32) for lst in lists if lst.n)
     dists = [np.empty(0)] + [scan_distances(t, lst.codes) for lst, t in zip(lists, tables)]
