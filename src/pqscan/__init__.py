@@ -18,16 +18,12 @@ from .data import (
 from .derived import (
     CBINS,
     Candidates,
-    DerivedPQ,
     LazyTables,
     adc_low_bits,
     build_derived_quantizers,
     compute_compact_tables,
-    load_derived,
-    load_quantizer_any,
     quantize_compact_tables,
     rerank,
-    save_derived,
     scan_candidates,
     search_two_pass,
     train_derived,
@@ -42,6 +38,7 @@ from .fastscan import (
 )
 from .ivf import IvfIndex, build_ivf, default_r2, load_ivf, query_ivf, save_ivf
 from .quantizer import (
+    DerivedPQ,
     ProductQuantizer,
     TrainConfig,
     TrainError,
@@ -105,10 +102,8 @@ __all__ = [
     "group_codes",
     "kmeans",
     "load_codes",
-    "load_derived",
     "load_ivf",
     "load_quantizer",
-    "load_quantizer_any",
     "optimize_centroid_assignment",
     "qadc_scan",
     "quantize_compact_tables",
@@ -120,7 +115,6 @@ __all__ = [
     "rerank",
     "same_size_kmeans",
     "save_codes",
-    "save_derived",
     "save_ivf",
     "save_quantizer",
     "scan",

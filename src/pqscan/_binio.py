@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import struct
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -22,6 +22,15 @@ class FormatError(ValueError):
 def write_magic(f: BinaryIO, magic: bytes) -> None:
     assert len(magic) == 4
     f.write(magic)
+
+
+def save(path, write: Callable[..., None], *args) -> None:
+    """write(buffer, *args) into memory, then the buffer to path, so a write
+    that raises leaves no new file and an existing one as it was."""
+    buf = io.BytesIO()
+    write(buf, *args)
+    with open(path, "wb") as f:
+        f.write(buf.getbuffer())
 
 
 def expect_magic(f: BinaryIO, magic: bytes) -> None:

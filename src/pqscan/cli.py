@@ -20,7 +20,6 @@ from .data import (
     recall_at_r,
     write_vecs,
 )
-from .derived import DerivedPQ, load_quantizer_any, save_derived
 from .ivf import (
     KERNELS,
     _sample_rows,
@@ -30,13 +29,20 @@ from .ivf import (
     check_search_args,
     default_r2,
     load_ivf,
-    plain_pq,
     query_ivf_stats,
     save_ivf,
     scan_lists,
     train_quantizer,
 )
-from .quantizer import TrainConfig, TrainError, encode, save_quantizer
+from .quantizer import (
+    DerivedPQ,
+    TrainConfig,
+    TrainError,
+    encode,
+    load_quantizer,
+    plain_pq,
+    save_quantizer,
+)
 from .scan import CodeList, load_codes, save_codes
 
 BENCH_HEADER = (
@@ -65,7 +71,7 @@ def _read_auto(path: str) -> np.ndarray:
 def _train_cfg(args) -> TrainConfig:
     return TrainConfig(
         kmeans_iters=args.iters,
-        opq_iters=getattr(args, "opq_iters", 50),
+        opq_iters=getattr(args, "opq_iters", TrainConfig.opq_iters),
         seed=args.seed,
     )
 
@@ -87,18 +93,17 @@ def cmd_train(args) -> int:
     quant = train_quantizer(
         training, args.m, args.b, _train_cfg(args), args.opq, args.bderived
     )
+    save_quantizer(args.out, quant)
     if isinstance(quant, DerivedPQ):
-        save_derived(args.out, quant)
         print(f"trained derived {args.m}x{args.bderived},{args.b} -> {args.out}")
     else:
-        save_quantizer(args.out, quant)
         print(f"trained {'opq' if args.opq else 'pq'} {args.m}x{args.b} -> {args.out}")
     return 0
 
 
 def cmd_encode(args) -> int:
     base = _read_auto(args.base)
-    pq = plain_pq(load_quantizer_any(args.quantizer))
+    pq = plain_pq(load_quantizer(args.quantizer))
     save_codes(args.out, CodeList(encode(pq, base), m=pq.m), pq.b)
     print(f"encoded {base.shape[0]} codes -> {args.out}")
     return 0
@@ -155,7 +160,7 @@ def cmd_query(args) -> int:
     else:
         if not (args.codes and args.quantizer):
             raise ValueError("need either --index or both --codes and --quantizer")
-        quant = load_quantizer_any(args.quantizer)
+        quant = load_quantizer(args.quantizer)
         pq = plain_pq(quant)
         codelist, b = load_codes(args.codes)
         if (codelist.m, b) != (pq.m, pq.b):
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[training],
                        help="train a (derived/optimized) product quantizer")
     p.add_argument("--sample", type=int, default=0, help="training rows (0 = all)")
-    p.add_argument("--opq-iters", dest="opq_iters", type=int, default=50)
+    p.add_argument("--opq-iters", dest="opq_iters", type=int, default=TrainConfig.opq_iters)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 

@@ -13,14 +13,13 @@ tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
-from . import _binio
 from ._dist import _select_best, sqdist_matrix
 from ._parallel import fork_map, kmeans_cost
 from .quantizer import (
+    DerivedPQ,
     ProductQuantizer,
     TrainConfig,
     _check_query,
@@ -29,9 +28,7 @@ from .quantizer import (
     _seed_for,
     code_columns,
     code_components,
-    read_quantizer_body,
     same_size_kmeans,
-    write_quantizer_body,
 )
 from .scan import (
     CodeList,
@@ -43,32 +40,6 @@ from .scan import (
 )
 
 CBINS = 255
-
-
-@dataclass
-class DerivedPQ:
-    """Full b-bit quantizer plus per-sub-space derived 2^bbar codebooks.
-
-    P1: for every full index i, its low bbar bits give the derived cluster
-    that full centroid i belongs to, so one stored code addresses both
-    codebooks.
-    """
-
-    pq: ProductQuantizer
-    bbar: int
-    derived: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.bbar <= self.pq.b:
-            raise ValueError(f"bbar={self.bbar} out of range [1, {self.pq.b}]")
-        self.derived = np.ascontiguousarray(self.derived, dtype=np.float32)
-        expect = (self.pq.m, 1 << self.bbar, self.pq.dsub)
-        if self.derived.shape != expect:
-            raise ValueError(f"derived shape {self.derived.shape}, expected {expect}")
-
-    @property
-    def kbar(self) -> int:
-        return 1 << self.bbar
 
 
 def build_derived_quantizers(
@@ -291,46 +262,3 @@ def search_two_pass(
     compact = compute_compact_tables(dpq, query)
     cand = scan_candidates(db, quantize_compact_tables(compact, db, r2), r2)
     return rerank(db, cand, dpq.pq, query, r)
-
-
-def write_derived_body(f: BinaryIO, dpq: DerivedPQ) -> None:
-    write_quantizer_body(f, dpq.pq)
-    _binio.write_i32(f, dpq.bbar)
-    _binio.write_array(f, dpq.derived, "<f4")
-
-
-def read_derived_body(f: BinaryIO) -> DerivedPQ:
-    pq = read_quantizer_body(f)
-    off = f.tell()
-    bbar = _binio.read_i32(f)
-    if not 1 <= bbar <= pq.b:
-        raise _binio.FormatError(f"bbar={bbar} out of range [1, {pq.b}]", offset=off)
-    derived = _binio.read_array(f, "<f4", pq.m * (1 << bbar) * pq.dsub)
-    return DerivedPQ(
-        pq=pq, bbar=bbar, derived=derived.reshape(pq.m, 1 << bbar, pq.dsub)
-    )
-
-
-def save_derived(path, dpq: DerivedPQ) -> None:
-    with open(path, "wb") as f:
-        write_derived_body(f, dpq)
-
-
-def load_derived(path) -> DerivedPQ:
-    with open(path, "rb") as f:
-        dpq = read_derived_body(f)
-        _binio.expect_eof(f, "derived codebooks")
-    return dpq
-
-
-def load_quantizer_any(path) -> ProductQuantizer | DerivedPQ:
-    """Load a quantizer file, returning a DerivedPQ when derived codebooks
-    follow the PQZ1 body."""
-    with open(path, "rb") as f:
-        pq = read_quantizer_body(f)
-        if not f.read(1):
-            return pq
-        f.seek(0)
-        dpq = read_derived_body(f)
-        _binio.expect_eof(f, "derived codebooks")
-        return dpq

@@ -16,22 +16,17 @@ import numpy as np
 from . import _binio
 from ._dist import _select_best, nearest, nearest_k
 from ._parallel import assign_cost, fork_map
-from .derived import (
-    DerivedPQ,
-    check_derived_bits,
-    read_derived_body,
-    search_two_pass,
-    train_derived,
-    write_derived_body,
-)
+from .derived import check_derived_bits, search_two_pass, train_derived
 from .quantizer import (
     ENCODE_ROWS,
+    DerivedPQ,
     ProductQuantizer,
     TrainConfig,
     _check_query,
     _require_finite,
     encode,
     kmeans,
+    plain_pq,
     read_quantizer_body,
     train_opq,
     train_pq,
@@ -192,11 +187,6 @@ def train_quantizer(
     return train_pq(training, m, b, cfg)
 
 
-def plain_pq(quant: ProductQuantizer | DerivedPQ) -> ProductQuantizer:
-    """The full-resolution product quantizer of quant."""
-    return quant.pq if isinstance(quant, DerivedPQ) else quant
-
-
 def check_train_options(b: int, use_opq: bool, bderived: int | None) -> None:
     """Reject quantizer options train_quantizer cannot combine, before any
     training."""
@@ -306,18 +296,18 @@ def query_ivf_stats(
 MAGIC_IVF = b"IVF1"
 
 
+def _write_ivf(f, index: IvfIndex) -> None:
+    _binio.write_magic(f, MAGIC_IVF)
+    _binio.write_i32(f, index.K)
+    _binio.write_i32(f, 1 if index.dpq is not None else 0)
+    write_quantizer_body(f, index.pq if index.dpq is None else index.dpq)
+    _binio.write_array(f, index.coarse, "<f4")
+    for lst in index.lists:
+        write_codes_body(f, lst, index.pq.b)
+
+
 def save_ivf(path, index: IvfIndex) -> None:
-    with open(path, "wb") as f:
-        _binio.write_magic(f, MAGIC_IVF)
-        _binio.write_i32(f, index.K)
-        _binio.write_i32(f, 1 if index.dpq is not None else 0)
-        if index.dpq is not None:
-            write_derived_body(f, index.dpq)
-        else:
-            write_quantizer_body(f, index.pq)
-        _binio.write_array(f, index.coarse, "<f4")
-        for lst in index.lists:
-            write_codes_body(f, lst, index.pq.b)
+    _binio.save(path, _write_ivf, index)
 
 
 def load_ivf(path) -> IvfIndex:
@@ -329,12 +319,8 @@ def load_ivf(path) -> IvfIndex:
             raise _binio.FormatError(
                 f"bad index header K={K} derived={has_derived}", offset=4
             )
-        dpq = None
-        if has_derived:
-            dpq = read_derived_body(f)
-            pq = dpq.pq
-        else:
-            pq = read_quantizer_body(f)
+        quant = read_quantizer_body(f, derived=bool(has_derived))
+        pq = plain_pq(quant)
         coarse = _binio.read_array(f, "<f4", K * pq.d).reshape(K, pq.d)
         lists = []
         for _ in range(K):
@@ -343,4 +329,4 @@ def load_ivf(path) -> IvfIndex:
                 raise _binio.FormatError("inverted list shape differs from the quantizer")
             lists.append(lst)
         _binio.expect_eof(f, "last inverted list")
-    return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
+    return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=quant if has_derived else None)

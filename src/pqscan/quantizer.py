@@ -116,6 +116,37 @@ class ProductQuantizer:
         return np.asarray(x, dtype=np.float64) @ self.rotation.T.astype(np.float64)
 
 
+@dataclass
+class DerivedPQ:
+    """Full b-bit quantizer plus per-sub-space derived 2^bbar codebooks.
+
+    P1: for every full index i, its low bbar bits give the derived cluster
+    that full centroid i belongs to, so one stored code addresses both
+    codebooks.
+    """
+
+    pq: ProductQuantizer
+    bbar: int
+    derived: np.ndarray
+
+    def __post_init__(self):
+        if not 1 <= self.bbar <= self.pq.b:
+            raise ValueError(f"bbar={self.bbar} out of range [1, {self.pq.b}]")
+        self.derived = np.ascontiguousarray(self.derived, dtype=np.float32)
+        expect = (self.pq.m, 1 << self.bbar, self.pq.dsub)
+        if self.derived.shape != expect:
+            raise ValueError(f"derived shape {self.derived.shape}, expected {expect}")
+
+    @property
+    def kbar(self) -> int:
+        return 1 << self.bbar
+
+
+def plain_pq(quant: ProductQuantizer | DerivedPQ) -> ProductQuantizer:
+    """The full-resolution product quantizer of quant."""
+    return quant.pq if isinstance(quant, DerivedPQ) else quant
+
+
 def code_width(m: int, b: int) -> int:
     """Columns of one stored code of m components of b bits."""
     return (m + 1) // 2 if b <= 4 else m
@@ -615,7 +646,10 @@ def decode(pq: ProductQuantizer, codes: np.ndarray) -> np.ndarray:
 MAGIC_QUANTIZER = b"PQZ1"
 
 
-def write_quantizer_body(f: BinaryIO, pq: ProductQuantizer) -> None:
+def write_quantizer_body(f: BinaryIO, quant: ProductQuantizer | DerivedPQ) -> None:
+    """PQZ1: the product quantizer, then, for a DerivedPQ, bbar and the
+    derived codebooks."""
+    pq = plain_pq(quant)
     _binio.write_magic(f, MAGIC_QUANTIZER)
     _binio.write_i32(f, pq.m)
     _binio.write_i32(f, pq.b)
@@ -624,9 +658,16 @@ def write_quantizer_body(f: BinaryIO, pq: ProductQuantizer) -> None:
     if pq.rotation is not None:
         _binio.write_array(f, pq.rotation, "<f4")
     _binio.write_array(f, pq.codebooks, "<f4")
+    if isinstance(quant, DerivedPQ):
+        _binio.write_i32(f, quant.bbar)
+        _binio.write_array(f, quant.derived, "<f4")
 
 
-def read_quantizer_body(f: BinaryIO) -> ProductQuantizer:
+def read_quantizer_body(
+    f: BinaryIO, derived: bool | None = None
+) -> ProductQuantizer | DerivedPQ:
+    """One PQZ1 quantizer, a DerivedPQ when derived; by default, when any
+    byte follows the product quantizer."""
     _binio.expect_magic(f, MAGIC_QUANTIZER)
     off = f.tell()
     m = _binio.read_i32(f)
@@ -644,18 +685,30 @@ def read_quantizer_body(f: BinaryIO) -> ProductQuantizer:
     dsub = d // m
     books = _binio.read_array(f, "<f4", m * k * dsub).reshape(m, k, dsub)
     try:
-        return ProductQuantizer(m=m, b=b, d=d, codebooks=books, rotation=rotation)
+        pq = ProductQuantizer(m=m, b=b, d=d, codebooks=books, rotation=rotation)
     except ValueError as exc:  # non-finite codebooks, a rotation not orthonormal
         raise _binio.FormatError(str(exc), offset=off) from None
+    off = f.tell()
+    if derived is None:
+        derived = bool(f.read(1))
+        f.seek(off)
+    if not derived:
+        return pq
+    bbar = _binio.read_i32(f)
+    if not 1 <= bbar <= b:
+        raise _binio.FormatError(f"bbar={bbar} out of range [1, {b}]", offset=off)
+    derived_books = _binio.read_array(f, "<f4", m * (1 << bbar) * dsub)
+    return DerivedPQ(pq=pq, bbar=bbar, derived=derived_books.reshape(m, 1 << bbar, dsub))
 
 
-def save_quantizer(path, pq: ProductQuantizer) -> None:
-    with open(path, "wb") as f:
-        write_quantizer_body(f, pq)
+def save_quantizer(path, quant: ProductQuantizer | DerivedPQ) -> None:
+    _binio.save(path, write_quantizer_body, quant)
 
 
-def load_quantizer(path) -> ProductQuantizer:
+def load_quantizer(path) -> ProductQuantizer | DerivedPQ:
+    """The quantizer of a PQZ1 file: a DerivedPQ when derived codebooks
+    follow the product quantizer, else a ProductQuantizer."""
     with open(path, "rb") as f:
-        pq = read_quantizer_body(f)
-        _binio.expect_eof(f, "codebooks")
-    return pq
+        quant = read_quantizer_body(f)
+        _binio.expect_eof(f, "derived codebooks")
+    return quant

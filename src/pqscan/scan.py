@@ -377,8 +377,7 @@ def read_codes_body(f: BinaryIO) -> tuple[CodeList, int]:
 
 
 def save_codes(path, codelist: CodeList, b: int) -> None:
-    with open(path, "wb") as f:
-        write_codes_body(f, codelist, b)
+    _binio.save(path, write_codes_body, codelist, b)
 
 
 def load_codes(path) -> tuple[CodeList, int]:

@@ -353,8 +353,8 @@ def test_criterion_11_format_round_trips(tmp_path, capsys):
     ok &= np.array_equal(back.rotation, opq.rotation)
 
     dpq = train_derived(x, 4, 6, 3, TrainConfig(kmeans_iters=4, seed=1))
-    pqscan.save_derived(tmp_path / "d.pqz", dpq)
-    dback = pqscan.load_derived(tmp_path / "d.pqz")
+    pqscan.save_quantizer(tmp_path / "d.pqz", dpq)
+    dback = pqscan.load_quantizer(tmp_path / "d.pqz")
     ok &= np.array_equal(dback.derived, dpq.derived)
     ok &= np.array_equal(dback.pq.codebooks, dpq.pq.codebooks)
 

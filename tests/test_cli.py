@@ -8,9 +8,8 @@ import pytest
 
 from pqscan import (
     CodeList,
-    DerivedPQ,
+    TrainConfig,
     load_quantizer,
-    load_quantizer_any,
     read_vecs,
     save_codes,
     write_vecs,
@@ -18,6 +17,7 @@ from pqscan import (
 from pqscan._dist import nearest_k
 from pqscan.cli import BENCH_HEADER, build_parser, main
 from pqscan.ivf import KERNELS
+from pqscan.quantizer import plain_pq
 
 
 QUICK_ADC_SHAPES = "quick-adc kernel requires b=4, or b=8 with even m"
@@ -275,6 +275,28 @@ def test_shared_flags_parse_to_the_same_defaults_and_requirements():
             assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["build-ivf", "bench"])
+def test_opq_runs_take_the_library_opq_iters_default(workspace, tmp_path, capsys,
+                                                     monkeypatch, command):
+    # build-ivf and bench have no --opq-iters flag
+    from pqscan import ivf
+
+    configs = []
+
+    def train_opq(training, m, b, cfg=None):
+        configs.append(cfg)
+        raise ValueError("stopped at train_opq")
+
+    monkeypatch.setattr(ivf, "train_opq", train_opq)
+    args = {"build-ivf": ["--K", "4", "--out", str(tmp_path / "i.ivf")],
+            "bench": ["--queries", str(workspace / "q.fvecs"),
+                      "--truth", str(workspace / "t.ivecs")]}[command]
+    code, _, err = run(capsys, command, "--base", str(workspace / "base.fvecs"),
+                       "--m", "4", "--b", "4", "--iters", "2", "--opq", *args)
+    assert (code, err) == (1, "error: stopped at train_opq\n")
+    assert [cfg.opq_iters for cfg in configs] == [TrainConfig().opq_iters]
+
+
 def test_bench_ivf_row(workspace, capsys):
     code, out, _ = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
                        "--queries", str(workspace / "q.fvecs"),
@@ -460,8 +482,7 @@ def test_query_empty_code_file_prints_only_the_header(
     workspace, kernel_files, case, tmp_path, capsys
 ):
     quant = kernel_files[case][0]
-    loaded = load_quantizer_any(quant)
-    pq = loaded.pq if isinstance(loaded, DerivedPQ) else loaded
+    pq = plain_pq(load_quantizer(quant))
     codes = tmp_path / "empty.pql"
     save_codes(codes, CodeList(np.zeros((0, pq.code_width), pq.code_dtype), m=pq.m), pq.b)
     got = run(capsys, "query", "--queries", str(workspace / "q.fvecs"),

@@ -16,11 +16,10 @@ from pqscan import (
     compute_compact_tables,
     compute_tables,
     encode,
-    load_derived,
-    load_quantizer_any,
+    load_quantizer,
     quantize_compact_tables,
     rerank,
-    save_derived,
+    save_quantizer,
     scan,
     scan_candidates,
     scan_distances,
@@ -619,19 +618,17 @@ def test_first_pass_matches_the_generic_quantizer_rule(m, bits, n, r2, r, flat, 
 
 def test_derived_round_trip(tmp_path, dpq):
     path = tmp_path / "d.pqz"
-    save_derived(path, dpq)
-    back = load_derived(path)
+    save_quantizer(path, dpq)
+    back = load_quantizer(path)
     assert back.bbar == dpq.bbar
     np.testing.assert_array_equal(back.pq.codebooks, dpq.pq.codebooks)
     np.testing.assert_array_equal(back.derived, dpq.derived)
 
 
-def test_load_quantizer_any_discriminates(tmp_path, dpq, pq44):
-    from pqscan import save_quantizer
-
+def test_load_quantizer_discriminates(tmp_path, dpq, pq44):
     p1 = tmp_path / "plain.pqz"
     p2 = tmp_path / "derived.pqz"
     save_quantizer(p1, pq44)
-    save_derived(p2, dpq)
-    assert isinstance(load_quantizer_any(p1), ProductQuantizer)
-    assert isinstance(load_quantizer_any(p2), DerivedPQ)
+    save_quantizer(p2, dpq)
+    assert isinstance(load_quantizer(p1), ProductQuantizer)
+    assert isinstance(load_quantizer(p2), DerivedPQ)

@@ -1,6 +1,7 @@
 """PQL1 code lists, PQZ1 quantizers and IVF1 indexes: byte layout and
 rejection of malformed headers before any array is read."""
 
+import dataclasses
 import io
 import struct
 
@@ -16,12 +17,9 @@ from pqscan import (
     IvfIndex,
     ProductQuantizer,
     load_codes,
-    load_derived,
     load_ivf,
     load_quantizer,
-    load_quantizer_any,
     save_codes,
-    save_derived,
     save_ivf,
     save_quantizer,
 )
@@ -189,8 +187,8 @@ OLD_DERIVED = OLD_PLAIN + bytes.fromhex("010000000000003f00002040000090400000d04
 def test_old_quantizer_files_load(tmp_path):
     (tmp_path / "p.pqz").write_bytes(OLD_PLAIN)
     (tmp_path / "d.pqz").write_bytes(OLD_DERIVED)
-    plain = load_quantizer_any(tmp_path / "p.pqz")
-    derived = load_quantizer_any(tmp_path / "d.pqz")
+    plain = load_quantizer(tmp_path / "p.pqz")
+    derived = load_quantizer(tmp_path / "d.pqz")
     assert isinstance(plain, ProductQuantizer) and isinstance(derived, DerivedPQ)
     np.testing.assert_array_equal(plain.codebooks.ravel(), np.arange(8))
     np.testing.assert_array_equal(derived.pq.codebooks, plain.codebooks)
@@ -216,9 +214,7 @@ def test_derived_quantizer_reader_rejects_bad_extensions(tmp_path, raw):
     path = tmp_path / "q.pqz"
     path.write_bytes(raw)
     with pytest.raises(FormatError):
-        load_quantizer_any(path)
-    with pytest.raises(FormatError):
-        load_derived(path)
+        load_quantizer(path)
 
 
 def patched(raw, offset, value):
@@ -276,11 +272,13 @@ def test_old_index_files_load_and_rewrite_identically(tmp_path):
 @pytest.mark.parametrize(
     "raw, load",
     [
-        (OLD_PLAIN, load_quantizer),
-        (OLD_DERIVED, load_derived),
+        # a byte after a plain PQZ1 body starts a derived tail (see
+        # test_derived_quantizer_reader_rejects_bad_extensions)
+        (OLD_DERIVED, load_quantizer),
+        (OLD_IVF, load_ivf),
         (bytes.fromhex(OLD_FILES[0][4]), load_codes),
     ],
-    ids=["quantizer", "derived", "codes"],
+    ids=["quantizer", "index", "codes"],
 )
 def test_loaders_reject_a_stray_byte(tmp_path, raw, load):
     path = tmp_path / "f.bin"
@@ -351,10 +349,6 @@ def written(save, obj, tmp):
     return path.read_bytes()
 
 
-def save_quantizer_any(path, quant):
-    (save_derived if isinstance(quant, DerivedPQ) else save_quantizer)(path, quant)
-
-
 def save_code_file(path, loaded):
     save_codes(path, *loaded)
 
@@ -375,10 +369,10 @@ def sample_files(tmp):
     big_ids = (CodeList(pack(np.array([[1, 2, 3], [4, 5, 6]])), [2**31 + 5, 3], m=3), 4)
     b10 = (CodeList(np.array([[1000, 7], [3, 1023]], np.uint16), [0, 1]), 10)
     return {
-        "pqz1-rotation": (written(save_quantizer, ROTATED, tmp), load_quantizer_any,
-                          save_quantizer_any),
-        "pqz1-derived": (written(save_derived, DERIVED, tmp), load_quantizer_any,
-                         save_quantizer_any),
+        "pqz1-rotation": (written(save_quantizer, ROTATED, tmp), load_quantizer,
+                          save_quantizer),
+        "pqz1-derived": (written(save_quantizer, DERIVED, tmp), load_quantizer,
+                         save_quantizer),
         "pql1-big-ids": (written(save_code_file, big_ids, tmp), load_codes, save_code_file),
         "pql1-b10": (written(save_code_file, b10, tmp), load_codes, save_code_file),
         "ivf1": (OLD_IVF, load_ivf, save_ivf),
@@ -408,3 +402,54 @@ def test_mutated_headers_raise_format_error_or_round_trip(tmp_path, name, data):
         return
     save(tmp_path / "back.bin", loaded)
     assert (tmp_path / "back.bin").read_bytes() == bad
+
+
+def assert_same_fields(got, want):
+    """got and want are the same dataclass with equal fields, arrays of the
+    same dtype included."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if dataclasses.is_dataclass(b):
+            assert_same_fields(a, b)
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("quant", [DERIVED.pq, ROTATED, DERIVED],
+                         ids=["plain", "rotated", "derived"])
+def test_quantizer_file_round_trips_either_kind(tmp_path, quant):
+    save_quantizer(tmp_path / "q.pqz", quant)
+    assert_same_fields(load_quantizer(tmp_path / "q.pqz"), quant)
+
+
+# Input each saver refuses after it has produced part of the file: 4-bit
+# codes one component per column, such codes as the second list of an
+# index, and a derived quantizer whose bbar no longer fits its int32 field.
+UNPACKED = CodeList(np.zeros((50, 4), np.uint8), m=4)
+WIDE_BBAR = dataclasses.replace(DERIVED)
+WIDE_BBAR.bbar = 2**31
+
+
+@pytest.mark.parametrize("save, args, error", [
+    (save_codes, (UNPACKED, 4), ValueError),
+    (save_ivf, (IvfIndex(np.zeros((2, 8)), ProductQuantizer(4, 4, 8, np.zeros((4, 16, 2))),
+                         [CodeList(np.zeros((3, 2), np.uint8), m=4), UNPACKED]),), ValueError),
+    (save_quantizer, (WIDE_BBAR,), struct.error),
+], ids=["codes", "index", "quantizer"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_refused_save_leaves_no_file_and_an_old_file_as_it_was(
+    tmp_path, save, args, error, existing
+):
+    path = tmp_path / "out.bin"
+    if existing:
+        path.write_bytes(OLD_IVF)
+    with pytest.raises(error):
+        save(path, *args)
+    if existing:
+        assert path.read_bytes() == OLD_IVF
+    else:
+        assert not path.exists()
