@@ -34,8 +34,8 @@ truth = exact_knn(base, queries, 100)
 # b=10 full resolution, bbar=5 derived: table work drops by a factor of 32
 dpq = train_derived(base[:10_000], m=4, b=10, bbar=5,
                     cfg=TrainConfig(kmeans_iters=10, seed=2))
-db = CodeList(encode(dpq.pq, base))
-print(f"full codebooks: {dpq.pq.k} centroids per sub-space; "
+db = CodeList(encode(dpq, base))
+print(f"full codebooks: {dpq.k} centroids per sub-space; "
       f"derived: {dpq.kbar}")
 
 from pqscan import (
@@ -49,7 +49,7 @@ r2 = len(base) // 10  # candidates kept by the first pass
 full_ids, two_ids = [], []
 lookups = []
 for q in queries:
-    exact_set = scan(db, compute_tables(dpq.pq, q), r=100)
+    exact_set = scan(db, compute_tables(dpq, q), r=100)
     full_ids.append([i for _, i in exact_set.items()])
 
     result = search_two_pass(dpq, db, q, r=100, r2=r2)
@@ -59,13 +59,13 @@ for q in queries:
     compact = compute_compact_tables(dpq, q)
     qt = quantize_compact_tables(compact, db, r2)
     cand = scan_candidates(db, qt, r2)
-    lazy = LazyTables(dpq.pq, q)
-    rerank(db, cand, dpq.pq, q, r=100, lazy=lazy)
+    lazy = LazyTables(dpq, q)
+    rerank(db, cand, dpq, q, r=100, lazy=lazy)
     lookups.append(lazy.computed)
 
 r_full = recall_at_r(np.array(full_ids), truth, 100)
 r_two = recall_at_r(np.array(two_ids), truth, 100)
-total_entries = dpq.pq.m * dpq.pq.k
+total_entries = dpq.m * dpq.k
 print(f"Recall@100 full scan at b=10:  {r_full:.3f}")
 print(f"Recall@100 two-pass (r2=10%):  {r_two:.3f}")
 print(f"lazy tables computed {np.mean(lookups):.0f} of "

@@ -27,6 +27,7 @@ from .ivf import (
     check_kernel,
     check_kernel_shape,
     check_search_args,
+    check_train_options,
     default_r2,
     load_ivf,
     query_ivf_stats,
@@ -40,7 +41,6 @@ from .quantizer import (
     TrainError,
     encode,
     load_quantizer,
-    plain_pq,
     save_quantizer,
 )
 from .scan import CodeList, load_codes, save_codes
@@ -90,11 +90,9 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(args.seed)
     size = args.sample if args.sample > 0 else base.shape[0]
     training = base[_sample_rows(rng, base.shape[0], size)].astype(np.float64)
-    quant = train_quantizer(
-        training, args.m, args.b, _train_cfg(args), args.opq, args.bderived
-    )
-    save_quantizer(args.out, quant)
-    if isinstance(quant, DerivedPQ):
+    pq = train_quantizer(training, args.m, args.b, _train_cfg(args), args.opq, args.bderived)
+    save_quantizer(args.out, pq)
+    if isinstance(pq, DerivedPQ):
         print(f"trained derived {args.m}x{args.bderived},{args.b} -> {args.out}")
     else:
         print(f"trained {'opq' if args.opq else 'pq'} {args.m}x{args.b} -> {args.out}")
@@ -103,7 +101,7 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     base = _read_auto(args.base)
-    pq = plain_pq(load_quantizer(args.quantizer))
+    pq = load_quantizer(args.quantizer)
     save_codes(args.out, CodeList(encode(pq, base), m=pq.m), pq.b)
     print(f"encoded {base.shape[0]} codes -> {args.out}")
     return 0
@@ -140,10 +138,10 @@ def _load_truth(path: str, n_queries: int) -> GroundTruth:
     return GroundTruth(ids=ids, distances=np.zeros(ids.shape, dtype=np.float64))
 
 
-def _exhaustive_search_fn(args, quant, codelist: CodeList):
+def _exhaustive_search_fn(args, pq, codelist: CodeList):
     """Returns a per-query search fn -> (NeighborSet, ScanStats)."""
-    kernel = check_kernel(args.kernel, quant)
-    return lambda q: scan_lists(quant, [codelist], q[None, :], args.r, kernel, args.r2)
+    kernel = check_kernel(args.kernel, pq)
+    return lambda q: scan_lists(pq, [codelist], q[None, :], args.r, kernel, args.r2)
 
 
 def _index_search_fn(args, index):
@@ -160,14 +158,13 @@ def cmd_query(args) -> int:
     else:
         if not (args.codes and args.quantizer):
             raise ValueError("need either --index or both --codes and --quantizer")
-        quant = load_quantizer(args.quantizer)
-        pq = plain_pq(quant)
+        pq = load_quantizer(args.quantizer)
         codelist, b = load_codes(args.codes)
         if (codelist.m, b) != (pq.m, pq.b):
             raise ValueError(
                 f"codes are {codelist.m}x{b} but the quantizer is {pq.m}x{pq.b}"
             )
-        run = _exhaustive_search_fn(args, quant, codelist)
+        run = _exhaustive_search_fn(args, pq, codelist)
     results = [run(q)[0].to_arrays() for q in queries]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("query", "rank", "id", "distance"))
@@ -195,9 +192,12 @@ def cmd_bench(args) -> int:
     queries = _read_auto(args.queries).astype(np.float64)
     if queries.shape[0] == 0:
         raise ValueError("empty query set")
+    if queries.shape[1] != base.shape[1]:
+        raise ValueError(f"query dimensionality {queries.shape[1]}, expected {base.shape[1]}")
     truth = _load_truth(args.truth, queries.shape[0])
     check_kernel_shape(args.kernel, args.m, args.b, args.bderived is not None)
     check_search_args(args.r, args.r2, args.K, args.ma)
+    check_train_options(base.shape, args.m, args.b, args.opq, args.bderived)
     cfg = _train_cfg(args)
     rng = np.random.default_rng(args.seed)
     r = args.r
@@ -213,10 +213,9 @@ def cmd_bench(args) -> int:
         k_col, ma_col = args.K, args.ma
     else:
         rows = _sample_rows(rng, base.shape[0], 100 * (1 << args.b))
-        quant = train_quantizer(base[rows], args.m, args.b, cfg, args.opq, args.bderived)
-        pq = plain_pq(quant)
+        pq = train_quantizer(base[rows], args.m, args.b, cfg, args.opq, args.bderived)
         codelist = CodeList(encode(pq, base), m=pq.m)
-        run = _exhaustive_search_fn(args, quant, codelist)
+        run = _exhaustive_search_fn(args, pq, codelist)
         method = args.kernel
         k_col, ma_col = "", ""
 

@@ -95,6 +95,8 @@ def write_vecs(path: str | os.PathLike, arr: np.ndarray, kind: str) -> None:
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array")
     n, d = arr.shape
+    if n and not d:
+        raise ValueError("rows of dimension 0 have no readable record")
     body = np.ascontiguousarray(arr, dtype=np.dtype(dtype))
     with open(path, "wb") as f:
         if n == 0:
@@ -128,12 +130,14 @@ def generate_synthetic(n: int, d: int, clusters: int, seed: int) -> np.ndarray:
 def exact_knn(base: np.ndarray, queries: np.ndarray, k: int) -> GroundTruth:
     """Brute-force k nearest neighbors under squared Euclidean distance.
 
-    Ties broken by the smaller base id. Requires k <= len(base).
+    Ties broken by the smaller base id. Requires 1 <= k <= len(base).
     """
     base = np.asarray(base)
     queries = np.asarray(queries)
     if base.ndim != 2 or queries.ndim != 2 or base.shape[1] != queries.shape[1]:
         raise ValueError("base and queries must be 2-D with equal dimensionality")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > base.shape[0]:
         raise ValueError(f"k={k} exceeds base size {base.shape[0]}")
     _require_finite(base, "base vectors")

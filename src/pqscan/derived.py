@@ -105,13 +105,12 @@ def train_derived(
 
     cost = m * kmeans_cost(training.shape[0], k, dsub, cfg.kmeans_iters)
     full, derived = (np.stack(column) for column in zip(*fork_map(books, m, cost)))
-    pq = ProductQuantizer(m=m, b=b, d=d, codebooks=full)
-    return DerivedPQ(pq=pq, bbar=bbar, derived=derived)
+    return DerivedPQ(m=m, b=b, d=d, codebooks=full, bbar=bbar, derived=derived)
 
 
 def compute_compact_tables(dpq: DerivedPQ, query: np.ndarray) -> LookupTables:
     """Per-sub-space squared distances to the derived centroids only."""
-    return _subspace_tables(dpq.pq, dpq.derived, query)
+    return _subspace_tables(dpq, dpq.derived, query)
 
 
 def quantize_compact_tables(
@@ -261,4 +260,4 @@ def search_two_pass(
     """Quantized derived-table candidate scan, then lazy full-table rerank."""
     compact = compute_compact_tables(dpq, query)
     cand = scan_candidates(db, quantize_compact_tables(compact, db, r2), r2)
-    return rerank(db, cand, dpq.pq, query, r)
+    return rerank(db, cand, dpq, query, r)

@@ -24,9 +24,9 @@ from .quantizer import (
     TrainConfig,
     _check_query,
     _require_finite,
+    check_shape,
     encode,
     kmeans,
-    plain_pq,
     read_quantizer_body,
     train_opq,
     train_pq,
@@ -63,7 +63,6 @@ class IvfIndex:
     coarse: np.ndarray
     pq: ProductQuantizer
     lists: list[CodeList]
-    dpq: DerivedPQ | None = None
 
     def __post_init__(self):
         self.coarse = np.ascontiguousarray(self.coarse, dtype=np.float32)
@@ -71,8 +70,6 @@ class IvfIndex:
             raise ValueError("coarse centroids must have shape (K, d)")
         if len(self.lists) != self.coarse.shape[0]:
             raise ValueError("need exactly one inverted list per coarse centroid")
-        if self.dpq is not None and self.dpq.pq is not self.pq:
-            raise ValueError("derived quantizer must wrap the index quantizer")
 
     @property
     def K(self) -> int:
@@ -109,14 +106,12 @@ def build_ivf(
     over row chunks, spread over the CPUs, assigns the rows outside both
     training samples and encodes every residual."""
     cfg = cfg or TrainConfig()
-    check_train_options(b, use_opq, bderived)
     # float32 rows are not widened up front: each pass below widens one
     # chunk at a time, which is exact, so nothing differs from a float64 copy.
     base = np.asarray(base)
     if base.dtype != np.float32:
         base = base.astype(np.float64, copy=False)
-    if base.ndim != 2:
-        raise ValueError("base must be 2-D")
+    check_train_options(base.shape, m, b, use_opq, bderived)
     _require_finite(base, "base vectors")
     n, d = base.shape
     if K < 1:
@@ -137,9 +132,7 @@ def build_ivf(
     train = base[train_rows]
     train_cells = nearest(train, coarse64)
     train_res = train - coarse64[train_cells]
-    quant = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
-    pq = plain_pq(quant)
-    dpq = quant if isinstance(quant, DerivedPQ) else None
+    pq = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
     # kmeans assigns its sample to the float32 centroids it returns as
     # nearest does, so rows in both samples get one cell; -1 marks the
     # rows still to assign.
@@ -166,7 +159,7 @@ def build_ivf(
     lists = [
         CodeList(codes[lo:hi], ids[lo:hi], m) for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=dpq)
+    return IvfIndex(coarse=coarse, pq=pq, lists=lists)
 
 
 def train_quantizer(
@@ -176,10 +169,10 @@ def train_quantizer(
     cfg: TrainConfig | None = None,
     use_opq: bool = False,
     bderived: int | None = None,
-) -> ProductQuantizer | DerivedPQ:
+) -> ProductQuantizer:
     """A derived quantizer with bderived-bit derived codebooks when bderived
     is given, else an optimized (rotated) one when use_opq, else a plain one."""
-    check_train_options(b, use_opq, bderived)
+    check_train_options(np.shape(training), m, b, use_opq, bderived)
     if bderived is not None:
         return train_derived(training, m, b, bderived, cfg)
     if use_opq:
@@ -187,9 +180,12 @@ def train_quantizer(
     return train_pq(training, m, b, cfg)
 
 
-def check_train_options(b: int, use_opq: bool, bderived: int | None) -> None:
-    """Reject quantizer options train_quantizer cannot combine, before any
-    training."""
+def check_train_options(shape: tuple, m: int, b: int, use_opq: bool, bderived: int | None) -> None:
+    """Reject, before any training, rows of this shape that are not 2-D, a
+    quantizer shape check_shape refuses, or options train_quantizer cannot combine."""
+    if len(shape) != 2:
+        raise ValueError("training set must be 2-D")
+    check_shape(shape[1], m, b)
     if bderived is not None:
         if use_opq:
             raise ValueError("derived quantizers do not support a rotation")
@@ -210,14 +206,13 @@ def check_kernel_shape(kernel: str, m: int, b: int, derived: bool) -> str:
     return kernel
 
 
-def check_kernel(kernel: str, quant: ProductQuantizer | DerivedPQ) -> str:
-    """check_kernel_shape for the trained quant."""
-    pq = plain_pq(quant)
-    return check_kernel_shape(kernel, pq.m, pq.b, isinstance(quant, DerivedPQ))
+def check_kernel(kernel: str, pq: ProductQuantizer) -> str:
+    """check_kernel_shape for the trained pq."""
+    return check_kernel_shape(kernel, pq.m, pq.b, isinstance(pq, DerivedPQ))
 
 
 def scan_lists(
-    quant: ProductQuantizer | DerivedPQ,
+    pq: ProductQuantizer,
     lists: list[CodeList],
     queries: np.ndarray,
     r: int,
@@ -237,10 +232,10 @@ def scan_lists(
         r2 = default_r2(r) if r2 is None else r2
         parts = [(np.empty(0), np.empty(0, np.int64))]
         for lst, query in zip(lists, queries):
-            parts.append(search_two_pass(quant, lst, query, r, r2).to_arrays())
+            parts.append(search_two_pass(pq, lst, query, r, r2).to_arrays())
         dists, ids = (np.concatenate(column) for column in zip(*parts))
         return NeighborSet.from_pairs(r, *_select_best(dists, ids, r)), stats
-    tables = compute_tables(plain_pq(quant), queries)
+    tables = compute_tables(pq, queries)
     if kernel == "quick-adc":
         return qadc_scan(lists, tables, r)
     return scan(lists, tables, r), stats
@@ -283,14 +278,13 @@ def query_ivf_stats(
 ) -> tuple[NeighborSet, ScanStats]:
     """query_ivf's result and its counts: one scan_lists call over the
     non-empty visited lists, nearest cell first."""
-    quant = index.pq if index.dpq is None else index.dpq
-    kernel = check_kernel(kernel, quant)
+    kernel = check_kernel(kernel, index.pq)
     check_search_args(r, r2, index.K, ma)
     query = _check_query(np.asarray(query, dtype=np.float64), index.d)
     cells, _ = nearest_k(query[None, :], index.coarse.astype(np.float64), ma)
     visited = [cell for cell in cells[0].tolist() if index.lists[cell].n]
     residuals = query - index.coarse[visited].astype(np.float64)
-    return scan_lists(quant, [index.lists[c] for c in visited], residuals, r, kernel, r2)
+    return scan_lists(index.pq, [index.lists[c] for c in visited], residuals, r, kernel, r2)
 
 
 MAGIC_IVF = b"IVF1"
@@ -299,8 +293,8 @@ MAGIC_IVF = b"IVF1"
 def _write_ivf(f, index: IvfIndex) -> None:
     _binio.write_magic(f, MAGIC_IVF)
     _binio.write_i32(f, index.K)
-    _binio.write_i32(f, 1 if index.dpq is not None else 0)
-    write_quantizer_body(f, index.pq if index.dpq is None else index.dpq)
+    _binio.write_i32(f, 1 if isinstance(index.pq, DerivedPQ) else 0)
+    write_quantizer_body(f, index.pq)
     _binio.write_array(f, index.coarse, "<f4")
     for lst in index.lists:
         write_codes_body(f, lst, index.pq.b)
@@ -319,8 +313,7 @@ def load_ivf(path) -> IvfIndex:
             raise _binio.FormatError(
                 f"bad index header K={K} derived={has_derived}", offset=4
             )
-        quant = read_quantizer_body(f, derived=bool(has_derived))
-        pq = plain_pq(quant)
+        pq = read_quantizer_body(f, derived=bool(has_derived))
         coarse = _binio.read_array(f, "<f4", K * pq.d).reshape(K, pq.d)
         lists = []
         for _ in range(K):
@@ -329,4 +322,4 @@ def load_ivf(path) -> IvfIndex:
                 raise _binio.FormatError("inverted list shape differs from the quantizer")
             lists.append(lst)
         _binio.expect_eof(f, "last inverted list")
-    return IvfIndex(coarse=coarse, pq=pq, lists=lists, dpq=quant if has_derived else None)
+    return IvfIndex(coarse=coarse, pq=pq, lists=lists)

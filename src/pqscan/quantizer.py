@@ -72,10 +72,7 @@ class ProductQuantizer:
     rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.d % self.m != 0:
-            raise ValueError(f"d={self.d} not divisible by m={self.m}")
-        if not 1 <= self.b <= 16:
-            raise ValueError(f"b={self.b} out of range [1, 16]")
+        check_shape(self.d, self.m, self.b)
         k, dsub = 1 << self.b, self.d // self.m
         self.codebooks = np.ascontiguousarray(self.codebooks, dtype=np.float32)
         if self.codebooks.shape != (self.m, k, dsub):
@@ -116,24 +113,24 @@ class ProductQuantizer:
         return np.asarray(x, dtype=np.float64) @ self.rotation.T.astype(np.float64)
 
 
-@dataclass
-class DerivedPQ:
-    """Full b-bit quantizer plus per-sub-space derived 2^bbar codebooks.
+@dataclass(kw_only=True)
+class DerivedPQ(ProductQuantizer):
+    """A b-bit product quantizer plus per-sub-space derived 2^bbar codebooks.
 
     P1: for every full index i, its low bbar bits give the derived cluster
     that full centroid i belongs to, so one stored code addresses both
     codebooks.
     """
 
-    pq: ProductQuantizer
     bbar: int
     derived: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.bbar <= self.pq.b:
-            raise ValueError(f"bbar={self.bbar} out of range [1, {self.pq.b}]")
+        super().__post_init__()
+        if not 1 <= self.bbar <= self.b:
+            raise ValueError(f"bbar={self.bbar} out of range [1, {self.b}]")
         self.derived = np.ascontiguousarray(self.derived, dtype=np.float32)
-        expect = (self.pq.m, 1 << self.bbar, self.pq.dsub)
+        expect = (self.m, 1 << self.bbar, self.dsub)
         if self.derived.shape != expect:
             raise ValueError(f"derived shape {self.derived.shape}, expected {expect}")
 
@@ -141,10 +138,20 @@ class DerivedPQ:
     def kbar(self) -> int:
         return 1 << self.bbar
 
+    @property
+    def pq(self) -> DerivedPQ:
+        """self; kept only while perfbench/workloads.py reads ``dpq.pq``."""
+        return self
 
-def plain_pq(quant: ProductQuantizer | DerivedPQ) -> ProductQuantizer:
-    """The full-resolution product quantizer of quant."""
-    return quant.pq if isinstance(quant, DerivedPQ) else quant
+
+def check_shape(d: int, m: int, b: int) -> None:
+    """Reject m b-bit sub-quantizers over d dimensions unless m >= 1 divides d, 1 <= b <= 16."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if d % m != 0:
+        raise ValueError(f"d={d} not divisible by m={m}")
+    if not 1 <= b <= 16:
+        raise ValueError(f"b={b} out of range [1, 16]")
 
 
 def code_width(m: int, b: int) -> int:
@@ -458,12 +465,9 @@ def same_size_kmeans(
 
 
 def _check_train_args(training: np.ndarray, m: int, b: int) -> None:
-    if not 1 <= b <= 16:
-        raise ValueError(f"b must be in [1, 16], got {b}")
     if training.ndim != 2:
         raise ValueError("training set must be 2-D")
-    if training.shape[1] % m != 0:
-        raise ValueError(f"d={training.shape[1]} not divisible by m={m}")
+    check_shape(training.shape[1], m, b)
     _require_finite(training, "training vectors")
     if training.shape[0] < (1 << b):
         raise TrainError(
@@ -646,10 +650,9 @@ def decode(pq: ProductQuantizer, codes: np.ndarray) -> np.ndarray:
 MAGIC_QUANTIZER = b"PQZ1"
 
 
-def write_quantizer_body(f: BinaryIO, quant: ProductQuantizer | DerivedPQ) -> None:
+def write_quantizer_body(f: BinaryIO, pq: ProductQuantizer) -> None:
     """PQZ1: the product quantizer, then, for a DerivedPQ, bbar and the
     derived codebooks."""
-    pq = plain_pq(quant)
     _binio.write_magic(f, MAGIC_QUANTIZER)
     _binio.write_i32(f, pq.m)
     _binio.write_i32(f, pq.b)
@@ -658,14 +661,12 @@ def write_quantizer_body(f: BinaryIO, quant: ProductQuantizer | DerivedPQ) -> No
     if pq.rotation is not None:
         _binio.write_array(f, pq.rotation, "<f4")
     _binio.write_array(f, pq.codebooks, "<f4")
-    if isinstance(quant, DerivedPQ):
-        _binio.write_i32(f, quant.bbar)
-        _binio.write_array(f, quant.derived, "<f4")
+    if isinstance(pq, DerivedPQ):
+        _binio.write_i32(f, pq.bbar)
+        _binio.write_array(f, pq.derived, "<f4")
 
 
-def read_quantizer_body(
-    f: BinaryIO, derived: bool | None = None
-) -> ProductQuantizer | DerivedPQ:
+def read_quantizer_body(f: BinaryIO, derived: bool | None = None) -> ProductQuantizer:
     """One PQZ1 quantizer, a DerivedPQ when derived; by default, when any
     byte follows the product quantizer."""
     _binio.expect_magic(f, MAGIC_QUANTIZER)
@@ -684,31 +685,31 @@ def read_quantizer_body(
     k = 1 << b
     dsub = d // m
     books = _binio.read_array(f, "<f4", m * k * dsub).reshape(m, k, dsub)
-    try:
-        pq = ProductQuantizer(m=m, b=b, d=d, codebooks=books, rotation=rotation)
-    except ValueError as exc:  # non-finite codebooks, a rotation not orthonormal
-        raise _binio.FormatError(str(exc), offset=off) from None
-    off = f.tell()
+    tail = f.tell()
     if derived is None:
         derived = bool(f.read(1))
-        f.seek(off)
-    if not derived:
-        return pq
-    bbar = _binio.read_i32(f)
-    if not 1 <= bbar <= b:
-        raise _binio.FormatError(f"bbar={bbar} out of range [1, {b}]", offset=off)
-    derived_books = _binio.read_array(f, "<f4", m * (1 << bbar) * dsub)
-    return DerivedPQ(pq=pq, bbar=bbar, derived=derived_books.reshape(m, 1 << bbar, dsub))
+        f.seek(tail)
+    fields = dict(m=m, b=b, d=d, codebooks=books, rotation=rotation)
+    if derived:
+        bbar = _binio.read_i32(f)
+        if not 1 <= bbar <= b:
+            raise _binio.FormatError(f"bbar={bbar} out of range [1, {b}]", offset=tail)
+        books_bar = _binio.read_array(f, "<f4", m * (1 << bbar) * dsub)
+        fields.update(bbar=bbar, derived=books_bar.reshape(m, 1 << bbar, dsub))
+    try:
+        return (DerivedPQ if derived else ProductQuantizer)(**fields)
+    except ValueError as exc:  # non-finite codebooks, a rotation not orthonormal
+        raise _binio.FormatError(str(exc), offset=off) from None
 
 
-def save_quantizer(path, quant: ProductQuantizer | DerivedPQ) -> None:
-    _binio.save(path, write_quantizer_body, quant)
+def save_quantizer(path, pq: ProductQuantizer) -> None:
+    _binio.save(path, write_quantizer_body, pq)
 
 
-def load_quantizer(path) -> ProductQuantizer | DerivedPQ:
+def load_quantizer(path) -> ProductQuantizer:
     """The quantizer of a PQZ1 file: a DerivedPQ when derived codebooks
     follow the product quantizer, else a ProductQuantizer."""
     with open(path, "rb") as f:
-        quant = read_quantizer_body(f)
+        pq = read_quantizer_body(f)
         _binio.expect_eof(f, "derived codebooks")
-    return quant
+    return pq

@@ -251,7 +251,7 @@ def test_criterion_7_derived_p1(capsys):
         dpq = train_derived(x, 4, 10, 5, TrainConfig(kmeans_iters=8, seed=seed))
         kbar = dpq.kbar
         for j in range(4):
-            full = dpq.pq.codebooks[j].astype(np.float64)
+            full = dpq.codebooks[j].astype(np.float64)
             der = dpq.derived[j].astype(np.float64)
             for low in range(kbar):
                 members = full[np.arange(low, 1024, kbar)]
@@ -265,11 +265,11 @@ def test_criterion_8_two_pass_recall(capsys):
     base, queries = in_distribution_split(100_000, 32, 16, 13, 100)
     truth = exact_knn(base, queries, 100)
     dpq = train_derived(base[:5000], 4, 10, 5, TrainConfig(kmeans_iters=8, seed=0))
-    codelist = CodeList(encode(dpq.pq, base))
+    codelist = CodeList(encode(dpq, base))
     r2 = base.shape[0] // 10
     full_res, two_res = [], []
     for q in queries:
-        tables = compute_tables(dpq.pq, q)
+        tables = compute_tables(dpq, q)
         full_res.append([i for _, i in scan(codelist, tables, 100).items()])
         nset = search_two_pass(dpq, codelist, q, 100, r2)
         two_res.append([i for _, i in nset.items()])
@@ -356,7 +356,7 @@ def test_criterion_11_format_round_trips(tmp_path, capsys):
     pqscan.save_quantizer(tmp_path / "d.pqz", dpq)
     dback = pqscan.load_quantizer(tmp_path / "d.pqz")
     ok &= np.array_equal(dback.derived, dpq.derived)
-    ok &= np.array_equal(dback.pq.codebooks, dpq.pq.codebooks)
+    ok &= np.array_equal(dback.codebooks, dpq.codebooks)
 
     codes = CodeList(pack(rng.integers(0, 16, (57, 4))),
                      rng.permutation(57).astype(np.int64), m=4)

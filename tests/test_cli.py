@@ -17,7 +17,6 @@ from pqscan import (
 from pqscan._dist import nearest_k
 from pqscan.cli import BENCH_HEADER, build_parser, main
 from pqscan.ivf import KERNELS
-from pqscan.quantizer import plain_pq
 
 
 QUICK_ADC_SHAPES = "quick-adc kernel requires b=4, or b=8 with even m"
@@ -482,7 +481,7 @@ def test_query_empty_code_file_prints_only_the_header(
     workspace, kernel_files, case, tmp_path, capsys
 ):
     quant = kernel_files[case][0]
-    pq = plain_pq(load_quantizer(quant))
+    pq = load_quantizer(quant)
     codes = tmp_path / "empty.pql"
     save_codes(codes, CodeList(np.zeros((0, pq.code_width), pq.code_dtype), m=pq.m), pq.b)
     got = run(capsys, "query", "--queries", str(workspace / "q.fvecs"),
@@ -542,9 +541,53 @@ def no_training(monkeypatch):
     (["--m", "4", "--b", "4", "--K", "8", "--r", "0"], "r must be >= 1"),
     (["--m", "4", "--b", "4", "--bderived", "2", "--kernel", "derived", "--r2", "0"],
      "r2 must be >= 1"),
+    (["--m", "0", "--b", "4"], "m must be >= 1, got 0"),
+    (["--m", "-4", "--b", "4", "--K", "8"], "m must be >= 1, got -4"),
+    (["--m", "5", "--b", "4", "--K", "8"], "d=16 not divisible by m=5"),
+    (["--m", "4", "--b", "0", "--K", "8"], "b=0 out of range [1, 16]"),
+    (["--m", "4", "--b", "-1"], "b=-1 out of range [1, 16]"),
 ])
 def test_bench_rejects_bad_flags_before_training(workspace, capsys, no_training, argv, message):
     code, out, err = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
                          "--queries", str(workspace / "q.fvecs"),
                          "--truth", str(workspace / "t.ivecs"), *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("index_flags", [[], ["--K", "8"]])
+def test_bench_rejects_queries_of_another_dimension_before_training(
+    workspace, tmp_path, capsys, no_training, index_flags
+):
+    queries = tmp_path / "q8.fvecs"
+    write_vecs(queries, read_vecs(workspace / "q.fvecs", "fvecs")[:, :8], "fvecs")
+    got = run(capsys, "bench", "--base", str(workspace / "base.fvecs"),
+              "--queries", str(queries), "--truth", str(workspace / "t.ivecs"),
+              "--m", "4", "--b", "4", *index_flags)
+    assert got == (1, "", "error: query dimensionality 8, expected 16\n")
+
+
+@pytest.mark.parametrize("command", ["train", "build-ivf"])
+@pytest.mark.parametrize("shape, message", [
+    (["--m", "0", "--b", "4"], "m must be >= 1, got 0"),
+    (["--m", "-4", "--b", "4"], "m must be >= 1, got -4"),
+    (["--m", "5", "--b", "4"], "d=16 not divisible by m=5"),
+    (["--m", "4", "--b", "0"], "b=0 out of range [1, 16]"),
+])
+def test_training_commands_reject_a_quantizer_shape_before_training(
+    workspace, tmp_path, capsys, no_training, command, shape, message
+):
+    out = tmp_path / "out.bin"
+    extra = ["--K", "8"] if command == "build-ivf" else []
+    got = run(capsys, command, "--base", str(workspace / "base.fvecs"), *shape, *extra,
+              "--out", str(out))
+    assert got == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_ground_truth_rejects_k_below_1(workspace, tmp_path, capsys, k):
+    out = tmp_path / "t.ivecs"
+    got = run(capsys, "ground-truth", "--base", str(workspace / "base.fvecs"),
+              "--queries", str(workspace / "q.fvecs"), "--k", k, "--out", str(out))
+    assert got == (1, "", f"error: k must be >= 1, got {k}\n")
+    assert not out.exists()

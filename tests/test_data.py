@@ -140,6 +140,25 @@ def test_exact_knn_rejects_non_finite(side, message, bad, monkeypatch):
         exact_knn(rows["base"], rows["queries"], 3)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_exact_knn_rejects_k_below_1(k):
+    base = generate_synthetic(20, 4, 2, seed=1)
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        exact_knn(base, base[:3], k)
+
+
+@pytest.mark.parametrize("kind", ["fvecs", "bvecs", "ivecs"])
+def test_write_vecs_refuses_rows_of_dimension_0(tmp_path, kind):
+    """read_vecs cannot read a record of dimension 0, so write_vecs writes
+    none; an empty array still writes the empty file."""
+    path = tmp_path / f"x.{kind}"
+    with pytest.raises(ValueError, match="dimension 0"):
+        write_vecs(path, np.zeros((3, 0)), kind)
+    assert not path.exists()
+    write_vecs(path, np.zeros((0, 0)), kind)
+    assert read_vecs(path, kind).shape == (0, 0)
+
+
 def test_recall_perfect():
     truth = GroundTruth(
         ids=np.array([[7, 1], [7, 2]]), distances=np.zeros((2, 2))

@@ -15,6 +15,7 @@ from pqscan import (
     build_derived_quantizers,
     compute_compact_tables,
     compute_tables,
+    decode,
     encode,
     load_quantizer,
     quantize_compact_tables,
@@ -26,6 +27,7 @@ from pqscan import (
     search_two_pass,
     train_derived,
 )
+from pqscan.ivf import scan_lists
 
 from conftest import pack
 
@@ -39,7 +41,7 @@ def dpq(blob_data):
 
 @pytest.fixture(scope="module")
 def dcodes(blob_data, dpq):
-    return CodeList(encode(dpq.pq, blob_data))
+    return CodeList(encode(dpq, blob_data))
 
 
 class CappedBuckets:
@@ -170,8 +172,8 @@ def test_p1_structure_low_bits(dpq):
     # P1: full centroid i belongs to derived cluster (i mod 2^bbar), so each
     # derived centroid is the mean of the full centroids sharing its low bits
     kbar = dpq.kbar
-    for j in range(dpq.pq.m):
-        full = dpq.pq.codebooks[j].astype(np.float64)
+    for j in range(dpq.m):
+        full = dpq.codebooks[j].astype(np.float64)
         der = dpq.derived[j].astype(np.float64)
         for low in range(kbar):
             members = full[np.arange(low, full.shape[0], kbar)]
@@ -216,7 +218,7 @@ def test_kbar_equals_k_identity():
 
 
 def test_train_derived_shapes(dpq):
-    assert dpq.pq.codebooks.shape == (4, 64, 8)
+    assert dpq.codebooks.shape == (4, 64, 8)
     assert dpq.derived.shape == (4, 8, 8)
     assert dpq.kbar == 8
 
@@ -231,17 +233,17 @@ def test_compact_tables_footprint(blob_data):
 
 
 def test_compact_tables_zero_at_derived_centroid(dpq):
-    y = np.concatenate([dpq.derived[j][2] for j in range(dpq.pq.m)])
+    y = np.concatenate([dpq.derived[j][2] for j in range(dpq.m)])
     t = compute_compact_tables(dpq, y)
-    for j in range(dpq.pq.m):
+    for j in range(dpq.m):
         assert t.tables[j][2] == 0.0
 
 
 def test_compact_tables_match_recomputation(dpq, blob_data):
     q = blob_data[11]
     t = compute_compact_tables(dpq, q)
-    dsub = dpq.pq.dsub
-    for j in range(dpq.pq.m):
+    dsub = dpq.dsub
+    for j in range(dpq.m):
         sub = q[j * dsub : (j + 1) * dsub].astype(np.float64)
         expect = ((dpq.derived[j].astype(np.float64) - sub) ** 2).sum(axis=1)
         np.testing.assert_allclose(t.tables[j], expect, rtol=1e-5)
@@ -287,7 +289,7 @@ def test_compact_bins_qmax_is_the_first_code_at_r2_1(dpq, dcodes, queries):
 def test_compact_bins_read_only_the_first_r2_codes(dpq, dcodes, queries):
     compact = compute_compact_tables(dpq, queries[4])
     bins = quantize_compact_tables(compact, dcodes, r2=50)
-    rest = np.random.default_rng(5).integers(0, 1 << dpq.pq.b, dcodes.codes[50:].shape)
+    rest = np.random.default_rng(5).integers(0, 1 << dpq.b, dcodes.codes[50:].shape)
     changed = CodeList(np.concatenate([dcodes.codes[:50], rest.astype(dcodes.codes.dtype)]))
     np.testing.assert_array_equal(quantize_compact_tables(compact, changed, r2=50), bins)
     # past the end of the list, r2 reads the whole list
@@ -299,7 +301,7 @@ def test_compact_bins_read_only_the_first_r2_codes(dpq, dcodes, queries):
 
 def test_compact_bins_of_an_empty_list_are_zero(dpq, queries):
     compact = compute_compact_tables(dpq, queries[0])
-    empty = CodeList(np.zeros((0, dpq.pq.m), dtype=np.uint8))
+    empty = CodeList(np.zeros((0, dpq.m), dtype=np.uint8))
     bins = quantize_compact_tables(compact, empty, r2=10)
     assert bins.shape == compact.tables.shape and bins.dtype == np.uint8
     assert not bins.any()
@@ -334,7 +336,7 @@ def test_adc_low_bits_saturation_order_consistent(dpq, dcodes, queries):
     assert first.max() <= 255
     low = (dcodes.codes & (dpq.kbar - 1)).astype(np.int64)
     raw = np.zeros(dcodes.n, dtype=np.int64)
-    for j in range(dpq.pq.m):
+    for j in range(dpq.m):
         raw += bins[j].astype(np.int64)[low[:, j]]
     below = raw < 255
     np.testing.assert_array_equal(first[below], raw[below])
@@ -479,17 +481,17 @@ def test_capped_buckets_property(seed, n, r2):
 
 
 def test_lazy_tables_match_eager(dpq, queries):
-    lazy = LazyTables(dpq.pq, queries[0])
-    eager = compute_tables(dpq.pq, queries[0])
-    for j in range(dpq.pq.m):
-        idx = np.arange(0, dpq.pq.k, 7)
+    lazy = LazyTables(dpq, queries[0])
+    eager = compute_tables(dpq, queries[0])
+    for j in range(dpq.m):
+        idx = np.arange(0, dpq.k, 7)
         np.testing.assert_array_equal(lazy.entries(j, idx), eager.tables[j][idx])
-        idx = np.arange(dpq.pq.k)[::-1]  # the rest, plus cached entries
+        idx = np.arange(dpq.k)[::-1]  # the rest, plus cached entries
         np.testing.assert_array_equal(lazy.entries(j, idx), eager.tables[j][idx])
 
 
 def test_lazy_tables_compute_each_entry_once(dpq, queries):
-    lazy = LazyTables(dpq.pq, queries[1])
+    lazy = LazyTables(dpq, queries[1])
     wanted = [(0, [3, 3]), (1, [5]), (0, [3, 4]), (2, [5]), (1, [5, 5])]
     for j, idx in wanted:
         lazy.entries(j, np.array(idx))
@@ -505,9 +507,9 @@ def test_rerank_matches_eager_oracle(dpq, dcodes, queries, ids):
     for q in queries[:4]:
         compact = compute_compact_tables(dpq, q)
         cand = scan_candidates(db, quantize_compact_tables(compact, db, 200), 200)
-        lazy = LazyTables(dpq.pq, q)
-        got = rerank(db, cand, dpq.pq, q, 10, lazy=lazy)
-        assert got.items() == eager_rerank_oracle(db, cand, dpq.pq, q, 10, 200)
+        lazy = LazyTables(dpq, q)
+        got = rerank(db, cand, dpq, q, 10, lazy=lazy)
+        assert got.items() == eager_rerank_oracle(db, cand, dpq, q, 10, 200)
         uniq = {(j, int(c)) for code in db.codes for j, c in enumerate(code)}
         assert lazy.computed <= len(uniq)
 
@@ -515,7 +517,7 @@ def test_rerank_matches_eager_oracle(dpq, dcodes, queries, ids):
 def test_two_pass_equals_full_scan_at_max_r2(dpq, dcodes, queries):
     # r2 = n disables candidate filtering: both passes see everything
     for q in queries:
-        tables = compute_tables(dpq.pq, q)
+        tables = compute_tables(dpq, q)
         base = scan(dcodes, tables, 10)
         got = search_two_pass(dpq, dcodes, q, 10, dcodes.n)
         assert got.items() == base.items()
@@ -523,7 +525,7 @@ def test_two_pass_equals_full_scan_at_max_r2(dpq, dcodes, queries):
 
 def test_two_pass_reduces_to_full_sort_when_r_is_n(dpq, dcodes, queries):
     q = queries[0]
-    tables = compute_tables(dpq.pq, q)
+    tables = compute_tables(dpq, q)
     base = scan(dcodes, tables, dcodes.n)
     got = search_two_pass(dpq, dcodes, q, dcodes.n, dcodes.n)
     assert got.items() == base.items()
@@ -587,7 +589,7 @@ def test_first_pass_matches_the_generic_quantizer_rule(m, bits, n, r2, r, flat, 
     if flat:
         derived[:] = derived[:, :1]
     books = rng.integers(-3, 4, (m, 1 << b, 2))
-    dpq = DerivedPQ(ProductQuantizer(m=m, b=b, d=2 * m, codebooks=books), bbar, derived)
+    dpq = DerivedPQ(m=m, b=b, d=2 * m, codebooks=books, bbar=bbar, derived=derived)
     comps = rng.integers(0, 1 << b, (n, m)).astype(np.uint8)
     ids = rng.permutation(n) + 2**31 + 5
     db = CodeList(pack(comps) if b <= 4 else comps, ids, m)
@@ -602,7 +604,7 @@ def test_first_pass_matches_the_generic_quantizer_rule(m, bits, n, r2, r, flat, 
     ref = sequential_buckets(r2, reference_low_bits(bins, comps), ids)
     assert_same_buckets(cand, ref)
 
-    tables = compute_tables(dpq.pq, q)
+    tables = compute_tables(dpq, q)
     pos = {int(i): p for p, i in enumerate(ids)}
     pairs = []
     for ident in (i for v in range(CBINS + 1) for i in ref.bucket(v)):
@@ -613,6 +615,26 @@ def test_first_pass_matches_the_generic_quantizer_rule(m, bits, n, r2, r, flat, 
     assert search_two_pass(dpq, db, q, r, r2).items() == sorted(pairs)[:r]
 
 
+def test_a_derived_quantizer_works_wherever_a_product_quantizer_does(blob_data, queries):
+    """A DerivedPQ is a ProductQuantizer: whatever takes one gives, for a
+    derived quantizer, what it gives for the ProductQuantizer of its fields."""
+    dpq = train_derived(blob_data[:800], 4, 4, 2, CFG)
+    assert isinstance(dpq, ProductQuantizer)
+    pq = ProductQuantizer(m=dpq.m, b=dpq.b, d=dpq.d, codebooks=dpq.codebooks,
+                          rotation=dpq.rotation)
+    codes = encode(dpq, blob_data[:500])
+    np.testing.assert_array_equal(codes, encode(pq, blob_data[:500]))
+    np.testing.assert_array_equal(decode(dpq, codes), decode(pq, codes))
+    for got, want in zip(compute_tables(dpq, queries[:3]), compute_tables(pq, queries[:3]),
+                         strict=True):
+        np.testing.assert_array_equal(got.tables, want.tables)
+    lists = [CodeList(codes[:200], m=4), CodeList(codes[200:], np.arange(200, 500), m=4)]
+    for kernel in ("adc", "quick-adc"):
+        found, stats = scan_lists(dpq, lists, queries[:2], 10, kernel, None)
+        want_found, want_stats = scan_lists(pq, lists, queries[:2], 10, kernel, None)
+        assert (found.items(), stats) == (want_found.items(), want_stats)
+
+
 # -- persistence -------------------------------------------------------------
 
 
@@ -621,7 +643,7 @@ def test_derived_round_trip(tmp_path, dpq):
     save_quantizer(path, dpq)
     back = load_quantizer(path)
     assert back.bbar == dpq.bbar
-    np.testing.assert_array_equal(back.pq.codebooks, dpq.pq.codebooks)
+    np.testing.assert_array_equal(back.pq.codebooks, dpq.codebooks)
     np.testing.assert_array_equal(back.derived, dpq.derived)
 
 
@@ -630,5 +652,5 @@ def test_load_quantizer_discriminates(tmp_path, dpq, pq44):
     p2 = tmp_path / "derived.pqz"
     save_quantizer(p1, pq44)
     save_quantizer(p2, dpq)
-    assert isinstance(load_quantizer(p1), ProductQuantizer)
+    assert type(load_quantizer(p1)) is ProductQuantizer
     assert isinstance(load_quantizer(p2), DerivedPQ)

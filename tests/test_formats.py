@@ -189,10 +189,8 @@ def test_old_quantizer_files_load(tmp_path):
     (tmp_path / "d.pqz").write_bytes(OLD_DERIVED)
     plain = load_quantizer(tmp_path / "p.pqz")
     derived = load_quantizer(tmp_path / "d.pqz")
-    assert isinstance(plain, ProductQuantizer) and isinstance(derived, DerivedPQ)
-    np.testing.assert_array_equal(plain.codebooks.ravel(), np.arange(8))
-    np.testing.assert_array_equal(derived.pq.codebooks, plain.codebooks)
-    np.testing.assert_array_equal(derived.derived.ravel(), [0.5, 2.5, 4.5, 6.5])
+    assert_same_fields(plain, PLAIN)
+    assert_same_fields(derived, DERIVED)
 
 
 @pytest.mark.parametrize(
@@ -258,6 +256,26 @@ OLD_IVF = bytes.fromhex(
     "0000604050514c310200000002000000020000000100000021030400000000000000090000000"
     "000000050514c3101000000020000000200000001000000120300000000000000"
 )
+
+
+# A derived index: OLD_IVF's header with the derived flag set, OLD_DERIVED
+# as its quantizer, the same coarse centroids, lists of ids [9, 4] and [3].
+OLD_DERIVED_IVF = bytes.fromhex(
+    "49564631020000000100000050515a3102000000020000000200000000000000000000000000"
+    "803f0000004000004040000080400000a0400000c0400000e040010000000000003f00002040"
+    "000090400000d0400000003f0000c03f000020400000604050514c3102000000020000000200"
+    "00000100000021030900000000000000040000000000000050514c3101000000020000000200"
+    "000001000000120300000000000000"
+)
+
+
+def test_old_derived_index_file_loads_its_derived_quantizer(tmp_path):
+    (tmp_path / "old.ivf").write_bytes(OLD_DERIVED_IVF)
+    index = load_ivf(tmp_path / "old.ivf")
+    assert_same_fields(index.pq, DERIVED)
+    assert [lst.ids.tolist() for lst in index.lists] == [[9, 4], [3]]
+    save_ivf(tmp_path / "new.ivf", index)
+    assert (tmp_path / "new.ivf").read_bytes() == OLD_DERIVED_IVF
 
 
 def test_old_index_files_load_and_rewrite_identically(tmp_path):
@@ -355,8 +373,8 @@ def save_code_file(path, loaded):
 
 ROTATED = ProductQuantizer(m=2, b=2, d=4, codebooks=np.arange(16).reshape(2, 4, 2),
                            rotation=np.eye(4)[::-1])
-DERIVED = DerivedPQ(pq=ProductQuantizer(m=2, b=2, d=2, codebooks=np.arange(8).reshape(2, 4, 1)),
-                    bbar=1, derived=np.array([[[0.5], [2.5]], [[4.5], [6.5]]]))
+PLAIN = ProductQuantizer(m=2, b=2, d=2, codebooks=np.arange(8).reshape(2, 4, 1))
+DERIVED = DerivedPQ(**vars(PLAIN), bbar=1, derived=np.array([[[0.5], [2.5]], [[4.5], [6.5]]]))
 
 
 def sample_files(tmp):
@@ -365,7 +383,7 @@ def sample_files(tmp):
     no ids either way, so its ids flag may read 0, and it writes back as 1."""
     lists = [CodeList(np.array([[0x21], [0x03]], np.uint8), [2**40, 9], m=2),
              CodeList(np.array([[0x12]], np.uint8), [3], m=2)]
-    derived_index = IvfIndex(np.array([[0.5, 1.5], [2.5, 3.5]]), DERIVED.pq, lists, DERIVED)
+    derived_index = IvfIndex(np.array([[0.5, 1.5], [2.5, 3.5]]), DERIVED, lists)
     big_ids = (CodeList(pack(np.array([[1, 2, 3], [4, 5, 6]])), [2**31 + 5, 3], m=3), 4)
     b10 = (CodeList(np.array([[1000, 7], [3, 1023]], np.uint16), [0, 1]), 10)
     return {
@@ -410,16 +428,14 @@ def assert_same_fields(got, want):
     assert type(got) is type(want)
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if dataclasses.is_dataclass(b):
-            assert_same_fields(a, b)
-        elif isinstance(b, np.ndarray):
+        if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
         else:
             assert a == b
 
 
-@pytest.mark.parametrize("quant", [DERIVED.pq, ROTATED, DERIVED],
+@pytest.mark.parametrize("quant", [PLAIN, ROTATED, DERIVED],
                          ids=["plain", "rotated", "derived"])
 def test_quantizer_file_round_trips_either_kind(tmp_path, quant):
     save_quantizer(tmp_path / "q.pqz", quant)

@@ -129,7 +129,7 @@ def test_ivf_with_large_ids_matches_offset_small_ids(blob_data, queries, tmp_pat
 
 def test_two_pass_returns_int64_ids_over_narrow_lists(blob_data, queries):
     dpq = train_derived(blob_data[:1200], 4, 6, 3, TrainConfig(kmeans_iters=4, seed=1))
-    codes = CodeList(encode(dpq.pq, blob_data))
+    codes = CodeList(encode(dpq, blob_data))
     assert codes.ids.dtype == np.int32
     wide = CodeList(codes.codes, codes.ids.astype(np.int64) + BIG)
     got = search_two_pass(dpq, codes, queries[3], 10, 300).to_arrays()

@@ -4,6 +4,7 @@ from scipy.spatial.distance import cdist
 
 from pqscan import (
     CodeList,
+    DerivedPQ,
     LazyTables,
     LookupTables,
     NeighborSet,
@@ -33,6 +34,8 @@ from pqscan._dist import nearest, nearest_k
 from pqscan.ivf import KERNELS as LIBRARY_KERNELS
 from pqscan.ivf import check_kernel_shape, query_ivf_stats, scan_lists
 from pqscan.quantizer import ENCODE_ROWS
+
+from test_formats import assert_same_fields
 
 CFG = TrainConfig(kmeans_iters=8, seed=4)
 
@@ -141,7 +144,7 @@ def test_multi_chunk_build_equals_one_shot_reference(K, variant):
     assign = nearest(base, coarse)
     codes = encode(idx.pq, base.astype(np.float64) - coarse[assign])
     assert (idx.pq.rotation is not None) == (variant == "opq")
-    assert (idx.dpq is not None) == (variant == "derived")
+    assert isinstance(idx.pq, DerivedPQ) == (variant == "derived")
     for cell, lst in enumerate(idx.lists):
         rows = np.flatnonzero(assign == cell)
         np.testing.assert_array_equal(lst.ids, rows)
@@ -306,7 +309,7 @@ def test_ivf_query_builds_tables_once_and_scans_once(
 
 def test_derived_kernel_matches_adc_with_max_r2(base, queries):
     idx = build_ivf(base, K=8, m=4, b=6, cfg=CFG, bderived=3)
-    assert idx.dpq is not None
+    assert isinstance(idx.pq, DerivedPQ)
     for q in queries[:5]:
         a = query_ivf(idx, q, ma=3, r=10, kernel="adc")
         b = query_ivf(idx, q, ma=3, r=10, kernel="derived", r2=base.shape[0])
@@ -348,8 +351,8 @@ def test_ivf_round_trip_with_derived(tmp_path, base, queries):
     path = tmp_path / "i.ivf"
     save_ivf(path, idx)
     back = load_ivf(path)
-    assert back.dpq is not None
-    np.testing.assert_array_equal(back.dpq.derived, idx.dpq.derived)
+    assert type(back.pq) is DerivedPQ
+    assert_same_fields(back.pq, idx.pq)
     a = query_ivf(back, queries[1], ma=3, r=10, kernel="derived", r2=500)
     b = query_ivf(idx, queries[1], ma=3, r=10, kernel="derived", r2=500)
     assert a.items() == b.items()
@@ -359,7 +362,7 @@ def test_ivf_round_trip_with_derived(tmp_path, base, queries):
 QUERY_ENTRY_POINTS = {
     "compute_tables": lambda index, dpq, q: compute_tables(index.pq, q),
     "compute_compact_tables": lambda index, dpq, q: compute_compact_tables(dpq, q),
-    "LazyTables": lambda index, dpq, q: LazyTables(dpq.pq, q),
+    "LazyTables": lambda index, dpq, q: LazyTables(dpq, q),
     "query_ivf": lambda index, dpq, q: query_ivf(index, q, ma=2, r=5),
 }
 
@@ -394,7 +397,7 @@ RUNNERS = [*KERNELS, "fast_scan"]
 def run_kernel(pq44, codes44, pq88, codes88, small_dpq, base):
     """run_kernel(kernel, q, n): the kernel's r=5 result over the first n
     codes of its list."""
-    dcodes = CodeList(encode(small_dpq.pq, base))
+    dcodes = CodeList(encode(small_dpq, base))
 
     def run(kernel, q, n):
         if kernel == "fast_scan":
@@ -449,9 +452,9 @@ def test_build_ivf_rejects_K_below_1_before_training(base, no_coarse_kmeans, K):
 
 @pytest.mark.parametrize("scale", [1e20, 1e200])
 def test_lazy_tables_reject_entries_that_overflow_float32(small_dpq, scale):
-    lazy = LazyTables(small_dpq.pq, np.full(small_dpq.pq.d, scale))
+    lazy = LazyTables(small_dpq, np.full(small_dpq.d, scale))
     with pytest.raises(ValueError, match="lookup table entries overflow float32"):
-        lazy.entries(0, np.arange(small_dpq.pq.k))
+        lazy.entries(0, np.arange(small_dpq.k))
     assert lazy.computed == 0
 
 
@@ -474,10 +477,14 @@ def no_coarse_kmeans(monkeypatch):
 @pytest.mark.parametrize("options, message", [
     ({"use_opq": True, "bderived": 3}, "derived quantizers do not support a rotation"),
     ({"bderived": 4}, "need 1 <= bbar < b <= 16"),
+    ({"m": 5}, "d=32 not divisible by m=5"),
+    ({"m": 0}, "m must be >= 1, got 0"),
+    ({"b": 0}, r"b=0 out of range \[1, 16\]"),
+    ({"b": 17}, r"b=17 out of range \[1, 16\]"),
 ])
 def test_build_ivf_rejects_options_before_training(base, no_coarse_kmeans, options, message):
     with pytest.raises(ValueError, match=message):
-        build_ivf(base, K=8, m=4, b=4, cfg=CFG, **options)
+        build_ivf(base, K=8, cfg=CFG, **{"m": 4, "b": 4, **options})
 
 
 def test_build_ivf_rejects_non_finite_base_before_training(base, no_coarse_kmeans):

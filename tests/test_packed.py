@@ -198,7 +198,7 @@ def test_two_pass_reads_packed_derived_codes():
     # place and rank exactly as over the unpacked components
     x = generate_synthetic(900, 18, 8, seed=6)
     dpq = train_derived(x[:600], 3, 4, 2, TrainConfig(kmeans_iters=4, seed=3))
-    packed = CodeList.from_vectors(dpq.pq, x)
+    packed = CodeList.from_vectors(dpq, x)
     assert packed.codes.shape == (900, 2)
     components = CodeList(unpack(packed.codes, 3), packed.ids)
     for q in x[:5] + 0.5:

@@ -194,7 +194,7 @@ def test_train_derived_matches_serial(monkeypatch, small_chunks):
 
     def build():
         dpq = train_derived(x, 4, 6, 3, CFG)
-        return dpq.pq.codebooks, dpq.derived
+        return dpq.codebooks, dpq.derived
 
     (full, derived), (full_p, derived_p) = serial_and_parallel(monkeypatch, build)
     np.testing.assert_array_equal(full_p, full)

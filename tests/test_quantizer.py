@@ -332,6 +332,20 @@ def test_train_derived_rejects_bad_args(blob_data):
         train_derived(blob_data[:8], 4, 8, 7, CFG)  # fewer points than centroids
 
 
+@pytest.mark.parametrize("m", [0, -4])
+def test_m_below_1_is_refused(blob_data, m):
+    """m < 1 is a ValueError that names m, not a division by zero in d % m
+    or an empty stack of codebooks."""
+    message = f"m must be >= 1, got {m}"
+    with pytest.raises(ValueError, match=message):
+        ProductQuantizer(m=m, b=4, d=32, codebooks=np.zeros((0, 16, 0)))
+    for train in (train_pq, train_opq):
+        with pytest.raises(ValueError, match=message):
+            train(blob_data[:100], m, 4, CFG)
+    with pytest.raises(ValueError, match=message):
+        train_derived(blob_data[:100], m, 4, 2, CFG)
+
+
 def test_quantizer_round_trip(tmp_path, pq44):
     path = tmp_path / "q.pqz"
     save_quantizer(path, pq44)
