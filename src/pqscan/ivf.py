@@ -23,6 +23,7 @@ from .quantizer import (
     ProductQuantizer,
     TrainConfig,
     _check_query,
+    _code_groups,
     _require_finite,
     check_shape,
     encode,
@@ -133,6 +134,9 @@ def build_ivf(
     train_cells = nearest(train, coarse64)
     train_res = train - coarse64[train_cells]
     pq = train_quantizer(train_res, m, b, cfg, use_opq, bderived)
+    # A wide codebook is grouped once for every chunk, probed with the
+    # residuals it was trained on.
+    groups = _code_groups(pq, train_res, n)
     # kmeans assigns its sample to the float32 centroids it returns as
     # nearest does, so rows in both samples get one cell; -1 marks the
     # rows still to assign.
@@ -145,7 +149,7 @@ def build_ivf(
         rows, cells = base[lo:hi], assign[lo:hi]
         other = np.flatnonzero(cells < 0)
         cells[other] = nearest(rows[other], coarse64)
-        return cells, encode(pq, rows - coarse64[cells])
+        return cells, encode(pq, rows - coarse64[cells], _groups=groups)
 
     cost = assign_cost(np.count_nonzero(assign < 0), K, d)
     cost += pq.m * assign_cost(n, pq.k, pq.dsub)

@@ -24,7 +24,9 @@ from scipy import sparse
 from . import _binio
 from ._dist import (
     NARROW_K,
+    SAFE_SCALE,
     SAFE_SCALE32,
+    _ROUNDING,
     centroid_groups,
     moved_groups,
     nearest,
@@ -38,6 +40,9 @@ from ._parallel import Team, assign_cost, fork_map, kmeans_cost, shared_array, s
 # Rows per chunk wherever a build turns input rows into float64 work arrays
 # (encode, and the IVF assignment and residual passes).
 ENCODE_ROWS = 1 << 13
+# Weights per block of a k-means++ draw's blocked sums (see _kmeanspp_init).
+_PICK_BLOCK = 256
+_EPS, _TINY = _ROUNDING[np.float64]
 
 
 class TrainError(RuntimeError):
@@ -133,6 +138,8 @@ class DerivedPQ(ProductQuantizer):
         expect = (self.m, 1 << self.bbar, self.dsub)
         if self.derived.shape != expect:
             raise ValueError(f"derived shape {self.derived.shape}, expected {expect}")
+        if not np.all(np.isfinite(self.derived)):
+            raise ValueError("derived codebooks contain non-finite values")
 
     @property
     def kbar(self) -> int:
@@ -212,6 +219,54 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contain non-finite values")
 
 
+def _draw(closest: np.ndarray, rng: np.random.Generator) -> int:
+    """One k-means++ draw over the weights closest (n >= 1, each >= 0 or
+    NaN): the index ``rng.choice(n, p=closest / closest.sum())`` picks, or
+    ``rng.integers(n)`` when the weights sum to 0, with the same RNG calls.
+
+    The pick comes from blocked sums of the weights where u lies clear of
+    every rounding of rng.choice's cumulative sum (``_block_pick``), and
+    from that sum itself elsewhere (proof in _kmeanspp_init).
+    """
+    ends = np.cumsum(np.add.reduceat(closest, np.arange(0, closest.size, _PICK_BLOCK)))
+    if _TINY <= ends[-1] < SAFE_SCALE:
+        u = rng.random()
+        pick = _block_pick(closest, ends, u)
+        if pick is not None:
+            return pick
+    elif closest.sum() <= 0.0:
+        return int(rng.integers(closest.size))
+    else:
+        u = rng.random()
+    # The steps rng.choice(n, p=closest / total) runs, without its
+    # per-call validation of p: the same draw, bit for bit.
+    return _cdf_index(np.cumsum(closest / closest.sum()), u)
+
+
+def _block_pick(w: np.ndarray, ends: np.ndarray, u: float) -> int | None:
+    """``_cdf_index(np.cumsum(w / w.sum()), u)``, or None where the block
+    sums cannot decide it: ends[b] is the running sum of w up to the end of
+    block b, of _PICK_BLOCK weights each, and ends[-1] lies in [tiny,
+    SAFE_SCALE). Proof in _kmeanspp_init."""
+    total = float(ends[-1])
+    t = u * total
+    g = 2.0 * (w.size + 2 * _PICK_BLOCK + ends.size + 8) * _EPS * total
+    b = int(ends.searchsorted(t, side="right"))
+    if b == ends.size:
+        return None
+    lo = b * _PICK_BLOCK
+    run = np.cumsum(w[lo : lo + _PICK_BLOCK])
+    if b:
+        run += ends[b - 1]
+    j = int(run.searchsorted(t, side="right"))
+    if j == run.size:
+        return None
+    before = run[j - 1] if j else ends[b - 1] if b else 0.0
+    if not before + g <= t < run[j] - g:
+        return None
+    return lo + j
+
+
 def _cdf_index(cdf: np.ndarray, u: float) -> int:
     """``searchsorted(cdf / cdf[-1], u, side="right")`` for non-decreasing
     cdf, without the division pass over it.
@@ -239,7 +294,7 @@ class _Shares:
     float32, so every draw's GEMV and every Lloyd ``nearest`` reads that one
     copy. The seeding's per-point state, closest and owner, lives in shared
     memory, each share updating its own rows; the draws themselves (the RNG,
-    the cumulative sum) and the mean updates stay with the caller.
+    each pick) and the mean updates stay with the caller.
     """
 
     def __init__(self, points: np.ndarray, k: int, iters: int):
@@ -300,20 +355,23 @@ class _ShareRows:
         xn = np.einsum("ij,ij->i", xs, xs)
         self.xn_max = xn.max(initial=0.0)
         self.xlow = xn - shortlist_slack(d, xn, np.float32)
-        self.low = np.empty(xn.size)
         # Rows too large for float32 scores cast nothing: every draw then
         # takes the exact branch, and nearest shifts them itself. Stored
-        # (d, n), a draw's score is d contiguous axpys over the points
-        # instead of n dot products of length d; the row of ones lets
-        # nearest's GEMM add the centroid norms.
+        # (d, n), a draw's score is d + 1 contiguous axpys over the points
+        # instead of n dot products; the row of ones lets nearest's GEMM add
+        # the centroid norms, and a draw's GEMV its seed's norm less slack.
         self.shifted = None
         if self.xn_max < SAFE_SCALE32:
             xt = np.ones((d + 1, xn.size), np.float32)
             xt[:d] = xs.T
             self.shifted = (self.mu, xt, np.einsum("ij,ij->j", xt[:d], xt[:d]))
+        self.gap = None  # see first
 
     def first(self, pick: int) -> None:
         self.closest[:] = sqdist_rows(self.x, self.points[pick])
+        # closest - xlow rounded up to float32, the score a seed must stay
+        # under to lower closest; rounding up only adds candidates.
+        self.gap = _up32(self.closest - self.xlow)
 
     def draw(self, c: int, pick: int) -> None:
         """Seed c is point pick: update closest and owner."""
@@ -321,20 +379,28 @@ class _ShareRows:
         cn = float(cs @ cs)
         if self.shifted is not None and self.xn_max + cn < SAFE_SCALE32:
             d = cs.size
-            score = (np.float32(-2.0) * cs.astype(np.float32)) @ self.shifted[1][:d]
-            low = np.add(score, self.xlow, out=self.low)
-            low += cn - shortlist_slack(d, cn, np.float32)
-            drop = np.flatnonzero(low < self.closest)
+            w = np.empty(d + 1, np.float32)
+            w[:d] = np.float32(-2.0) * cs.astype(np.float32)
+            w[d] = cn - shortlist_slack(d, cn, np.float32)
+            drop = np.flatnonzero(w @ self.shifted[1] < self.gap)
         else:
             drop = np.arange(self.closest.size)
         new = sqdist_rows(self.x[drop], self.points[pick])
         won = new < self.closest[drop]
-        drop = drop[won]
-        self.closest[drop] = new[won]
+        drop, new = drop[won], new[won]
+        self.closest[drop] = new
         self.owner[drop] = c
+        self.gap[drop] = _up32(new - self.xlow[drop])
 
     def assign(self, centroids: np.ndarray, groups) -> np.ndarray:
         return nearest(self.x, centroids, _shifted=self.shifted, _groups=groups)
+
+
+@np.errstate(over="ignore")
+def _up32(x: np.ndarray) -> np.ndarray:
+    """x cast to float32 and stepped up once, so never below x."""
+    y = x.astype(np.float32)
+    return np.nextafter(y, np.float32(np.inf), out=y)
 
 
 def _kmeanspp_init(
@@ -353,6 +419,41 @@ def _kmeanspp_init(
     float32 rounding slack) falls below closest get the exact distance.
     Each share of the points (one, unless shares says otherwise) updates
     its own rows; the draws read the whole of closest.
+
+    The pick. With w = closest and T its sum, rng.choice sums p_j =
+    fl(w_j / T) in order into c, and picks the count of i with q_i =
+    fl(c_i / c_(n-1)) <= u, that is, the i with q_(i-1) <= u < q_i, as q
+    never decreases. ``_draw`` finds that i from blocked sums instead, and
+    checks it against both roundings. Write eps for the float64 epsilon,
+    S_i = w_0 + ... + w_i and W = S_(n-1) exactly, r_i = S_i / W, and
+    gamma_m = m (eps/2) / (1 - m eps/2). The w_j are >= 0, and float64
+    arithmetic rounds to nearest with gradual underflow, so a float sum of
+    non-negative terms, each passing through at most m additions, is within
+    gamma_m of its exact value (Higham, ch. 4); bounds below are to first
+    order in eps, far inside the factor of two kept for any n this runs on.
+
+    - rng.choice's cdf: p_j is w_j / T within eps/2 relative, or 2^-1075
+      absolute if it underflows. c_i is then within gamma_n relative and
+      (i + 1) 2^-1075 of S_i / T, and c_(n-1) likewise of W / T, which is
+      near 1. T cancels: q_i is within (n + 1) eps r_i + (n + 1) 2^-1074
+      of r_i.
+    - The blocked sums: with nb blocks of B = _PICK_BLOCK weights, ends[b]
+      is the running sum of the block sums, and ends[b - 1] plus the
+      block's own cumulative sum estimates S_i inside block b. No weight
+      passes through more than 2B + nb additions, so each such estimate
+      s_i is within gamma_(2B+nb) of S_i, and Wh = ends[-1] of W.
+
+    So q_i lies within (n + 2B + nb + 1) eps s_i / Wh + (n + 1) 2^-1074
+    of s_i / Wh. ``_block_pick`` takes the first i whose s_i exceeds t = u
+    Wh and accepts it only if s_(i-1) + g <= t (s_(-1) = 0) and s_i - g > t,
+    with g = 2 (n + 2B + nb + 8) eps Wh. For Wh >= tiny, the roundings of
+    t, g and the two tests add at most 3 eps Wh, and the absolute terms
+    less than eps Wh, so g covers all of it twice over: an accepted i has
+    q_(i-1) <= u < q_i. Otherwise (u within the margin of a boundary, or Wh
+    outside [tiny, SAFE_SCALE), where T may be 0 or overflow) the draw
+    forms c as rng.choice does and searches it (``_cdf_index``). Wh >= tiny
+    means some w_j > 0, so T > 0 and rng.choice draws u there too; the
+    RNG stream, every pick and every codebook stay the same.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
@@ -363,13 +464,7 @@ def _kmeanspp_init(
         shares.run("first", first)
         closest = shares.closest
         for c in range(1, k):
-            total = closest.sum()
-            if total <= 0.0:
-                pick = int(rng.integers(n))
-            else:
-                # The steps rng.choice(n, p=closest / total) runs, without
-                # its per-call validation of p: the same draw, bit for bit.
-                pick = _cdf_index(np.cumsum(closest / total), rng.random())
+            pick = _draw(closest, rng)
             centroids[c] = points[pick]
             shares.run("draw", c, pick)
         return centroids, shares.owner.copy()
@@ -584,12 +679,15 @@ def train_opq(
     )
 
 
-def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
+def encode(pq: ProductQuantizer, x: np.ndarray, _groups: list | None = None) -> np.ndarray:
     """Map vectors to codes: per sub-space index of the nearest centroid.
 
     Ties resolve to the lowest centroid index. Accepts a single row (d,) or a
     batch (n, d); returns (code_width,) or (n, code_width) codes in the stored
     layout: uint8 for b <= 8 (nibble-packed for b <= 4), uint16 above.
+
+    ``_groups``, for a build that encodes its rows in several calls, is
+    ``_code_groups`` for all of them; by default it is built for x.
     """
     x = np.asarray(x)
     single = x.ndim == 1
@@ -599,15 +697,7 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
     dsub = pq.dsub
     n = rows.shape[0]
     books = pq.codebooks.astype(np.float64)
-    # Wide codebooks are grouped once for every chunk (see _dist.nearest),
-    # tried on a sample of the rows.
-    groups = [None] * pq.m
-    if pq.k > NARROW_K:
-        probe = pq.rotate(rows[:: max(1, n // ENCODE_ROWS)])
-        groups = [
-            centroid_groups(book, probe[:, j * dsub : (j + 1) * dsub], n)
-            for j, book in enumerate(books)
-        ]
+    groups = _code_groups(pq, rows, n) if _groups is None else _groups
 
     # Rows are independent, so a float64 copy of one chunk at a time bounds
     # the memory whatever the input's size, and chunks can go to workers.
@@ -627,6 +717,20 @@ def encode(pq: ProductQuantizer, x: np.ndarray) -> np.ndarray:
     parts = fork_map(chunk_codes, -(-n // ENCODE_ROWS), pq.m * assign_cost(n, pq.k, dsub))
     out = np.concatenate(parts) if parts else np.zeros((0, pq.code_width), pq.code_dtype)
     return out[0] if single else out
+
+
+def _code_groups(pq: ProductQuantizer, probe: np.ndarray, rows: int) -> list:
+    """Per sub-space, the grouping ``nearest`` prunes with when ``rows``
+    vectors like probe (unrotated) are encoded: a wide codebook is grouped
+    once for every chunk (see _dist.nearest), tried on a sample of the
+    probe; None where the codebook is narrow or grouping does not pay."""
+    if pq.k <= NARROW_K:
+        return [None] * pq.m
+    z, dsub = pq.rotate(probe[:: max(1, len(probe) // ENCODE_ROWS)]), pq.dsub
+    return [
+        centroid_groups(book, z[:, j * dsub : (j + 1) * dsub], rows)
+        for j, book in enumerate(pq.codebooks)
+    ]
 
 
 def decode(pq: ProductQuantizer, codes: np.ndarray) -> np.ndarray:

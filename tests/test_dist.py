@@ -1,9 +1,11 @@
 """nearest, sqdist_rows, k-means++ seeding and Lloyd's k-means against
 their cdist oracles, bit for bit."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
@@ -350,7 +352,7 @@ def test_group_radius_bounds_every_member(scale, d, groups, seed):
 @pytest.mark.parametrize(
     "n,d,k,offset",
     [(500, 1, 16, 0.0), (800, 8, 64, 0.0), (400, 16, 256, 0.0), (300, 128, 32, 0.0),
-     (600, 4, 32, 1e6), (12, 2, 12, 0.0), (20_000, 2, 16, 0.0)],
+     (600, 4, 32, 1e6), (12, 2, 12, 0.0), (20_000, 2, 16, 0.0), (5000, 8, 1024, 0.0)],
 )
 def test_kmeanspp_matches_cdist_seeding(seed, n, d, k, offset):
     # The oracle draws with rng.choice(n, p=...); the seeding reproduces that
@@ -404,6 +406,55 @@ def test_cdf_index_is_the_normalized_search(weights, normalized, pos, nudge):
         u = np.nextafter(u, np.inf if nudge > 0 else -np.inf)
     u = float(min(max(u, 0.0), np.nextafter(1.0, 0.0)))
     assert _cdf_index(cdf, u) == int(norm.searchsorted(u, side="right"))
+
+
+class _Uniform:
+    """An rng stand-in whose draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    blocks=st.integers(0, 3),
+    extra=st.integers(-1, 1),
+    run=st.sampled_from([1, 3, 300]),
+    zeros=st.sampled_from([0.0, 0.5, 0.97]),
+    exponent=st.sampled_from([-320, -310, -300, 0, 300]),
+    spread=st.sampled_from([0, 2, 300]),
+    pos=st.integers(0, 2**20),
+    nudge=st.sampled_from([-1, 0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_picks_what_the_cumulative_sum_picks(
+    blocks, extra, run, zeros, exponent, spread, pos, nudge, seed
+):
+    # n sits on, or one beside, a whole number of pick blocks. Runs of
+    # equal weights and zero weights make runs of equal cdf entries; the
+    # scales reach subnormal weights and sums near 1e303. u sits on, or one
+    # ulp beside, a normalized cdf entry, where the blocked sums cannot
+    # decide the pick and the draw must fall back to the cumulative sum.
+    rng = np.random.default_rng(seed)
+    n = max(1, blocks * quantizer._PICK_BLOCK + extra)
+    runs = -(-n // run)
+    power = np.clip(exponent + rng.integers(-spread, spread + 1, runs), -323, 300)
+    w = (rng.random(runs) * 10.0 ** power.astype(np.float64)).repeat(run)[:n]
+    w[rng.random(n) < zeros] = 0.0
+    assume(0.0 < w.sum() < np.inf)
+    cdf = np.cumsum(w / w.sum())
+    u = at = cdf[pos % n] / cdf[-1]
+    if nudge:
+        u = np.nextafter(u, nudge * np.inf)
+    u = float(min(max(u, 0.0), np.nextafter(1.0, 0.0)))
+    want = _cdf_index(cdf, u)
+    with mock.patch.object(quantizer, "_cdf_index", wraps=_cdf_index) as fallback:
+        assert quantizer._draw(w, _Uniform(u)) == want
+    if u == at:
+        assert fallback.call_count == 1
 
 
 @pytest.mark.parametrize("d", [1, 8, 16, 128])

@@ -215,6 +215,20 @@ def test_derived_quantizer_reader_rejects_bad_extensions(tmp_path, raw):
         load_quantizer(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_derived_codebooks_are_refused(tmp_path, bad):
+    # Such a file used to load, and every derived query on it then failed
+    # with a misleading "lookup table entries overflow float32".
+    derived = [[bad, 2.5], [4.5, 6.5]]
+    with pytest.raises(ValueError, match="^derived codebooks contain non-finite values$"):
+        DerivedPQ(m=2, b=2, d=2, codebooks=np.arange(8).reshape(2, 4, 1), bbar=1,
+                  derived=np.reshape(derived, (2, 2, 1)))
+    path = tmp_path / "q.pqz"
+    path.write_bytes(OLD_PLAIN + struct.pack("<i", 1) + np.array(derived, "<f4").tobytes())
+    with pytest.raises(FormatError, match="derived codebooks contain non-finite values"):
+        load_quantizer(path)
+
+
 def patched(raw, offset, value):
     return raw[:offset] + value + raw[offset + len(value) :]
 

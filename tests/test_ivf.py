@@ -30,7 +30,7 @@ from pqscan import (
     search_two_pass,
     train_derived,
 )
-from pqscan._dist import nearest, nearest_k
+from pqscan._dist import _GROUP_MIN_ROWS, nearest, nearest_k
 from pqscan.ivf import KERNELS as LIBRARY_KERNELS
 from pqscan.ivf import check_kernel_shape, query_ivf_stats, scan_lists
 from pqscan.quantizer import ENCODE_ROWS
@@ -569,3 +569,53 @@ def test_build_ivf_rejects_residuals_that_overflow(base, scale):
     # residuals are not finite, so no codes may be built from them.
     with pytest.raises(ValueError, match="^coarse centroids overflow float32$"):
         build_ivf(base.astype(np.float64) * scale, K=8, m=4, b=4, cfg=CFG)
+
+
+def test_wide_codebook_build_groups_every_chunk(monkeypatch):
+    # No chunk of ENCODE_ROWS rows reaches _GROUP_MIN_ROWS, so each chunk's
+    # encode would score every one of a b = 10 quantizer's centroids. The
+    # build groups each codebook once for all n rows, probed with the
+    # training residuals, and every chunk's nearest calls prune with it.
+    # The lists still hold the per-sub-space cdist argmin of the residuals.
+    from pqscan import _parallel, ivf, quantizer
+
+    n = _GROUP_MIN_ROWS + 1000
+    base = generate_synthetic(n, 16, 12, seed=5)
+    calls, encoding = [], []
+    real_encode, real_nearest = ivf.encode, quantizer.nearest
+
+    def encode(pq, x, **kwargs):
+        encoding.append(True)
+        try:
+            return real_encode(pq, x, **kwargs)
+        finally:
+            encoding.pop()
+
+    def nearest(points, centroids, **kwargs):
+        if encoding:
+            calls.append(kwargs.get("_groups") is not None)
+        return real_nearest(points, centroids, **kwargs)
+
+    monkeypatch.setattr(ivf, "encode", encode)
+    monkeypatch.setattr(quantizer, "nearest", nearest)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)  # every call in this process
+    idx = build_ivf(base, K=4, m=2, b=10, cfg=TrainConfig(kmeans_iters=3, seed=2))
+    assert calls == [True] * (2 * -(-n // ENCODE_ROWS))
+    coarse = idx.coarse.astype(np.float64)
+    assign = np.concatenate(
+        [np.argmin(cdist(base[lo : lo + 2048], coarse, "sqeuclidean"), axis=1)
+         for lo in range(0, n, 2048)]
+    )
+    res = base.astype(np.float64) - coarse[assign]
+    books = idx.pq.codebooks.astype(np.float64)
+    codes = np.stack(
+        [np.concatenate(
+            [np.argmin(cdist(res[lo : lo + 2048, 8 * j : 8 * j + 8], books[j], "sqeuclidean"), axis=1)
+             for lo in range(0, n, 2048)])
+         for j in range(2)],
+        axis=1,
+    )
+    for cell, lst in enumerate(idx.lists):
+        rows = np.flatnonzero(assign == cell)
+        np.testing.assert_array_equal(lst.ids, rows)
+        np.testing.assert_array_equal(lst.codes, codes[rows])
