@@ -20,7 +20,6 @@ from .derived import (
     Candidates,
     LazyTables,
     adc_low_bits,
-    build_derived_quantizers,
     compute_compact_tables,
     quantize_compact_tables,
     rerank,
@@ -88,7 +87,6 @@ __all__ = [
     "TransposedCodeList",
     "adc_low_bits",
     "assignment_permutation",
-    "build_derived_quantizers",
     "build_ivf",
     "compute_compact_tables",
     "compute_tables",

@@ -34,11 +34,11 @@ child always leaves through ``os._exit``, so it never returns into its
 caller's stack or runs its exit handlers; it leaves when its command pipe
 closes. Only the child holds the write end of its reply pipe, so a child
 that dies mid-call reads as ``EOFError`` (``OSError`` within a message) in
-the parent, which reaps it and raises instead of waiting. The parent reads
-every reply of a call, even when its own share raises, and reaps every
-child when the team closes. An exception a share raises reaches the caller
-with its type and message; if several shares fail, the lowest share wins,
-as in the loop.
+the parent, which reaps it and raises ``ChildProcessError`` instead of
+waiting. The parent reads every reply of a call, even when its own share
+raises, and reaps every child when the team closes. An exception a share
+raises reaches the caller with its type and message; if several shares
+fail, the lowest share wins, as in the loop.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ class Team:
         cmd.close()
         reply.close()
         _, status = os.waitpid(pid, 0)
-        return False, RuntimeError(f"build worker exited without a result (status {status})")
+        return False, ChildProcessError(f"build worker exited without a result (status {status})")
 
 
 def fork_map(fn: Callable[[int], T], count: int, cost: int) -> list[T]:

@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--b", type=int, required=True)
     training.add_argument("--bderived", type=int, default=None)
     training.add_argument("--opq", action="store_true")
-    training.add_argument("--iters", type=int, default=25)
-    training.add_argument("--seed", type=int, default=0)
+    training.add_argument("--iters", type=int, default=TrainConfig.kmeans_iters)
+    training.add_argument("--seed", type=int, default=TrainConfig.seed)
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--queries", required=True)
     search.add_argument("--ma", type=int, default=8)

@@ -17,20 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import _select_best, sqdist_matrix
-from ._parallel import fork_map, kmeans_cost
 from .quantizer import (
     DerivedPQ,
     ProductQuantizer,
     TrainConfig,
     _check_query,
-    _check_train_args,
-    _kmeans_seeded,
-    _seed_for,
+    # Not called here; the benchmark's tracer patches this name.
+    _kmeans_seeded,  # noqa: F401
+    check_derived_bits,
     code_columns,
     code_components,
     same_size_kmeans,
+    train_pq,
 )
 from .scan import (
+    LIST_M_ERROR,
     CodeList,
     LookupTables,
     NeighborSet,
@@ -42,46 +43,6 @@ from .scan import (
 CBINS = 255
 
 
-def build_derived_quantizers(
-    training_sub: np.ndarray,
-    kbar: int,
-    k: int,
-    cfg: TrainConfig | None = None,
-    seed_seq: np.random.SeedSequence | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One sub-space's (full, derived) codebook pair.
-
-    A temporary k-centroid codebook is clustered into kbar same-size groups;
-    the derived codebook is the group centroids, and the full codebook is
-    the temporary one reordered so entry (i_high << bbar) | l is group l's
-    i_high-th member. Low index bits then name the derived cluster (P1).
-    """
-    cfg = cfg or TrainConfig()
-    if k % kbar != 0 or kbar < 1:
-        raise ValueError(f"k={k} must be a positive multiple of kbar={kbar}")
-    if kbar & (kbar - 1) or k & (k - 1):
-        raise ValueError("k and kbar must be powers of two")
-    training_sub = np.asarray(training_sub, dtype=np.float64)
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence(cfg.seed)
-    temp = _kmeans_seeded(training_sub, k, cfg, seed_seq)
-    derived, partition = same_size_kmeans(temp.astype(np.float64), kbar, cfg)
-    bbar = kbar.bit_length() - 1
-    per_cluster = k // kbar
-    full = np.empty_like(temp)
-    for low, members in enumerate(partition):
-        for i_high in range(per_cluster):
-            full[(i_high << bbar) | low] = temp[members[i_high]]
-    return full, derived
-
-
-def check_derived_bits(b: int, bbar: int) -> None:
-    """Reject derived codebooks of bbar bits under b-bit full ones unless
-    1 <= bbar < b <= 16."""
-    if not 1 <= bbar < b <= 16:
-        raise ValueError(f"need 1 <= bbar < b <= 16, got bbar={bbar}, b={b}")
-
-
 def train_derived(
     training: np.ndarray,
     m: int,
@@ -89,23 +50,22 @@ def train_derived(
     bbar: int,
     cfg: TrainConfig | None = None,
 ) -> DerivedPQ:
-    """Train a DerivedPQ: per sub-space, a 2^b codebook reordered for P1
-    plus its 2^bbar derived codebook."""
+    """Train a DerivedPQ: train_pq's codebooks, each reordered for P1, plus
+    their 2^bbar derived codebooks."""
     cfg = cfg or TrainConfig()
-    training = np.asarray(training, dtype=np.float64)
     check_derived_bits(b, bbar)
-    _check_train_args(training, m, b)
-    d = training.shape[1]
-    dsub = d // m
-    k, kbar = 1 << b, 1 << bbar
+    pq = train_pq(training, m, b, cfg)
+    pairs = [_derive(book, bbar, cfg) for book in pq.codebooks]
+    full, derived = (np.stack(column) for column in zip(*pairs))
+    return DerivedPQ(m=m, b=b, d=pq.d, codebooks=full, bbar=bbar, derived=derived)
 
-    def books(j):
-        sub = np.ascontiguousarray(training[:, j * dsub : (j + 1) * dsub])
-        return build_derived_quantizers(sub, kbar, k, cfg, _seed_for(cfg.seed, j))
 
-    cost = m * kmeans_cost(training.shape[0], k, dsub, cfg.kmeans_iters)
-    full, derived = (np.stack(column) for column in zip(*fork_map(books, m, cost)))
-    return DerivedPQ(m=m, b=b, d=d, codebooks=full, bbar=bbar, derived=derived)
+def _derive(book: np.ndarray, bbar: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One codebook clustered into 2^bbar same-size groups: the codebook
+    reordered so entry (i << bbar) | l is group l's i-th member, and the
+    group centroids. Low index bits then name the derived cluster (P1)."""
+    derived, partition = same_size_kmeans(book.astype(np.float64), 1 << bbar, cfg)
+    return book[np.stack(partition, axis=1).ravel()], derived
 
 
 def compute_compact_tables(dpq: DerivedPQ, query: np.ndarray) -> LookupTables:
@@ -123,6 +83,8 @@ def quantize_compact_tables(
     to [0, CBINS - 1]; all bins are 0 when the span is 0."""
     if r2 < 1:
         raise ValueError("r2 must be >= 1")
+    if db.m != compact.m:
+        raise ValueError(LIST_M_ERROR)
     head = code_components(db.codes[:r2], compact.m)
     low = (head.astype(np.int64) & (compact.k - 1)).astype(np.uint16)
     prefix_d = scan_distances(compact, low)
@@ -186,6 +148,8 @@ def scan_candidates(db: CodeList, bins: np.ndarray, r2: int) -> Candidates:
     """
     if r2 < 1:
         raise ValueError("r2 must be >= 1")
+    if db.m != bins.shape[0]:
+        raise ValueError(LIST_M_ERROR)
     d = adc_low_bits(bins, db.codes)
     keep = d < CBINS
     if np.count_nonzero(keep) >= r2:
@@ -246,6 +210,8 @@ def rerank(
     (distance, id)."""
     if r < 1:
         raise ValueError("r must be >= 1")
+    if db.m != pq.m:
+        raise ValueError(LIST_M_ERROR)
     if lazy is None:
         lazy = LazyTables(pq, query)
     dists = np.zeros(len(cand), dtype=np.float64)

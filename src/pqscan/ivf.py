@@ -16,7 +16,7 @@ import numpy as np
 from . import _binio
 from ._dist import _select_best, nearest, nearest_k
 from ._parallel import assign_cost, fork_map
-from .derived import check_derived_bits, search_two_pass, train_derived
+from .derived import search_two_pass, train_derived
 from .quantizer import (
     ENCODE_ROWS,
     DerivedPQ,
@@ -25,6 +25,7 @@ from .quantizer import (
     _check_query,
     _code_groups,
     _require_finite,
+    check_derived_bits,
     check_shape,
     encode,
     kmeans,

@@ -132,8 +132,7 @@ class DerivedPQ(ProductQuantizer):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 1 <= self.bbar <= self.b:
-            raise ValueError(f"bbar={self.bbar} out of range [1, {self.b}]")
+        check_derived_bits(self.b, self.bbar)
         self.derived = np.ascontiguousarray(self.derived, dtype=np.float32)
         expect = (self.m, 1 << self.bbar, self.dsub)
         if self.derived.shape != expect:
@@ -149,6 +148,13 @@ class DerivedPQ(ProductQuantizer):
     def pq(self) -> DerivedPQ:
         """self; kept only while perfbench/workloads.py reads ``dpq.pq``."""
         return self
+
+
+def check_derived_bits(b: int, bbar: int) -> None:
+    """Reject derived codebooks of bbar bits under b-bit full ones unless
+    1 <= bbar < b <= 16."""
+    if not 1 <= bbar < b <= 16:
+        raise ValueError(f"need 1 <= bbar < b <= 16, got bbar={bbar}, b={b}")
 
 
 def check_shape(d: int, m: int, b: int) -> None:
@@ -559,24 +565,18 @@ def same_size_kmeans(
     return centroids.astype(np.float32), partition
 
 
-def _check_train_args(training: np.ndarray, m: int, b: int) -> None:
-    if training.ndim != 2:
-        raise ValueError("training set must be 2-D")
-    check_shape(training.shape[1], m, b)
-    _require_finite(training, "training vectors")
-    if training.shape[0] < (1 << b):
-        raise TrainError(
-            f"{training.shape[0]} training points for {1 << b} centroids"
-        )
-
-
 def train_pq(
     training: np.ndarray, m: int, b: int, cfg: TrainConfig | None = None
 ) -> ProductQuantizer:
     """Train one codebook of 2^b centroids per sub-space. No rotation."""
     cfg = cfg or TrainConfig()
     training = np.asarray(training, dtype=np.float64)
-    _check_train_args(training, m, b)
+    if training.ndim != 2:
+        raise ValueError("training set must be 2-D")
+    check_shape(training.shape[1], m, b)
+    _require_finite(training, "training vectors")
+    if training.shape[0] < (1 << b):
+        raise TrainError(f"{training.shape[0]} training points for {1 << b} centroids")
     d = training.shape[1]
     dsub = d // m
     k = 1 << b
@@ -642,11 +642,10 @@ def train_opq(
     """
     cfg = cfg or TrainConfig()
     training = np.asarray(training, dtype=np.float64)
-    _check_train_args(training, m, b)
+    base = train_pq(training, m, b, cfg)
     d = training.shape[1]
     dsub = d // m
     k = 1 << b
-    base = train_pq(training, m, b, cfg)
     books = base.codebooks.astype(np.float64)
     rot = np.eye(d, dtype=np.float64)
     n = training.shape[0]
@@ -796,8 +795,10 @@ def read_quantizer_body(f: BinaryIO, derived: bool | None = None) -> ProductQuan
     fields = dict(m=m, b=b, d=d, codebooks=books, rotation=rotation)
     if derived:
         bbar = _binio.read_i32(f)
-        if not 1 <= bbar <= b:
-            raise _binio.FormatError(f"bbar={bbar} out of range [1, {b}]", offset=tail)
+        try:
+            check_derived_bits(b, bbar)
+        except ValueError as exc:
+            raise _binio.FormatError(str(exc), offset=tail) from None
         books_bar = _binio.read_array(f, "<f4", m * (1 << bbar) * dsub)
         fields.update(bbar=bbar, derived=books_bar.reshape(m, 1 << bbar, dsub))
     try:

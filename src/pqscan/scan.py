@@ -235,6 +235,10 @@ class ScanStats:
         return self.pruned / self.total if self.total else 0.0
 
 
+# Why scan and the derived passes refuse a list whose m is not their tables'.
+LIST_M_ERROR = "need one set of lookup tables of the list's m per code list"
+
+
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
@@ -252,7 +256,7 @@ def scan(
     if isinstance(lists, CodeList):
         lists, tables = [lists], [tables]
     if len(lists) != len(tables) or any(lst.m != tab.m for lst, tab in zip(lists, tables)):
-        raise ValueError("need one set of lookup tables of the list's m per code list")
+        raise ValueError(LIST_M_ERROR)
     if not lists:
         return NeighborSet(r)
     dists = _joined([scan_distances(tab, lst.codes) for lst, tab in zip(lists, tables)])

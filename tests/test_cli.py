@@ -274,6 +274,19 @@ def test_shared_flags_parse_to_the_same_defaults_and_requirements():
             assert exc.value.code == 2
 
 
+def test_training_flags_take_the_library_defaults(monkeypatch):
+    # --iters and --seed of train, build-ivf and bench default to TrainConfig's
+    monkeypatch.setattr(TrainConfig, "kmeans_iters", 7)
+    monkeypatch.setattr(TrainConfig, "seed", 11)
+    parser = build_parser()
+    training = ["--base", "x.fvecs", "--m", "4", "--b", "4"]
+    for args in (["train", *training, "--out", "o"],
+                 ["build-ivf", *training, "--K", "4", "--out", "o"],
+                 ["bench", *training, "--queries", "q.fvecs", "--truth", "t"]):
+        parsed = parser.parse_args(args)
+        assert (parsed.iters, parsed.seed) == (7, 11), args[0]
+
+
 @pytest.mark.parametrize("command", ["build-ivf", "bench"])
 def test_opq_runs_take_the_library_opq_iters_default(workspace, tmp_path, capsys,
                                                      monkeypatch, command):

@@ -12,7 +12,6 @@ from pqscan import (
     ProductQuantizer,
     TrainConfig,
     adc_low_bits,
-    build_derived_quantizers,
     compute_compact_tables,
     compute_tables,
     decode,
@@ -20,12 +19,14 @@ from pqscan import (
     load_quantizer,
     quantize_compact_tables,
     rerank,
+    same_size_kmeans,
     save_quantizer,
     scan,
     scan_candidates,
     scan_distances,
     search_two_pass,
     train_derived,
+    train_pq,
 )
 from pqscan.ivf import scan_lists
 
@@ -185,7 +186,8 @@ def test_p1_structure_low_bits(dpq):
 def test_p1_exhaustive_k64_kbar8():
     rng = np.random.default_rng(0)
     pts = rng.normal(0, 10, (2000, 4))
-    full, derived = build_derived_quantizers(pts, 8, 64, CFG)
+    dpq = train_derived(pts, 1, 6, 3, CFG)
+    full, derived = dpq.codebooks[0], dpq.derived[0]
     for low in range(8):
         members = full[np.arange(low, 64, 8)].astype(np.float64)
         np.testing.assert_allclose(
@@ -200,7 +202,7 @@ def test_cluster_one_indexes_example():
     centers = rng.normal(0, 100, (4, 3))
     locs = np.repeat(centers, 4, axis=0) + rng.normal(0, 0.1, (16, 3))
     pts = np.tile(locs, (16, 1))  # 16 copies force temp codebook == locs
-    full, derived = build_derived_quantizers(pts, 4, 16, CFG)
+    full = train_derived(pts, 1, 4, 2, CFG).codebooks[0]
     assert full.shape == (16, 3)
     for low in range(4):
         idx = np.arange(low, 16, 4)
@@ -210,11 +212,41 @@ def test_cluster_one_indexes_example():
         assert spread < 1.0  # the block is a single tight blob
 
 
-def test_kbar_equals_k_identity():
-    rng = np.random.default_rng(2)
-    pts = rng.normal(0, 5, (600, 4))
-    full, derived = build_derived_quantizers(pts, 16, 16, CFG)
-    np.testing.assert_array_equal(full, derived)
+def sorted_rows(book):
+    return book[np.lexsort(book.T[::-1])]
+
+
+@pytest.mark.parametrize("m, b, bbar", [
+    (1, 2, 1), (2, 3, 2), (3, 4, 1), (4, 4, 3), (2, 5, 2), (2, 7, 4), (1, 9, 5),
+])
+def test_derived_codebooks_are_train_pq_codebooks_grouped_by_low_bits(m, b, bbar):
+    # train_derived reorders train_pq's codebooks: the same rows, with
+    # same-size group l's i-th member at index (i << bbar) | l and derived[l]
+    # the mean of that group. The shapes with b <= 4 are the nibble-packed ones.
+    pts = np.random.default_rng(b).normal(0, 4, (600, 2 * m))
+    cfg = TrainConfig(kmeans_iters=4, seed=m + b)
+    dpq = train_derived(pts, m, b, bbar, cfg)
+    pq = train_pq(pts, m, b, cfg)
+    for full, book, derived in zip(dpq.codebooks, pq.codebooks, dpq.derived, strict=True):
+        np.testing.assert_array_equal(sorted_rows(full), sorted_rows(book))
+        _, groups = same_size_kmeans(book.astype(np.float64), 1 << bbar, cfg)
+        for low, members in enumerate(groups):
+            held = full[low :: 1 << bbar]
+            np.testing.assert_array_equal(held, book[members])
+            np.testing.assert_allclose(derived[low], held.astype(np.float64).mean(axis=0),
+                                       rtol=1e-4, atol=1e-4)
+
+
+@pytest.mark.parametrize("bbar", [0, 4, 5])
+def test_derived_bits_outside_one_to_b_are_refused(bbar):
+    # bbar = b would make the derived codebook the full one, reordered: no
+    # trainer builds it, and neither DerivedPQ nor train_derived takes it.
+    b = 4
+    with pytest.raises(ValueError, match="need 1 <= bbar < b <= 16"):
+        DerivedPQ(m=1, b=b, d=1, codebooks=np.zeros((1, 1 << b, 1)), bbar=bbar,
+                  derived=np.zeros((1, 1 << bbar, 1)))
+    with pytest.raises(ValueError, match="need 1 <= bbar < b <= 16"):
+        train_derived(np.zeros((20, 2)), 1, b, bbar, CFG)
 
 
 def test_train_derived_shapes(dpq):
@@ -521,6 +553,25 @@ def test_two_pass_equals_full_scan_at_max_r2(dpq, dcodes, queries):
         base = scan(dcodes, tables, 10)
         got = search_two_pass(dpq, dcodes, q, 10, dcodes.n)
         assert got.items() == base.items()
+
+
+def test_derived_passes_refuse_a_list_of_another_m(dpq, dcodes, queries):
+    # Two columns of a 4-sub-space list used to pass for nibble-packed codes
+    # and return neighbours; scan refuses such a list, and so does each pass.
+    q = queries[0]
+    short = CodeList(dcodes.codes[:, :2])
+    compact = compute_compact_tables(dpq, q)
+    bins = quantize_compact_tables(compact, dcodes, 50)
+    cand = scan_candidates(dcodes, bins, 50)
+    message = "need one set of lookup tables of the list's m per code list"
+    with pytest.raises(ValueError, match=message):
+        scan(short, compute_tables(dpq, q), 5)
+    for call in (lambda: search_two_pass(dpq, short, q, 5, 50),
+                 lambda: quantize_compact_tables(compact, short, 50),
+                 lambda: scan_candidates(short, bins, 50),
+                 lambda: rerank(short, cand, dpq, q, 5)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_two_pass_reduces_to_full_sort_when_r_is_n(dpq, dcodes, queries):

@@ -201,11 +201,12 @@ def test_old_quantizer_files_load(tmp_path):
         OLD_PLAIN + b"\x01\x02\x03",
         OLD_PLAIN + b"\xff\xff\xff\x7f",  # bbar 2^31-1 used to size an array
         OLD_PLAIN + struct.pack("<i", 0) + b"\x00" * 8,  # bbar below range
+        OLD_PLAIN + struct.pack("<i", 2) + b"\x00" * 32,  # bbar equal to b=2
         OLD_PLAIN + struct.pack("<i", 3) + b"\x00" * 64,  # bbar above b=2
         OLD_PLAIN + struct.pack("<i", 1) + b"\x00" * 8,  # derived codebooks truncated
         OLD_DERIVED + b"\x00",  # bytes after the derived codebooks
     ],
-    ids=["1-stray", "2-stray", "3-stray", "huge-bbar", "bbar-0", "bbar-3",
+    ids=["1-stray", "2-stray", "3-stray", "huge-bbar", "bbar-0", "bbar-2", "bbar-3",
          "truncated", "trailing"],
 )
 def test_derived_quantizer_reader_rejects_bad_extensions(tmp_path, raw):

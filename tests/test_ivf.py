@@ -404,7 +404,8 @@ def run_kernel(pq44, codes44, pq88, codes88, small_dpq, base):
             grouped = group_codes(CodeList(codes88.codes[:n]))
             return fast_scan(grouped, compute_tables(pq88, q), 0.05, 5)[0]
         if kernel == "derived":
-            return search_two_pass(small_dpq, CodeList(dcodes.codes[:n]), q, 5, 50)
+            packed = CodeList(dcodes.codes[:n], m=small_dpq.m)
+            return search_two_pass(small_dpq, packed, q, 5, 50)
         codes = CodeList(codes44.codes[:n], m=pq44.m)
         if kernel == "adc":
             return scan(codes, compute_tables(pq44, q), 5)

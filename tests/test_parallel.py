@@ -18,10 +18,12 @@ from pqscan import (
     generate_synthetic,
     train_derived,
     train_pq,
+    write_vecs,
 )
 from pqscan import _parallel, ivf, kmeans, quantizer
 from pqscan._dist import SAFE_SCALE32
 from pqscan._parallel import Team, fork_map
+from pqscan.cli import main
 
 CFG = TrainConfig(kmeans_iters=4, seed=3)
 # The tiny-data tests below take the parallel path only in a process with one
@@ -351,7 +353,9 @@ def test_kmeans_share_error_reaches_the_caller(forced, monkeypatch):
         kmeans(generate_synthetic(600, 8, 6, seed=11), 16, CFG)
 
 
-def test_kmeans_worker_killed_mid_run_is_an_error(forced, monkeypatch):
+@pytest.fixture
+def killed_at_draw_5(forced, monkeypatch):
+    """A worker of a forked k-means team kills itself at the sixth seed."""
     parent = os.getpid()
     real = quantizer._Shares._work
 
@@ -361,12 +365,32 @@ def test_kmeans_worker_killed_mid_run_is_an_error(forced, monkeypatch):
         return real(self, share, msg)
 
     monkeypatch.setattr(quantizer._Shares, "_work", work)
+
+
+def test_kmeans_worker_killed_mid_run_is_an_error(killed_at_draw_5):
     x = generate_synthetic(600, 8, 6, seed=12)
     if SINGLE_THREADED:
-        with pytest.raises(RuntimeError, match="build worker exited without a result"):
+        with pytest.raises(ChildProcessError, match="build worker exited without a result"):
             kmeans(x, 16, CFG)
     else:
         kmeans(x, 16, CFG)
+
+
+def test_a_build_worker_killed_under_the_cli_is_an_error_line(killed_at_draw_5, tmp_path,
+                                                              capsys):
+    # A dead worker raises ChildProcessError, an OSError, which main reports
+    # as one "error:" line and exit 1, not as a traceback.
+    base = tmp_path / "base.fvecs"
+    write_vecs(base, generate_synthetic(600, 8, 6, seed=12), "fvecs")
+    code = main(["build-ivf", "--base", str(base), "--K", "16", "--m", "2", "--b", "4",
+                 "--iters", "4", "--out", str(tmp_path / "x.ivf")])
+    err = capsys.readouterr().err
+    if SINGLE_THREADED:
+        assert code == 1
+        assert err.startswith("error: build worker exited without a result")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    else:
+        assert (code, err) == (0, "")
 
 
 def test_kmeans_inside_a_fork_map_item_matches_and_stays_serial(forced, team_sizes):
