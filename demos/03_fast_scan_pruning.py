@@ -2,11 +2,11 @@
 Pruned exact scan over 8x8 codes
 ================================
 
-Fast scan reads each stored 8x8 code as four 16-bit words, two components
-per word. One int16 lookup per word in a table of summed, quantized entry
-pairs gives each code a lower bound on its distance, and only the codes
-that bound cannot rule out get an exact distance. Most codes never get one,
-yet the results are identical to the plain scan.
+The pruned scan, `qadc_scan`, reads each stored 8x8 code as four 16-bit
+words, two components per word. One int16 lookup per word in a table of
+summed, quantized entry pairs gives each code a lower bound on its distance,
+and only the codes that bound cannot rule out get an exact distance. Most
+codes never get one, yet the results are identical to the plain scan.
 """
 
 import time
@@ -18,9 +18,8 @@ from pqscan import (
     TrainConfig,
     compute_tables,
     encode,
-    fast_scan,
     generate_synthetic,
-    group_codes,
+    qadc_scan,
     scan,
     train_pq,
 )
@@ -31,13 +30,7 @@ base, queries = rows[:100_000], rows[100_000:]
 cfg = TrainConfig(kmeans_iters=12, seed=1)
 pq = train_pq(base[:20_000], m=8, b=8, cfg=cfg)
 codelist = CodeList(encode(pq, base))
-# The paper groups codes by the high nibbles of components 0-3. At this size
-# that directory would cost more than the 2 bytes per code it saves, so the
-# grouped layout here has zero key nibbles: one group over the stored 8-byte
-# codes, which fast scan reads in place.
-grouped = group_codes(codelist)
-print(f"{codelist.n} codes in {grouped.n_groups} group, "
-      f"{grouped.packed.shape[1]} bytes per code")
+print(f"{codelist.n} codes, {codelist.codes.shape[1]} bytes per code")
 
 same, checked, pruned = 0, [], []
 for qi, q in enumerate(queries):
@@ -48,9 +41,7 @@ for qi, q in enumerate(queries):
     t_scan = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # init, the paper's prefix fraction, no longer matters: the first r codes
-    # set the scale
-    fast, stats = fast_scan(grouped, tables, init=0.005, r=100)
+    fast, stats = qadc_scan([codelist], [tables], r=100)
     t_fast = time.perf_counter() - t0
 
     same += fast.items() == exact.items()

@@ -235,25 +235,24 @@ def _draw(closest: np.ndarray, rng: np.random.Generator) -> int:
     from that sum itself elsewhere (proof in _kmeanspp_init).
     """
     ends = np.cumsum(np.add.reduceat(closest, np.arange(0, closest.size, _PICK_BLOCK)))
+    if ends[-1] == 0.0:
+        return int(rng.integers(closest.size))
+    u = rng.random()
     if _TINY <= ends[-1] < SAFE_SCALE:
-        u = rng.random()
         pick = _block_pick(closest, ends, u)
         if pick is not None:
             return pick
-    elif closest.sum() <= 0.0:
-        return int(rng.integers(closest.size))
-    else:
-        u = rng.random()
-    # The steps rng.choice(n, p=closest / total) runs, without its
-    # per-call validation of p: the same draw, bit for bit.
-    return _cdf_index(np.cumsum(closest / closest.sum()), u)
+    # The two steps rng.choice(n, p=closest / closest.sum()) runs after
+    # its draw of u: the same pick, bit for bit.
+    cdf = np.cumsum(closest / closest.sum())
+    return int((cdf / cdf[-1]).searchsorted(u, side="right"))
 
 
 def _block_pick(w: np.ndarray, ends: np.ndarray, u: float) -> int | None:
-    """``_cdf_index(np.cumsum(w / w.sum()), u)``, or None where the block
-    sums cannot decide it: ends[b] is the running sum of w up to the end of
-    block b, of _PICK_BLOCK weights each, and ends[-1] lies in [tiny,
-    SAFE_SCALE). Proof in _kmeanspp_init."""
+    """The index ``rng.choice(n, p=w / w.sum())`` picks for its draw u, or
+    None where the block sums cannot decide it: ends[b] is the running sum
+    of w up to the end of block b, of _PICK_BLOCK weights each, and
+    ends[-1] lies in [tiny, SAFE_SCALE). Proof in _kmeanspp_init."""
     total = float(ends[-1])
     t = u * total
     g = 2.0 * (w.size + 2 * _PICK_BLOCK + ends.size + 8) * _EPS * total
@@ -271,24 +270,6 @@ def _block_pick(w: np.ndarray, ends: np.ndarray, u: float) -> int | None:
     if not before + g <= t < run[j] - g:
         return None
     return lo + j
-
-
-def _cdf_index(cdf: np.ndarray, u: float) -> int:
-    """``searchsorted(cdf / cdf[-1], u, side="right")`` for non-decreasing
-    cdf, without the division pass over it.
-
-    Division by cdf[-1] is monotone, so the entries with cdf[i] / cdf[-1] <= u
-    form a prefix. One search for u * cdf[-1] lands within a few distinct
-    values of its end; stepping over whole runs of equal entries with that
-    exact test finds it.
-    """
-    last = cdf[-1]
-    pick = int(cdf.searchsorted(u * last, side="right"))
-    while pick > 0 and not cdf[pick - 1] / last <= u:
-        pick = int(cdf.searchsorted(cdf[pick - 1], side="left"))
-    while pick < cdf.size and cdf[pick] / last <= u:
-        pick = int(cdf.searchsorted(cdf[pick], side="right"))
-    return pick
 
 
 class _Shares:
@@ -457,9 +438,10 @@ def _kmeanspp_init(
     less than eps Wh, so g covers all of it twice over: an accepted i has
     q_(i-1) <= u < q_i. Otherwise (u within the margin of a boundary, or Wh
     outside [tiny, SAFE_SCALE), where T may be 0 or overflow) the draw
-    forms c as rng.choice does and searches it (``_cdf_index``). Wh >= tiny
-    means some w_j > 0, so T > 0 and rng.choice draws u there too; the
-    RNG stream, every pick and every codebook stay the same.
+    forms c and q as rng.choice does and searches q for u. Wh is 0 exactly
+    when every w_j is, that is when T is 0, and only then does the draw
+    take rng.integers instead of u; the RNG stream, every pick and every
+    codebook stay the same.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape

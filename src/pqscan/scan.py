@@ -236,7 +236,8 @@ class ScanStats:
 
 
 # Why scan and the derived passes refuse a list whose m is not their tables'.
-LIST_M_ERROR = "need one set of lookup tables of the list's m per code list"
+LIST_M_ERROR = ("need one set of lookup tables of the list's m per code list; "
+                "a nibble-packed list needs CodeList(codes, m=...)")
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:

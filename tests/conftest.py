@@ -1,3 +1,12 @@
+import os
+
+# One BLAS thread unless the caller chose a count. A BLAS thread pool makes
+# the test process multi-threaded, and the build's worker teams then take
+# their serial fallback, so the forked branches would go untested. Set
+# before numpy loads, as OpenBLAS reads these once, when it starts.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

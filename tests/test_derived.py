@@ -574,6 +574,22 @@ def test_derived_passes_refuse_a_list_of_another_m(dpq, dcodes, queries):
             call()
 
 
+def test_a_packed_list_without_its_m_is_refused_with_the_cause(blob_data, queries):
+    # Four 4-bit components pack into two bytes, and a CodeList built
+    # without m= takes the width, 2, for m.
+    dpq44 = train_derived(blob_data[:1600], 4, 4, 2, CFG)
+    packed = encode(dpq44, blob_data[:200])
+    q = queries[0]
+    message = r"a nibble-packed list needs CodeList\(codes, m=\.\.\.\)"
+    with pytest.raises(ValueError, match=message):
+        scan(CodeList(packed), compute_tables(dpq44, q), 5)
+    with pytest.raises(ValueError, match=message):
+        search_two_pass(dpq44, CodeList(packed), q, 5, 50)
+    codes = CodeList(packed, m=4)
+    want = scan(codes, compute_tables(dpq44, q), 5)
+    assert search_two_pass(dpq44, codes, q, 5, 200).items() == want.items()
+
+
 def test_two_pass_reduces_to_full_sort_when_r_is_n(dpq, dcodes, queries):
     q = queries[0]
     tables = compute_tables(dpq, q)

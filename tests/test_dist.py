@@ -24,7 +24,7 @@ from pqscan._dist import (
     nearest_k,
     sqdist_rows,
 )
-from pqscan.quantizer import _cdf_index, _kmeans_seeded, _kmeanspp_init, _mean_update
+from pqscan.quantizer import _kmeans_seeded, _kmeanspp_init, _mean_update
 
 
 def nearest_oracle(points, centroids):
@@ -376,38 +376,6 @@ def test_kmeanspp_all_points_equal_uses_uniform_draws():
     np.testing.assert_array_equal(owner, np.zeros(50, np.int64))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    weights=hnp.arrays(
-        np.float64,
-        st.integers(1, 40),
-        elements=st.one_of(
-            st.just(0.0),
-            st.sampled_from([1.0, 3.0, 1e-300, 1e300]),
-            st.floats(0.0, 1e6, allow_subnormal=True),
-        ),
-    ),
-    normalized=st.booleans(),
-    pos=st.integers(0, 39),
-    nudge=st.sampled_from([-2, -1, 0, 1, 2]),
-)
-def test_cdf_index_is_the_normalized_search(weights, normalized, pos, nudge):
-    # u sits on, or a few ulps beside, a normalized cdf entry, where u * last
-    # and the exact test cdf[i] / last <= u round differently; zero weights
-    # make runs of equal entries to step over. Seeding passes weights that
-    # sum to one; raw sums end anywhere, which moves u * last off the grid.
-    total = weights.sum()
-    if not 0.0 < total < np.inf:
-        return
-    cdf = np.cumsum(weights / total if normalized else weights)
-    norm = cdf / cdf[-1]
-    u = norm[min(pos, cdf.size - 1)]
-    for _ in range(abs(nudge)):
-        u = np.nextafter(u, np.inf if nudge > 0 else -np.inf)
-    u = float(min(max(u, 0.0), np.nextafter(1.0, 0.0)))
-    assert _cdf_index(cdf, u) == int(norm.searchsorted(u, side="right"))
-
-
 class _Uniform:
     """An rng stand-in whose draw is u."""
 
@@ -446,15 +414,24 @@ def test_draw_picks_what_the_cumulative_sum_picks(
     w[rng.random(n) < zeros] = 0.0
     assume(0.0 < w.sum() < np.inf)
     cdf = np.cumsum(w / w.sum())
-    u = at = cdf[pos % n] / cdf[-1]
+    norm = cdf / cdf[-1]
+    u = at = norm[pos % n]
     if nudge:
         u = np.nextafter(u, nudge * np.inf)
     u = float(min(max(u, 0.0), np.nextafter(1.0, 0.0)))
-    want = _cdf_index(cdf, u)
-    with mock.patch.object(quantizer, "_cdf_index", wraps=_cdf_index) as fallback:
+    want = int(norm.searchsorted(u, side="right"))
+    block_pick, picks = quantizer._block_pick, []
+
+    def spy(*args):
+        picks.append(block_pick(*args))
+        return picks[-1]
+
+    with mock.patch.object(quantizer, "_block_pick", spy):
         assert quantizer._draw(w, _Uniform(u)) == want
+    # The draw falls back when the blocked total is out of range (no
+    # _block_pick call) or the blocks cannot decide (a None pick).
     if u == at:
-        assert fallback.call_count == 1
+        assert picks in ([], [None])
 
 
 @pytest.mark.parametrize("d", [1, 8, 16, 128])

@@ -115,6 +115,15 @@ def test_cost_model_forks_only_kmeans_that_repay_it():
     assert _parallel.split_cost(5_000, 1024, 8, 8) < _parallel._MIN_COST
 
 
+def test_one_blas_thread_leaves_the_process_single_threaded():
+    # conftest sets one BLAS thread unless the caller set another count;
+    # then the forked-team tests in this file run their forked branches.
+    if {os.environ.get(v, "1") for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")} != {"1"}:
+        pytest.skip("the caller set more than one BLAS thread")
+    assert _parallel._threads() == 1
+    assert SINGLE_THREADED
+
+
 def test_small_work_runs_serially(monkeypatch):
     monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
     assert set(fork_map(lambda i: os.getpid(), 4, _parallel._MIN_COST - 1)) == {os.getpid()}
