@@ -339,6 +339,10 @@ def main(argv=None) -> int:
     except (FormatError, TrainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

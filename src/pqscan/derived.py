@@ -36,6 +36,7 @@ from .scan import (
     LookupTables,
     NeighborSet,
     _float32_entries,
+    _lookup_sum,
     _subspace_tables,
     scan_distances,
 )
@@ -110,9 +111,8 @@ def adc_low_bits(bins: np.ndarray, codes: np.ndarray) -> np.ndarray:
     m, k = bins.shape
     if codes.ndim != 2 or codes.shape[1] not in (m, (m + 1) // 2):
         raise ValueError(f"codes must have shape (n, {m}) or packed")
-    acc = np.zeros(codes.shape[0], dtype=np.min_scalar_type(m * CBINS))
-    for j, col in enumerate(code_columns(codes, m)):
-        acc += bins[j].take(col & (k - 1))
+    low = (col & (k - 1) for col in code_columns(codes, m))
+    acc = _lookup_sum(bins, low, codes.shape[0], np.min_scalar_type(m * CBINS))
     return np.minimum(acc, CBINS).astype(np.uint8)
 
 
@@ -206,8 +206,8 @@ def rerank(
     lazy: LazyTables | None = None,
 ) -> NeighborSet:
     """Second pass: full-resolution distances of every candidate, summed in
-    float64 in sub-space order as scan_distances does; return the r best by
-    (distance, id)."""
+    float64 under ``scan._lookup_sum``'s order rule, one lazily filled
+    sub-space at a time; return the r best by (distance, id)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if db.m != pq.m:

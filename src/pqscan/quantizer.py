@@ -225,6 +225,17 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contain non-finite values")
 
 
+def _kmeans_points(points: np.ndarray, k: int) -> np.ndarray:
+    """points as float64, after checking that they are (n, d >= 1) and
+    that k >= 1."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ValueError(f"points must be 2-D (n, d) with d >= 1, got shape {points.shape}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return points
+
+
 def _draw(closest: np.ndarray, rng: np.random.Generator) -> int:
     """One k-means++ draw over the weights closest (n >= 1, each >= 0 or
     NaN): the index ``rng.choice(n, p=closest / closest.sum())`` picks, or
@@ -498,7 +509,7 @@ def kmeans(
     farthest from its current centroid.
     """
     cfg = cfg or TrainConfig()
-    points = np.asarray(points, dtype=np.float64)
+    points = _kmeans_points(points, k)
     _require_finite(points, "points")
     # The final assignment runs on the shares the run itself used.
     with _Shares(points, k, cfg.kmeans_iters) as shares:
@@ -518,7 +529,7 @@ def same_size_kmeans(
     until all sizes are equal. Group centroids are the means of the final
     members. Returns (centroids (k, d) float32, list of k index arrays).
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = _kmeans_points(points, k)
     n = points.shape[0]
     if n % k != 0:
         raise ValueError(f"{n} points not divisible into {k} equal groups")

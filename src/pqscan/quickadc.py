@@ -30,9 +30,9 @@ each with its own tables (the visited cells of an inverted index):
 3. Exact pass. The prefix and the seeds, the r other codes with the smallest
    L, get exact distances; T is the r-th smallest of them, so at least the
    true r-th best. Every other code with L <= T + slack gets one too, summed
-   in sub-space order as ``scan_distances`` sums it, and one selection over
-   them all gives the result. A skipped code's computed distance exceeds T,
-   so it lies outside the top r, ties included.
+   as ``scan_distances`` sums it, under ``scan._lookup_sum``'s order rule,
+   and one selection over them all gives the result. A skipped code's
+   computed distance exceeds T, so it lies outside the top r, ties included.
 
 The slack, for k in {16, 256} alike. Let u = 2^-53, gamma_k = k u / (1 - k u)
 (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and for a
@@ -56,12 +56,14 @@ from typing import Sequence
 import numpy as np
 
 from ._dist import _select_best
+from .quantizer import code_columns
 from .scan import (
     CodeList,
     LookupTables,
     NeighborSet,
     ScanStats,
     _joined,
+    _lookup_sum,
     # Not called here; the benchmark's tracer patches this name.
     detranspose_blocks,  # noqa: F401
     scan_distances,
@@ -98,12 +100,8 @@ def quantized_distances(codes: np.ndarray, q: np.ndarray, cells: np.ndarray) -> 
     pairs = q[:, 1::2, :, None] + q[:, 0::2, None, :]
     pairs = np.ascontiguousarray(pairs.transpose(1, 0, 2, 3)).reshape(width, -1)
     words = codes if k == 16 else codes.view("<u2")
-    offsets = np.asarray(cells, dtype=np.intp) * (k * k) if n_cells > 1 else 0
-    acc = np.zeros(codes.shape[0], dtype=np.int16)
-    for j in range(width):
-        # One cell takes the word column as it is: adding 0 would copy it.
-        acc += pairs[j].take(words[:, j] if n_cells == 1 else words[:, j] + offsets)
-    return acc
+    offsets = np.asarray(cells, dtype=np.intp) * (k * k) if n_cells > 1 else None
+    return _lookup_sum(pairs, words.T, codes.shape[0], np.int16, offsets)
 
 
 def _bound_tables(t64: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -118,24 +116,6 @@ def _bound_tables(t64: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray, f
     s = bins / span if span >= _MIN_SPAN else 0.0
     q = np.minimum(np.floor(shifted * s), bins).astype(np.int16)
     return q, shifts, s
-
-
-def _exact_distances(t64: np.ndarray, codes: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """scan_distances of each row of stored codes under its cell's tables
-    t64[cell], bit for bit: the same float64 entries added to 0 in order."""
-    _, m, k = t64.shape
-    if k == 16:
-        flat = np.empty((2 * codes.shape[1], codes.shape[0]), dtype=np.intp)
-        np.bitwise_and(codes.T, 0x0F, out=flat[0::2])
-        np.right_shift(codes.T, 4, out=flat[1::2])
-        flat = flat[:m]
-    else:
-        flat = codes.T.astype(np.intp)
-    flat += cells * (m * k) + np.arange(0, m * k, k)[:, None]
-    acc = np.zeros(codes.shape[0], dtype=np.float64)
-    for entries in t64.reshape(-1).take(flat):
-        acc += entries
-    return acc
 
 
 def qadc_scan(
@@ -162,24 +142,31 @@ def qadc_scan(
     ids = _joined([lst.ids for lst in lists])
     cells = np.repeat(np.arange(len(lists)), [lst.n for lst in lists])
     t64 = np.stack([tab.tables for tab in tables]).astype(np.float64)
-    m = t64.shape[1]
+    _, m, k = t64.shape
 
     prefix_d = scan_distances(tables[0], lists[0].codes[:r])
     n_prefix = prefix_d.shape[0]
     q, shifts, s = _bound_tables(t64, prefix_d.max())
     rest, rest_cells = codes[n_prefix:], cells[n_prefix:]
+    # Row j holds table j of every cell, cell c's entries from c * k on.
+    flat = t64.transpose(1, 0, 2).reshape(m, -1)
+
+    def exact(rows: np.ndarray) -> np.ndarray:
+        return _lookup_sum(flat, code_columns(rest[rows], m), rows.size, np.float64,
+                           rest_cells[rows] * k)
+
     lower = quantized_distances(rest, q, rest_cells) * (1.0 / s if s else 0.0)
     lower += shifts[rest_cells]
 
     seeds = np.argpartition(lower, r - 1)[:r] if lower.size > r else np.arange(lower.size)
-    known = np.concatenate([prefix_d, _exact_distances(t64, rest[seeds], rest_cells[seeds])])
+    known = np.concatenate([prefix_d, exact(seeds)])
     later = np.empty(0, dtype=np.intp)
     if lower.size > r:
         t = np.partition(known, r - 1)[r - 1]
         keep = lower <= t + 4 * (m + 8) * _U * (m * np.abs(t64).max() + abs(t))
         keep[seeds] = False
         later = np.flatnonzero(keep)
-    dists = np.concatenate([known, _exact_distances(t64, rest[later], rest_cells[later])])
+    dists = np.concatenate([known, exact(later)])
     rows = np.concatenate([np.arange(n_prefix), n_prefix + seeds, n_prefix + later])
     best_d, best_i = _select_best(dists, ids[rows], r)
     return NeighborSet.from_pairs(r, best_d, best_i), ScanStats(codes.shape[0], dists.size)

@@ -90,14 +90,24 @@ def compute_tables(pq: ProductQuantizer, queries: np.ndarray) -> LookupTables | 
     return _subspace_tables(pq, pq.codebooks, queries)
 
 
-def scan_distances(tables: LookupTables, codes: np.ndarray) -> np.ndarray:
-    """ADC distance of every row of codes: the sum of its m table entries.
-    uint8 codes under tables of at most 16 entries are nibble-packed, (n,
-    ceil(m/2)), as every 4-bit list is stored; other codes, uint16 among
-    them, hold one component per column.
+def _lookup_sum(tables, columns, n: int, dtype, offsets=None) -> np.ndarray:
+    """Row i's sum over j of tables[j][columns_j[i] (+ offsets[i])], the one
+    accumulator of every table-lookup pass. The order rule: entries are
+    added to 0 in dtype, column by column in column order, so a float64 sum
+    equals the scalar sum taken in sub-space order exactly."""
+    acc = np.zeros(n, dtype=dtype)
+    for table, col in zip(tables, columns):
+        # Without offsets the column is taken as it is: adding 0 would copy it.
+        acc += table.take(col if offsets is None else col + offsets)
+    return acc
 
-    Accumulates in float64 with a fixed left-to-right sub-space order, so
-    each result equals the scalar sum taken in sub-space order exactly.
+
+def scan_distances(tables: LookupTables, codes: np.ndarray) -> np.ndarray:
+    """ADC distance of every row of codes: the sum of its m table entries,
+    in float64 under ``_lookup_sum``'s order rule. uint8 codes under tables
+    of at most 16 entries are nibble-packed, (n, ceil(m/2)), as every 4-bit
+    list is stored; other codes, uint16 among them, hold one component per
+    column.
     """
     codes = np.asarray(codes)
     m = tables.m
@@ -107,10 +117,7 @@ def scan_distances(tables: LookupTables, codes: np.ndarray) -> np.ndarray:
         raise ValueError(f"codes must have shape (n, {width}) for m={m}"
                          + (", nibble-packed" if packed else ""))
     t64 = tables.tables.astype(np.float64)
-    acc = np.zeros(codes.shape[0], dtype=np.float64)
-    for j, col in enumerate(code_columns(codes, m)):
-        acc += t64[j].take(col)
-    return acc
+    return _lookup_sum(t64, code_columns(codes, m), codes.shape[0], np.float64)
 
 
 class NeighborSet:

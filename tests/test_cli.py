@@ -604,3 +604,22 @@ def test_ground_truth_rejects_k_below_1(workspace, tmp_path, capsys, k):
               "--queries", str(workspace / "q.fvecs"), "--k", k, "--out", str(out))
     assert got == (1, "", f"error: k must be >= 1, got {k}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 4.66 PiB"), "error: out of memory: Unable to allocate 4.66 PiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_failed_allocation_is_one_error_line(tmp_path, capsys, monkeypatch, exc, message):
+    # Raised, not allocated: a real allocation that size could succeed
+    # lazily on a host that overcommits memory.
+    import pqscan.cli as cli
+
+    def generate_synthetic(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate_synthetic", generate_synthetic)
+    out = tmp_path / "x.fvecs"
+    got = run(capsys, "generate", "--out", str(out), "--n", "10000000000000", "--d", "128")
+    assert got == (1, "", f"{message}\n")
+    assert not out.exists()

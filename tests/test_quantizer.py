@@ -19,6 +19,7 @@ from pqscan import (
     train_pq,
 )
 
+from pqscan import quantizer
 from pqscan._dist import _GROUP_MIN_ROWS, centroid_groups
 from pqscan.quantizer import ENCODE_ROWS, _mean_update
 
@@ -387,3 +388,24 @@ def test_build_entry_points_reject_non_finite(entry, bad):
     x[17, 5] = bad
     with pytest.raises(ValueError, match="non-finite"):
         BUILD_ENTRY_POINTS[entry](x)
+
+
+POINTS_ERROR = r"points must be 2-D \(n, d\) with d >= 1"
+
+
+@pytest.mark.parametrize("shape, k, message", [
+    ((12, 3), 0, "k must be >= 1, got 0"),
+    ((12, 3), -2, "k must be >= 1, got -2"),
+    ((12,), 2, POINTS_ERROR),
+    ((12, 0), 2, POINTS_ERROR),
+    ((2, 3, 2), 2, POINTS_ERROR),
+])
+@pytest.mark.parametrize("fn", [kmeans, same_size_kmeans])
+def test_kmeans_checks_k_and_points_before_any_work(monkeypatch, fn, shape, k, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input check")
+
+    monkeypatch.setattr(quantizer, "_Shares", no_work)
+    monkeypatch.setattr(quantizer, "kmeans", no_work)
+    with pytest.raises(ValueError, match=message):
+        fn(np.zeros(shape), k)
